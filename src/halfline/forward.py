@@ -259,6 +259,13 @@ def s_matrix(q: Potential, kgrid: MomentumGrid, kappa_max: float | None = None) 
     the resonance threshold |f(0,0)| < 1e-3.
     """
     f0, _ = jost_boundary(q, kgrid)
+    return _scattering_data(q, kgrid, f0, kappa_max)
+
+
+def _scattering_data(
+    q: Potential, kgrid: MomentumGrid, f0: np.ndarray, kappa_max: float | None
+) -> ScatteringData:
+    """The body of s_matrix, given the boundary values f0 = jost_boundary(q, kgrid)[0]."""
     scan = find_bound_states(q, kappa_max)
     svals = np.conj(f0) / f0
     sign = -1 if scan.resonance_suspected else 1
@@ -388,7 +395,7 @@ def forward(
     if kgrid is None:
         kgrid = MomentumGrid.make(200.0, 0.01)
     f0, fprime0 = jost_boundary(q, kgrid)
-    sd = s_matrix(q, kgrid, kappa_max)
+    sd = _scattering_data(q, kgrid, f0, kappa_max)
     bad = validate_scattering_data(sd, tol=validate_tol)
     if bad:
         raise SolverError("forward data failed validation: " + "; ".join(bad))

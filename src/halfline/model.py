@@ -207,6 +207,8 @@ class ScatteringData:
         sv = _frozen(self.s_values, dtype=complex)
         if sv.shape != self.kgrid.nodes.shape:
             raise DataError("S samples must match the momentum grid")
+        if not np.all(np.isfinite(sv)):
+            raise DataError("S samples must be finite")
         object.__setattr__(self, "s_values", sv)
         bs = tuple(self.bound_states)
         object.__setattr__(self, "bound_states", bs)

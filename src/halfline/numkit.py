@@ -5,7 +5,8 @@ differentiation, truncated oscillatory Fourier integrals with an optional
 endpoint taper and an optional analytic 1/k tail correction, dense Nystrom
 solves for Fredholm equations of the second kind, backward-marching Volterra
 solves, bracketed root finding, winding numbers by nearest-branch phase
-continuation, and principal-value Cauchy integrals.
+continuation, and principal-value Cauchy transforms on uniform grids (one
+FFT convolution per transform).
 
 Conventions: both integral-equation solvers use the sign convention of the
 Marchenko equation, i.e. they return h satisfying
@@ -37,7 +38,6 @@ __all__ = [
     "find_root",
     "winding_number",
     "unwrap_phase",
-    "pv_cauchy",
     "pv_cauchy_grid",
     "WindingResult",
     "sine_integral",
@@ -424,6 +424,8 @@ class WindingResult(NamedTuple):
 
 def _phase_steps(values: np.ndarray, jump_tol: float) -> np.ndarray:
     v = np.asarray(values, dtype=complex)
+    if not np.all(np.isfinite(v)):
+        raise PhaseUnwrapError("non-finite sample in phase continuation")
     mags = np.abs(v)
     if np.any(mags == 0.0):
         raise PhaseUnwrapError("zero sample in phase continuation")
@@ -466,78 +468,57 @@ def winding_number(values: np.ndarray, jump_tol: float = np.pi * (1 - 1e-9)) -> 
 # principal-value Cauchy integrals
 
 
-def pv_cauchy(phi: np.ndarray, kgrid, k0: float) -> float:
-    """v.p. integral of phi(t)/(t - k0) dt over the truncated grid.
-
-    Uses singularity subtraction:
-        int (phi(t) - phi(k0))/(t - k0) dt + phi(k0) ln((k_max-k0)/(k_max+k0))
-    with the removable point filled by a central-difference slope.  k0 must
-    lie strictly inside the grid.
-    """
-    t = np.asarray(kgrid.nodes if hasattr(kgrid, "nodes") else kgrid, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != t.shape:
-        raise GridError("phi samples must match the grid")
-    if not (t[0] < k0 < t[-1]):
-        raise GridError(f"k0 = {k0} must lie strictly inside the grid")
-    dt = t[1] - t[0]
-    i0 = int(round((k0 - t[0]) / dt))
-    on_node = abs(t[i0] - k0) < 1e-6 * dt
-    d = t - k0
-    integrand = np.empty_like(phi)
-    if on_node:
-        phi0 = float(phi[i0])
-        mask = np.ones(t.size, dtype=bool)
-        mask[i0] = False
-        integrand[mask] = (phi[mask] - phi0) / d[mask]
-        if 2 <= i0 <= t.size - 3:
-            integrand[i0] = (phi[i0 - 2] - 8 * phi[i0 - 1] + 8 * phi[i0 + 1] - phi[i0 + 2]) / (12 * dt)
-        else:
-            im, ip = max(i0 - 1, 0), min(i0 + 1, t.size - 1)
-            integrand[i0] = (phi[ip] - phi[im]) / (t[ip] - t[im])
-    else:
-        phi0 = float(np.interp(k0, t, phi))
-        integrand = (phi - phi0) / d
-    w = quadrature_weights(t.size, dt)
-    val = float(np.dot(w, integrand))
-    val += phi0 * np.log((t[-1] - k0) / (k0 - t[0]))
-    return val
-
-
 def pv_cauchy_grid(phi: np.ndarray, nodes: np.ndarray, tail_coeff: float | None = None) -> np.ndarray:
     """v.p. integral of phi(t)/(t - k) dt evaluated at every interior node k.
 
-    Vectorized (chunked) version of pv_cauchy over the whole grid; the two
-    end nodes are copied from their neighbors, where the truncated-domain
-    principal value degenerates.  When tail_coeff c is given, the analytic
-    tail of phi ~ c/t beyond the grid is added:
+    The nodes must be uniformly spaced (spacing dk).  Singularity
+    subtraction at node k_i gives
+
+        sum_{j != i} w_j (phi_j - phi_i)/((j - i) dk) + w_i phi'(k_i)
+            + phi_i ln((t_max - k_i)/(k_i - t_min)),
+
+    with trapezoid weights w and a five-point slope filling the removable
+    point.  Both sums over j are Toeplitz products with the odd kernel
+    1/(m dk), computed as one zero-padded real FFT convolution, so the whole
+    transform costs O(n log n).  The two end nodes are copied from their
+    neighbors, where the truncated-domain principal value degenerates.  When
+    tail_coeff c is given, the analytic tail of phi ~ c/t beyond the grid is
+    added:
         int_{|t|>K} (c/t) dt/(t-k) = (c/k) ln((K+k)/(K-k)),  -> 2c/K at k=0.
     """
     t = np.asarray(nodes, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    if phi.shape != t.shape:
+        raise GridError("phi samples must match the grid")
     n = t.size
     dt = t[1] - t[0]
     w = quadrature_weights(n, dt)
     slope = differentiate(phi, dt, stencil=5)
+    # circulant embedding of the Toeplitz matrix C[i, j] = 1/((j - i) dt),
+    # zero on the diagonal: index m holds C[m, 0], index size - m holds C[0, m]
+    size = 1 << (2 * n - 2).bit_length()  # power of two >= 2n - 1
+    m = np.arange(1, n)
+    col = np.zeros(size)
+    col[1:n] = -1.0 / (m * dt)
+    col[size - n + 1 :] = 1.0 / (m[::-1] * dt)
+    sums = np.fft.irfft(np.fft.rfft(np.stack([w * phi, w]), size) * np.fft.rfft(col), size)[:, :n]
+    inner = slice(1, n - 1)
+    ti = t[inner]
     out = np.empty(n)
-    chunk = max(1, int(4e6) // n)
-    for start in range(1, n - 1, chunk):
-        stop = min(start + chunk, n - 1)
-        idx = np.arange(start, stop)
-        d = t[None, :] - t[idx, None]
-        np.place(d, d == 0.0, 1.0)
-        quot = (phi[None, :] - phi[idx, None]) / d
-        quot[np.arange(idx.size), idx] = slope[idx]
-        out[idx] = quot @ w
-        out[idx] += phi[idx] * np.log((t[-1] - t[idx]) / (t[idx] - t[0]))
+    out[inner] = (
+        sums[0, inner]
+        - phi[inner] * sums[1, inner]
+        + w[inner] * slope[inner]
+        + phi[inner] * np.log((t[-1] - ti) / (ti - t[0]))
+    )
     if tail_coeff is not None:
         K = t[-1]
-        k = t[1:-1].copy()
+        k = ti.copy()
         small = np.abs(k) < 1e-12 * K
         k[small] = 1.0
         tail = (tail_coeff / k) * np.log(np.abs((K + k) / (K - k)))
         tail[small] = 2.0 * tail_coeff / K
-        out[1:-1] += tail
+        out[inner] += tail
     out[0] = out[1]
     out[-1] = out[-2]
     return out

@@ -134,6 +134,22 @@ def test_riemann_subcommand_failure_exit_five(tmp_path):
     assert rc == 5
 
 
+def test_nonfinite_scattering_json_exits_with_stage_code(tmp_path, capsys):
+    # a NaN in S_re must end in the subcommand's failure code and a message,
+    # not in a traceback from deep inside the solver
+    path = identity_dataset(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["S_re"][7] = float("nan")
+    path.write_text(json.dumps(doc))
+    cases = (("riemann", cli.EXIT_RIEMANN, "riemann failed"), ("invert", cli.EXIT_INVERSE, "inversion failed"))
+    for sub, code, msg in cases:
+        rc = cli.main([sub, "--data", str(path), "--out", str(tmp_path / sub)])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert msg in err and "finite" in err
+        assert "Traceback" not in err
+
+
 def test_invert_and_roundtrip_subcommands(tmp_path):
     q = square_well_potential(RadialGrid.make(20.0, 0.01))
     qpath = tmp_path / "well.csv"

@@ -124,6 +124,17 @@ def test_potential_rejects_nonfinite():
         Potential(grid=g, values=v)
 
 
+def test_scattering_data_rejects_nonfinite():
+    kg = MomentumGrid.make(10.0, 0.5)
+    s = np.ones(kg.n, dtype=complex)
+    s[3] = complex(np.nan, 0.0)
+    with pytest.raises(DataError):
+        ScatteringData(kgrid=kg, s_values=s)
+    s[3] = complex(1.0, np.inf)
+    with pytest.raises(DataError):
+        ScatteringData(kgrid=kg, s_values=s)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     amp=st.floats(0.01, 2.0),

@@ -268,6 +268,8 @@ def test_winding_refusals():
         nk.winding_number(np.array([1.0, 0.0, 1.0], dtype=complex))
     with pytest.raises(PhaseUnwrapError):
         nk.winding_number(np.array([1.0, -1.0, 1.0], dtype=complex))  # pi jumps
+    with pytest.raises(PhaseUnwrapError):
+        nk.unwrap_phase(np.array([1.0, np.nan, 1.0], dtype=complex))
 
 
 @settings(max_examples=25, deadline=None)
@@ -279,10 +281,37 @@ def test_winding_invariant_under_positive_scaling(amp, width):
     assert nk.winding_number(path * envelope).value == nk.winding_number(path).value
 
 
+def _node(t, k0):
+    return int(np.argmin(np.abs(t - k0)))
+
+
+def _pv_direct(phi, t, tail_coeff=None):
+    """O(n^2) reference for pv_cauchy_grid: the subtracted-singularity sum
+    evaluated node by node, without the Toeplitz structure."""
+    n = t.size
+    dt = t[1] - t[0]
+    w = nk.quadrature_weights(n, dt)
+    slope = nk.differentiate(phi, dt, stencil=5)
+    K = t[-1]
+    out = np.empty(n)
+    for i in range(1, n - 1):
+        d = t - t[i]
+        d[i] = 1.0
+        quot = (phi - phi[i]) / d
+        quot[i] = slope[i]
+        out[i] = w @ quot + phi[i] * np.log((t[-1] - t[i]) / (t[i] - t[0]))
+        if tail_coeff is not None:
+            k = t[i]
+            out[i] += 2 * tail_coeff / K if k == 0.0 else (tail_coeff / k) * np.log(abs((K + k) / (K - k)))
+    out[0], out[-1] = out[1], out[-2]
+    return out
+
+
 def test_pv_cauchy_odd_integrand_zero():
     t = np.arange(-200.0, 200.0 + 1e-9, 0.05)
-    assert abs(nk.pv_cauchy(np.ones_like(t), t, 0.0)) < 1e-10
-    assert abs(nk.pv_cauchy(1.0 / (t**2 + 1.0), t, 0.0)) < 1e-8
+    i0 = _node(t, 0.0)
+    assert abs(nk.pv_cauchy_grid(np.ones_like(t), t)[i0]) < 1e-10
+    assert abs(nk.pv_cauchy_grid(1.0 / (t**2 + 1.0), t)[i0]) < 1e-8
 
 
 def test_pv_cauchy_analytic_oracle():
@@ -290,17 +319,19 @@ def test_pv_cauchy_analytic_oracle():
     # which sits 0.01 below the full-line value pi at k_max = 200
     t = np.arange(-200.0, 200.0 + 1e-9, 0.05)
     phi = t / (t**2 + 1.0)
-    assert nk.pv_cauchy(phi, t, 0.0) == pytest.approx(2 * np.arctan(200.0), abs=1e-4)
+    assert nk.pv_cauchy_grid(phi, t)[_node(t, 0.0)] == pytest.approx(2 * np.arctan(200.0), abs=1e-4)
 
 
 def test_pv_cauchy_against_scipy_quad():
     # independent oracle: scipy's Cauchy-weighted quadrature on the same
-    # truncated window
+    # truncated window, at grid nodes
     t = np.arange(-50.0, 50.0 + 1e-9, 0.02)
     phi_fn = lambda u: u / (u**2 + 4.0) + np.exp(-(u**2) / 30.0)
-    for k0 in (0.0, 1.3, -7.25):
-        ref, _ = quad(phi_fn, t[0], t[-1], weight="cauchy", wvar=k0, limit=400)
-        assert nk.pv_cauchy(phi_fn(t), t, k0) == pytest.approx(ref, abs=5e-7)
+    grid = nk.pv_cauchy_grid(phi_fn(t), t)
+    for k0 in (0.0, 1.3, -7.24):
+        i = _node(t, k0)
+        ref, _ = quad(phi_fn, t[0], t[-1], weight="cauchy", wvar=t[i], limit=400)
+        assert grid[i] == pytest.approx(ref, abs=5e-7)
 
 
 def test_pv_cauchy_upper_halfplane_identity():
@@ -309,24 +340,38 @@ def test_pv_cauchy_upper_halfplane_identity():
     # window the tails contribute O(1/k_max)
     t = np.arange(-2000.0, 2000.0 + 1e-9, 0.05)
     phi = 1.0 / (t - 2j)
+    got = nk.pv_cauchy_grid(phi.real, t) + 1j * nk.pv_cauchy_grid(phi.imag, t)
     for k0 in (0.0, 3.0):
         ref = -1j * np.pi / (k0 - 2j)
-        got = nk.pv_cauchy(phi.real, t, k0) + 1j * nk.pv_cauchy(phi.imag, t, k0)
-        assert abs(got - ref) < 2e-3
+        assert abs(got[_node(t, k0)] - ref) < 2e-3
 
 
-def test_pv_cauchy_k0_outside():
+def test_pv_cauchy_grid_shape_mismatch():
     t = np.linspace(-1.0, 1.0, 101)
     with pytest.raises(GridError):
-        nk.pv_cauchy(np.ones_like(t), t, 1.5)
+        nk.pv_cauchy_grid(np.ones(100), t)
 
 
 def test_pv_cauchy_grid_matches_pointwise():
-    t = np.arange(-30.0, 30.0 + 1e-9, 0.05)
-    phi = t / (t**2 + 2.0)
-    grid = nk.pv_cauchy_grid(phi, t)
-    for i in (5, 300, 600, 1100):
-        assert grid[i] == pytest.approx(nk.pv_cauchy(phi, t, t[i]), abs=1e-10)
+    # the FFT convolution against the node-by-node sum: odd and even node
+    # counts, a grid not centred at 0, and O(1/t) tails with and without the
+    # analytic tail term (solve_riemann passes such a phi with tail_coeff)
+    centred = lambda n, dt: dt * (np.arange(n) - (n - 1) / 2)
+    bump = lambda u: np.exp(-((u - 5.0) ** 2) / 20.0) * np.cos(u)
+    slow = lambda u: u / (u**2 + 4.0) + np.sin(u) * np.exp(-(u**2) / 8.0)
+    cases = [
+        (centred(2001, 0.05), bump, False),
+        (centred(4000, 0.02), slow, True),
+        (centred(4001, 0.02), slow, False),
+        (-10.0 + 0.02 * np.arange(4001), bump, False),
+        (centred(3001, 0.05), lambda u: 2 * u / (u**2 + 1.0) + np.exp(-(u**2)), True),
+    ]
+    for t, phi_fn, with_tail in cases:
+        phi = phi_fn(t)
+        c = 0.5 * (phi[-1] * t[-1] + phi[0] * t[0]) if with_tail else None
+        got = nk.pv_cauchy_grid(phi, t, tail_coeff=c)
+        ref = _pv_direct(phi, t, tail_coeff=c)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(phi))
 
 
 def test_sine_integral_accuracy():
