@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import characterize, marchenko as mk, riemann as rm
-from .errors import HalflineError, StageError
+from .errors import DataError, HalflineError, StageError
 from .forward import forward as forward_problem  # noqa: shadowed module name at package level
 from .model import (
     BoundState,
@@ -97,8 +97,11 @@ def write_scattering_json(path: Path, sd: ScatteringData) -> None:
 
 def read_scattering_json(path: Path) -> ScatteringData:
     doc = json.loads(path.read_text())
-    kgrid = MomentumGrid(np.array(doc["k"], dtype=float))
-    svals = np.array(doc["S_re"], dtype=float) + 1j * np.array(doc["S_im"], dtype=float)
+    k, s_re, s_im = (np.array(doc[key], dtype=float) for key in ("k", "S_re", "S_im"))
+    if not k.shape == s_re.shape == s_im.shape:
+        raise DataError(f"{path}: k, S_re and S_im lengths differ ({k.size}, {s_re.size}, {s_im.size})")
+    kgrid = MomentumGrid(k)
+    svals = s_re + 1j * s_im
     bound = tuple(BoundState(b["kappa"], b["s"]) for b in doc.get("bound_states", []))
     return ScatteringData(
         kgrid=kgrid, s_values=svals, bound_states=bound, s_at_zero_sign=int(doc.get("s_zero_sign", 1))

@@ -306,23 +306,27 @@ def phase_shift(sd: ScatteringData) -> np.ndarray:
     return delta
 
 
-def kernel_from_potential(
-    q: Potential,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> TransformationKernel:
-    """Transformation kernel A(x,y) by fixed-point iteration of
+def kernel_from_potential(q: Potential) -> TransformationKernel:
+    """Transformation kernel A(x,y) of
 
         A(x,y) = 1/2 int_{(x+y)/2}^inf q
                  + 1/2 int_x^inf ds q(s) int_{y-s+x}^{y+s-x} A(s,u) du.
 
-    In characteristic coordinates xi = (x+y)/2, eta = (y-x)/2 the double
-    integral becomes int_xi^inf da int_0^eta db q(a-b) K(a,b), so each sweep
-    is two cumulative trapezoid passes and the iteration contracts like the
-    powers of the first moment of q divided by factorials.  The diagonal
-    A(x,x) equals the half tail integral of q exactly (the eta = 0 row).
+    In characteristic coordinates xi = (x+y)/2, eta = (y-x)/2 this is the
+    Goursat problem K_{xi eta} = -q(xi - eta) K, K(xi, 0) = omega(xi) =
+    1/2 int_xi^inf q, K(x_max, eta) = 0 (Chadan & Sabatier, ch. V).  Its
+    product trapezoid rule on each cell,
+
+        K(i,j) - K(i+1,j) - K(i,j-1) + K(i+1,j-1)
+            = (dx^2/4) [P(i,j) + P(i+1,j) + P(i,j-1) + P(i+1,j-1)],
+
+    P = q(xi - eta) K (zero for eta > xi), is marched in xi from x_max down.
+    Each row is a first-order recurrence K(i,j) = a_j K(i,j-1) + b_j, solved
+    by one cumulative sum against the running products of the a_j, which lie
+    within exp(dx ||q||_1) of 1.  O(n^2), and A(x,x) = omega exactly.
     Odd-parity (x,y) nodes fall at cell centers of the characteristic grid
-    and are filled by 4-point averaging.
+    and are filled by 4-point averaging.  Raises SolverError if a pivot
+    1 - (dx^2/4) q is not positive or A is not finite.
     """
     qv = q.values
     dx = q.grid.dx
@@ -332,44 +336,38 @@ def kernel_from_potential(
     seg = 0.5 * dx * (qv[1:] + qv[:-1])
     omega = np.zeros(n)
     omega[:-1] = 0.5 * np.cumsum(seg[::-1])[::-1]
-    # q(a - b) lookup, zero when b > a
-    ia = np.arange(n)[:, None]
-    ib = np.arange(m)[None, :]
-    qdiff = np.where(ia >= ib, qv[np.clip(ia - ib, 0, n - 1)], 0.0)
-    K = np.repeat(omega[:, None], m, axis=1)
-    for it in range(max_iter):
-        P = qdiff * K
-        # C(a, eta_j) = int_0^eta_j P(a, b) db
-        C = np.zeros_like(P)
-        np.cumsum(0.5 * dx * (P[:, 1:] + P[:, :-1]), axis=1, out=C[:, 1:])
-        # D(xi_i, eta_j) = int_{xi_i}^{x_max} C(a, eta_j) da
-        D = np.zeros_like(C)
-        rev = 0.5 * dx * (C[1:] + C[:-1])
-        np.cumsum(rev[::-1], axis=0, out=D[:-1][::-1])
-        K_new = omega[:, None] + D
-        diff = float(np.max(np.abs(K_new - K)))
-        K = K_new
-        if diff < tol:
-            break
-    else:
-        raise SolverError(f"kernel iteration did not converge: last sup-diff {diff:.3e}")
-    # map K(xi, eta) back to A(x_i, y_j); parity-odd nodes by cell-center mean
+    # row i reads (dx^2/4) q(xi_i - eta_j) at c[n-1-i+j]: q reversed, zero-padded
+    c = np.zeros(n + m)
+    c[:n] = 0.25 * dx * dx * qv[::-1]
+    if np.any(1.0 - c <= 0.0):
+        raise SolverError("kernel march pivot 1 - (dx^2/4) q is not positive; refine the grid")
+    # a_j = (1 + c[s+j-1]) / (1 - c[s+j]) with s = n-1-i: one prefix product G serves all rows
+    G = np.ones(n + m)
+    np.cumprod((1.0 + c[:-1]) / (1.0 - c[1:]), out=G[1:])
+    weight = 1.0 / ((1.0 - c) * G)
+    K = np.zeros((n, m))
+    K[:, 0] = omega
+    for s in range(1, n):
+        prev, row = K[n - s], K[n - 1 - s, 1:]
+        b = (1.0 + c[s : s + m - 1]) * prev[1:] - (1.0 - c[s - 1 : s + m - 2]) * prev[:-1]
+        np.cumsum(b * weight[s + 1 : s + m], out=row)
+        row += omega[n - 1 - s] / G[s]
+        row *= G[s + 1 : s + m]
+    # A(x_i, x_{i+d}) for each offset d: even d reads column d/2 of K, odd d
+    # the mean of a cell's four corners; the diagonal is a strided flat view
+    KT = np.ascontiguousarray(K.T)
     A = np.zeros((n, n))
-    for i in range(n):
-        j = np.arange(i, n)
-        p = (i + j) // 2
-        r = (j - i) // 2
-        even = (i + j) % 2 == 0
-        rows = np.empty(j.size)
-        pe, re_ = p[even], r[even]
-        rows[even] = K[pe, re_]
-        if np.any(~even):
-            po, ro = p[~even], r[~even]
-            po1 = np.minimum(po + 1, n - 1)
-            ro1 = np.minimum(ro + 1, m - 1)
-            rows[~even] = 0.25 * (K[po, ro] + K[po1, ro] + K[po, ro1] + K[po1, ro1])
-        A[i, i:] = rows
-    return TransformationKernel(xgrid=q.grid, ygrid=q.grid, values=A, diagonal=K[:, 0].copy())
+    for d in range(n):
+        r, span = d // 2, n - d
+        if d % 2 == 0:
+            vals = KT[r, r : r + span]
+        else:
+            lo, hi = KT[r], KT[min(r + 1, m - 1)]
+            vals = 0.25 * (lo[r : r + span] + lo[r + 1 : r + 1 + span] + hi[r : r + span] + hi[r + 1 : r + 1 + span])
+        A.reshape(-1)[d :: n + 1][:span] = vals
+    if not np.all(np.isfinite(A)):
+        raise SolverError("transformation kernel has non-finite entries")
+    return TransformationKernel(xgrid=q.grid, ygrid=q.grid, values=A, diagonal=omega)
 
 
 @dataclass(frozen=True)

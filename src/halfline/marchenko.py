@@ -482,7 +482,7 @@ def extract_data_from_F(
 def data_from_kernel(
     kernel: TransformationKernel,
     kgrid: MomentumGrid | None = None,
-    kappa_max: float = 5.0,
+    kappa_max: float | None = None,
     kappa_min: float = 1e-3,
     scan_step: float = 0.01,
     resonance_tol: float = 1e-3,
@@ -495,6 +495,11 @@ def data_from_kernel(
     f_j(x) = e^{-kappa_j x} + int_x^inf A(x,y) e^{-kappa_j y} dy; and
     S = conj(f)/f with the S(0) sign set by the resonance test |f(0)| <
     resonance_tol.
+
+    The scan reaches kappa_max, by default 1.5 sqrt(max|q|) + 0.5 with
+    q = -2 dA(x,x)/dx read off the kernel diagonal (the bound the forward
+    scan uses).  f(i kappa) -> 1 as kappa -> inf, so a negative value at
+    the scan's upper edge means zeros beyond it and raises SolverError.
     """
     if kgrid is None:
         kgrid = MomentumGrid.make(200.0, 0.05)
@@ -516,8 +521,16 @@ def data_from_kernel(
         return float(1.0 + np.dot(w * row0, np.exp(-kap * y)))
 
     resonance = abs(f_imag(0.0)) < resonance_tol
+    if kappa_max is None:
+        q_max = 2.0 * float(np.max(np.abs(differentiate(kernel.diagonal, kernel.xgrid.dx))))
+        kappa_max = 1.5 * np.sqrt(q_max) + 0.5
     grid = np.arange(kappa_min, kappa_max + scan_step, scan_step)
     gv = np.array([f_imag(k) for k in grid])
+    if gv[-1] < 0:
+        raise SolverError(
+            f"f(i kappa) is still negative at the scan edge kappa = {grid[-1]:.3f}; "
+            "bound states lie beyond kappa_max"
+        )
     kappas = [
         find_root(f_imag, grid[i], grid[i + 1], 1e-12)
         for i in range(grid.size - 1)

@@ -383,7 +383,9 @@ def find_root(
     """Root of g on [a, b] by bisection with secant refinement.
 
     Requires a sign change on the bracket; stops when |g| <= tol or the
-    bracket is at rounding width.
+    bracket is at rounding width.  Raises SolverError when max_iter runs
+    out, or when the bracket collapses while |g| at both its ends is still
+    above 1e-6 max(|g(a)|, |g(b)|): that is a jump of g, not a root.
     """
     fa, fb = g(a), g(b)
     if fa == 0.0:
@@ -394,7 +396,7 @@ def find_root(
         raise DataError(f"no sign change on [{a}, {b}]")
     x_prev, f_prev = a, fa
     x_cur, f_cur = b, fb
-    lo, hi, flo = a, b, fa
+    lo, hi, flo, fhi = a, b, fa, fb
     for _ in range(max_iter):
         # secant candidate, safeguarded by the bracket
         if f_cur != f_prev:
@@ -407,14 +409,17 @@ def find_root(
         if abs(f_new) <= tol:
             return x_new
         if flo * f_new < 0:
-            hi = x_new
+            hi, fhi = x_new, f_new
         else:
             lo, flo = x_new, f_new
         x_prev, f_prev = x_cur, f_cur
         x_cur, f_cur = x_new, f_new
         if hi - lo <= 4 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
+            g_near = min(abs(flo), abs(fhi))
+            if g_near > 1e-6 * max(abs(fa), abs(fb)):
+                raise SolverError(f"sign change of g at {lo!r} is a jump, not a root (|g| >= {g_near:.3e})")
             return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    raise SolverError(f"root finder did not converge in {max_iter} iterations on [{a}, {b}]")
 
 
 class WindingResult(NamedTuple):
@@ -483,13 +488,15 @@ def pv_cauchy_grid(phi: np.ndarray, nodes: np.ndarray, tail_coeff: float | None 
     transform costs O(n log n).  The two end nodes are copied from their
     neighbors, where the truncated-domain principal value degenerates.  When
     tail_coeff c is given, the analytic tail of phi ~ c/t beyond the grid is
-    added:
+    added on a grid symmetric about 0 (GridError otherwise):
         int_{|t|>K} (c/t) dt/(t-k) = (c/k) ln((K+k)/(K-k)),  -> 2c/K at k=0.
     """
     t = np.asarray(nodes, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if phi.shape != t.shape:
         raise GridError("phi samples must match the grid")
+    if tail_coeff is not None and abs(t[0] + t[-1]) > 1e-9 * max(abs(t[-1]), 1.0):
+        raise GridError("the analytic tail term needs a grid symmetric about 0")
     n = t.size
     dt = t[1] - t[0]
     w = quadrature_weights(n, dt)

@@ -134,6 +134,18 @@ def test_riemann_subcommand_failure_exit_five(tmp_path):
     assert rc == 5
 
 
+def assert_stage_exits(path, tmp_path, capsys, reason):
+    """riemann and invert on a malformed scattering JSON: each ends in its
+    own stage code with a message naming the reason, never a traceback."""
+    cases = (("riemann", cli.EXIT_RIEMANN, "riemann failed"), ("invert", cli.EXIT_INVERSE, "inversion failed"))
+    for sub, code, msg in cases:
+        rc = cli.main([sub, "--data", str(path), "--out", str(tmp_path / sub)])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert msg in err and reason in err
+        assert "Traceback" not in err
+
+
 def test_nonfinite_scattering_json_exits_with_stage_code(tmp_path, capsys):
     # a NaN in S_re must end in the subcommand's failure code and a message,
     # not in a traceback from deep inside the solver
@@ -141,13 +153,16 @@ def test_nonfinite_scattering_json_exits_with_stage_code(tmp_path, capsys):
     doc = json.loads(path.read_text())
     doc["S_re"][7] = float("nan")
     path.write_text(json.dumps(doc))
-    cases = (("riemann", cli.EXIT_RIEMANN, "riemann failed"), ("invert", cli.EXIT_INVERSE, "inversion failed"))
-    for sub, code, msg in cases:
-        rc = cli.main([sub, "--data", str(path), "--out", str(tmp_path / sub)])
-        err = capsys.readouterr().err
-        assert rc == code
-        assert msg in err and "finite" in err
-        assert "Traceback" not in err
+    assert_stage_exits(path, tmp_path, capsys, "finite")
+
+
+def test_unequal_scattering_json_lengths_exit_with_stage_code(tmp_path, capsys):
+    # S_re one entry short of S_im and k: a data error, not a numpy traceback
+    path = identity_dataset(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["S_re"] = doc["S_re"][:-1]
+    path.write_text(json.dumps(doc))
+    assert_stage_exits(path, tmp_path, capsys, "lengths differ")
 
 
 def test_invert_and_roundtrip_subcommands(tmp_path):

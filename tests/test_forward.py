@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import sech2_jost_exact, well_kappa_oracle
-from halfline.errors import DataError
+from halfline.errors import DataError, SolverError
 from halfline import forward as fw
-from halfline.model import MomentumGrid, RadialGrid
+from halfline.model import MomentumGrid, Potential, RadialGrid
 from halfline.numkit import integrate, quadrature_weights, winding_number
 from halfline.potentials import (
     sech2_potential,
@@ -194,6 +194,79 @@ def test_forward_index_law(fw_sech2, fw_well, fw_zero):
 
 # ---------------------------------------------------------------------------
 # kernel_from_potential
+
+
+def _kernel_fixed_point(q, tol=1e-13, max_iter=60):
+    """Reference: fixed-point sweeps of the same product trapezoid rule,
+    K = omega + int_xi^inf da int_0^eta db q(a-b) K(a,b), then a row-by-row
+    map from K(xi, eta) to A(x, y) with cell-center means at odd parity."""
+    qv, dx, n = q.values, q.grid.dx, q.grid.n
+    m = (n - 1) // 2 + 1
+    omega = np.zeros(n)
+    omega[:-1] = 0.5 * np.cumsum((0.5 * dx * (qv[1:] + qv[:-1]))[::-1])[::-1]
+    ia, ib = np.arange(n)[:, None], np.arange(m)[None, :]
+    qdiff = np.where(ia >= ib, qv[np.clip(ia - ib, 0, n - 1)], 0.0)
+    K = np.repeat(omega[:, None], m, axis=1)
+    for _ in range(max_iter):
+        P = qdiff * K
+        C = np.zeros_like(P)
+        np.cumsum(0.5 * dx * (P[:, 1:] + P[:, :-1]), axis=1, out=C[:, 1:])
+        D = np.zeros_like(C)
+        np.cumsum((0.5 * dx * (C[1:] + C[:-1]))[::-1], axis=0, out=D[:-1][::-1])
+        K_new = omega[:, None] + D
+        diff = np.max(np.abs(K_new - K))
+        K = K_new
+        if diff < tol:
+            break
+    else:
+        raise AssertionError("reference sweeps did not converge")
+    A = np.zeros((n, n))
+    for i in range(n):
+        j = np.arange(i, n)
+        p, r = (i + j) // 2, (j - i) // 2
+        p1, r1 = np.minimum(p + 1, n - 1), np.minimum(r + 1, m - 1)
+        mean = 0.25 * (K[p, r] + K[p1, r] + K[p, r1] + K[p1, r1])
+        A[i, i:] = np.where((i + j) % 2 == 0, K[p, r], mean)
+    return A, K[:, 0]
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        sech2_potential(RadialGrid.make(20.0, 0.05)),  # n = 401
+        square_well_potential(RadialGrid.make(20.0, 0.05), depth=16.0),
+        # even n with q nonzero up to x_max: A(0, x_max) reads the last eta column
+        square_well_potential(RadialGrid.make(9.95, 0.05), depth=1.0, width=30.0),
+    ],
+    ids=["sech2", "square_well", "even_n_full_support"],
+)
+def test_kernel_march_matches_fixed_point(q):
+    K = fw.kernel_from_potential(q)
+    A_ref, diag_ref = _kernel_fixed_point(q)
+    assert np.max(np.abs(K.values - A_ref)) <= 1e-10 * np.max(np.abs(A_ref))
+    np.testing.assert_array_equal(K.diagonal, diag_ref)
+
+
+def test_kernel_sech2_second_order():
+    # A(x,y) = -2 e^{-(x+y)} / (1 + e^{-2x}) for y >= x; halving dx must
+    # quarter the sup error of the product trapezoid march
+    errs = []
+    for dx in (0.02, 0.01):
+        q = sech2_potential(RadialGrid.make(20.0, dx))
+        K = fw.kernel_from_potential(q)
+        x = K.xgrid.nodes[:, None]
+        y = K.ygrid.nodes[None, :]
+        ref = np.where(y >= x, -2 * np.exp(-(x + y)) / (1 + np.exp(-2 * x)), 0.0)
+        errs.append(np.max(np.abs(K.values - ref)))
+    order = np.log2(errs[0] / errs[1])
+    assert 1.8 <= order <= 2.2
+
+
+def test_kernel_refuses_nonpositive_pivot():
+    # 1 - (dx^2/4) q <= 0: the march cannot divide through
+    grid = RadialGrid.make(5.0, 0.5)
+    with pytest.raises(SolverError):
+        fw.kernel_from_potential(Potential(grid=grid, values=np.full(grid.n, 20.0)))
 
 
 def test_kernel_free(q_zero):

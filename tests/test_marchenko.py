@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halfline.errors import DataError, StageError, StrippingError
+from halfline.errors import DataError, SolverError, StageError, StrippingError
 from halfline import forward as fw
 from halfline import marchenko as mk
 from halfline.model import (
@@ -14,7 +14,7 @@ from halfline.model import (
     UniformGrid,
 )
 from halfline.numkit import differentiate
-from halfline.potentials import sech2_potential
+from halfline.potentials import sech2_potential, square_well_potential
 
 
 def make_input(lo, hi, dx, func):
@@ -320,6 +320,30 @@ def test_data_from_kernel_matches_s_matrix(q_well, fw_well):
     assert sd.bound_states[0].s == pytest.approx(fw_well.sd.bound_states[0].s, rel=1e-2)
     idx = np.round((kg.nodes - fw_well.sd.kgrid.nodes[0]) / fw_well.sd.kgrid.dk).astype(int)
     assert np.max(np.abs(sd.s_values - fw_well.sd.s_values[idx])) < 1e-3
+
+
+@pytest.fixture(scope="module")
+def deep_well_kernel():
+    q = square_well_potential(RadialGrid.make(10.0, 0.005), depth=64.0)
+    return fw.find_bound_states(q), fw.kernel_from_potential(q)
+
+
+def test_data_from_kernel_keeps_deep_states(deep_well_kernel):
+    # the depth-64 well has kappa = 0.83, 5.79 and 7.50; the scan bound is
+    # derived from the kernel diagonal, so no state lies beyond it
+    scan, K = deep_well_kernel
+    sd = mk.data_from_kernel(K, kgrid=MomentumGrid.make(20.0, 0.05))
+    assert sd.j_count == 3
+    got = [b.kappa for b in sd.bound_states]
+    np.testing.assert_allclose(got, scan.kappas, rtol=0.05)
+
+
+def test_data_from_kernel_flags_states_beyond_scan(deep_well_kernel):
+    # f(i kappa) < 0 between the two deepest zeros: a scan stopping there
+    # would drop them silently
+    _, K = deep_well_kernel
+    with pytest.raises(SolverError):
+        mk.data_from_kernel(K, kgrid=MomentumGrid.make(20.0, 0.05), kappa_max=6.5)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,17 @@ def test_find_root_requires_bracket():
         nk.find_root(lambda x: x + 10.0, 0.0, 1.0)
 
 
+def test_find_root_refuses_jump():
+    # a sign change without a zero: the bracket collapses onto the jump
+    with pytest.raises(SolverError):
+        nk.find_root(lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0)
+
+
+def test_find_root_refuses_when_iterations_run_out():
+    with pytest.raises(SolverError):
+        nk.find_root(np.cos, 1.0, 2.0, tol=0.0, max_iter=3)
+
+
 def test_winding_constant():
     assert nk.winding_number(np.ones(100, dtype=complex)).value == 0
 
@@ -372,6 +383,14 @@ def test_pv_cauchy_grid_matches_pointwise():
         got = nk.pv_cauchy_grid(phi, t, tail_coeff=c)
         ref = _pv_direct(phi, t, tail_coeff=c)
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(phi))
+
+
+def test_pv_cauchy_grid_tail_needs_symmetric_grid():
+    # the analytic tail term assumes |t| > t_max on both sides; on [-10, 70]
+    # it would add the wrong tail, so it is refused
+    t = np.round(np.arange(-10.0, 70.0 + 1e-9, 0.01), 10)
+    with pytest.raises(GridError):
+        nk.pv_cauchy_grid(t / (t**2 + 1.0), t, tail_coeff=1.0)
 
 
 def test_sine_integral_accuracy():
