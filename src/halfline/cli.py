@@ -70,18 +70,32 @@ def write_potential_csv(path: Path, q: Potential) -> None:
             w.writerow([_fmt(x), _fmt(v)])
 
 
+def _read_columns(path: Path, names: list[str]) -> list[np.ndarray]:
+    """The columns of a CSV artifact with the given header.  DataError for
+    an undecodable file, a wrong header, no data, a short row or a
+    non-numeric entry."""
+    try:
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV ({exc})") from None
+    if not rows or [c.strip() for c in rows[0][: len(names)]] != names:
+        raise DataError(f"{path}: expected header {','.join(names)!r}")
+    body = [row[: len(names)] for row in rows[1:]]
+    if not body:
+        raise DataError(f"{path}: no data rows")
+    if any(len(row) < len(names) for row in body):
+        raise DataError(f"{path}: every data row needs {len(names)} values")
+    try:
+        table = np.array([[float(v) for v in row] for row in body])
+    except ValueError as exc:
+        raise DataError(f"{path}: non-numeric entry ({exc})") from None
+    return list(table.T)
+
+
 def read_potential_csv(path: Path) -> Potential:
-    xs, qs = [], []
-    with path.open(newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if [c.strip() for c in header[:2]] != ["x", "q"]:
-            raise HalflineError(f"{path}: expected header 'x,q'")
-        for row in r:
-            xs.append(float(row[0]))
-            qs.append(float(row[1]))
-    grid = RadialGrid(np.array(xs))
-    return Potential(grid=grid, values=np.array(qs))
+    xs, qs = _read_columns(path, ["x", "q"])
+    return Potential(grid=RadialGrid(xs), values=qs)
 
 
 def write_scattering_json(path: Path, sd: ScatteringData) -> None:
@@ -96,30 +110,22 @@ def write_scattering_json(path: Path, sd: ScatteringData) -> None:
 
 
 def read_scattering_json(path: Path) -> ScatteringData:
-    doc = json.loads(path.read_text())
-    k, s_re, s_im = (np.array(doc[key], dtype=float) for key in ("k", "S_re", "S_im"))
-    if not k.shape == s_re.shape == s_im.shape:
+    try:
+        doc = json.loads(path.read_text())
+        k, s_re, s_im = (np.array(doc[key], dtype=float) for key in ("k", "S_re", "S_im"))
+        bound = tuple(BoundState(float(b["kappa"]), float(b["s"])) for b in doc.get("bound_states", []))
+        sign = int(doc.get("s_zero_sign", 1))
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        # JSONDecodeError is a ValueError; a missing key a KeyError
+        raise DataError(f"{path}: malformed scattering JSON ({type(exc).__name__}: {exc})") from None
+    if k.ndim != 1 or not k.shape == s_re.shape == s_im.shape:
         raise DataError(f"{path}: k, S_re and S_im lengths differ ({k.size}, {s_re.size}, {s_im.size})")
-    kgrid = MomentumGrid(k)
-    svals = s_re + 1j * s_im
-    bound = tuple(BoundState(b["kappa"], b["s"]) for b in doc.get("bound_states", []))
-    return ScatteringData(
-        kgrid=kgrid, s_values=svals, bound_states=bound, s_at_zero_sign=int(doc.get("s_zero_sign", 1))
-    )
+    return ScatteringData(kgrid=MomentumGrid(k), s_values=s_re + 1j * s_im, bound_states=bound, s_at_zero_sign=sign)
 
 
 def read_f_csv(path: Path) -> MarchenkoInput:
-    xs, fs = [], []
-    with path.open(newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if [c.strip() for c in header[:2]] != ["x", "F"]:
-            raise HalflineError(f"{path}: expected header 'x,F'")
-        for row in r:
-            xs.append(float(row[0]))
-            fs.append(float(row[1]))
-    grid = UniformGrid(np.array(xs))
-    f = np.array(fs)
+    xs, f = _read_columns(path, ["x", "F"])
+    grid = UniformGrid(xs)
     return MarchenkoInput(
         xgrid=grid,
         f_values=f,
@@ -189,7 +195,7 @@ class JobSpec:
 def parse_args(argv: list[str] | None = None) -> JobSpec:
     """Parse and validate CLI arguments into a JobSpec.
 
-    Usage errors (unknown flags, missing files) exit with status 2.
+    Usage errors (unknown flags, missing or empty files) exit with status 2.
     """
     p = argparse.ArgumentParser(
         prog="halfline",
@@ -236,6 +242,8 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
         path = Path(path_str)
         if not path.exists():
             p.error(f"input file not found: {path}")
+        if path.stat().st_size == 0:
+            p.error(f"input file is empty: {path}")
         return path
 
     return JobSpec(

@@ -33,7 +33,7 @@ from .model import (
     TransformationKernel,
     validate_scattering_data,
 )
-from .numkit import find_root, integrate, unwrap_phase
+from .numkit import find_roots, integrate, unwrap_phase
 
 __all__ = [
     "ForwardResult",
@@ -83,18 +83,21 @@ def _march(q_vals: np.ndarray, dx: float, ks: np.ndarray, keep_field: bool = Fal
         field[-1] = n_cur
     half = 0.5 * dx
     xs = dx * np.arange(nx)
+    has_zero = bool(np.any(zero))
     for i in range(nx - 2, -1, -1):
         qn1 = q_vals[i + 1] * n_cur
-        w = e2 * (w + half * qn1)
-        v = v + half * qn1
-        y = y + half * xs[i + 1] * qn1
+        hqn1 = half * qn1
+        w = e2 * (w + hqn1)
+        v = v + hqn1
         n_cur = 1.0 + (w - v) * inv2ik
-        if np.any(zero):
+        if has_zero:
+            y = y + half * xs[i + 1] * qn1
             n_cur = np.where(zero, 1.0 + y - xs[i] * v, n_cur)
         qn0 = half * q_vals[i] * n_cur
         w = w + qn0
         v = v + qn0
-        y = y + xs[i] * qn0
+        if has_zero:
+            y = y + xs[i] * qn0
         if keep_field:
             field[i] = n_cur
     w0 = np.where(zero, v, w)
@@ -146,15 +149,11 @@ def jost_field(q: Potential, kgrid: MomentumGrid) -> JostField:
     return JostField(xgrid=q.grid, kgrid=kgrid, f0=n0, fprime0=fprime0, f_xk=f_xk)
 
 
-def _f0_imag_axis(q: Potential, kappas: np.ndarray) -> np.ndarray:
-    """f(0, i*kappa) for an array of kappa > 0 (real-valued for real q)."""
-    n0, _, _, _ = _march(q.values, q.grid.dx, 1j * np.asarray(kappas, dtype=float))
-    return n0.real
-
-
-def _f0_imag_axis_coarse(q: Potential, kappas: np.ndarray) -> np.ndarray:
-    """Same as _f0_imag_axis on the 2*dx subsampled grid (for Richardson)."""
-    n0, _, _, _ = _march(q.values[::2], 2 * q.grid.dx, 1j * np.asarray(kappas, dtype=float))
+def _f0_imag_axis(q: Potential, kappas: np.ndarray, step: int = 1) -> np.ndarray:
+    """f(0, i*kappa) for an array of kappa > 0 (real-valued for real q), on
+    the potential grid subsampled by step (step = 2 is the 2*dx grid used
+    for Richardson extrapolation)."""
+    n0, _, _, _ = _march(q.values[::step], step * q.grid.dx, 1j * np.asarray(kappas, dtype=float))
     return n0.real
 
 
@@ -178,10 +177,13 @@ def find_bound_states(
     """Locate the zeros i*kappa_j of the Jost function on the imaginary axis.
 
     Scans g(kappa) = f(0, i*kappa) for sign changes on (kappa_min, kappa_max]
-    and refines each by bracketed root finding.  With refine=True the root is
-    Richardson-extrapolated against the 2*dx subsampled grid, removing the
-    O(dx^2) discretization bias (the scan may miss nearly degenerate pairs
-    closer than scan_step; zeros of f are simple but not separated).
+    (one march for the whole scan and kappa = 0) and refines all of them at
+    once by batched bracketed root finding, so every step of the root finder
+    is one march for all states.  With refine=True the roots are
+    Richardson-extrapolated against the 2*dx subsampled grid, refined the
+    same way, removing the O(dx^2) discretization bias (the scan may miss
+    nearly degenerate pairs closer than scan_step; zeros of f are simple but
+    not separated).
 
     A sign change straddling kappa_min, or |f(0,0)| below the resonance
     threshold, raises the zero-energy-resonance warning flag.
@@ -189,29 +191,22 @@ def find_bound_states(
     if kappa_max is None:
         kappa_max = float(np.sqrt(np.max(np.abs(q.values)))) * 1.5 + 0.5
     grid = np.arange(kappa_min, kappa_max + scan_step, scan_step)
-    g = _f0_imag_axis(q, grid)
-    f00 = float(_march(q.values, q.grid.dx, np.array([0.0j]))[0][0].real)
+    n0, _, _, _ = _march(q.values, q.grid.dx, np.concatenate([[0.0j], 1j * grid]))
+    f00, g = float(n0[0].real), n0[1:].real
     resonance = abs(f00) < RESONANCE_TOL
-    kappas = []
-    for i in range(grid.size - 1):
-        if g[i] == 0.0:
-            kappas.append(float(grid[i]))
-        elif g[i] * g[i + 1] < 0:
-            root = find_root(lambda kp: float(_f0_imag_axis(q, np.array([kp]))[0]), grid[i], grid[i + 1], tol)
-            if refine and q.grid.n % 2 == 1:
-                gc = _f0_imag_axis_coarse(q, np.array([grid[i], grid[i + 1]]))
-                if gc[0] * gc[1] < 0:
-                    root_c = find_root(
-                        lambda kp: float(_f0_imag_axis_coarse(q, np.array([kp]))[0]),
-                        grid[i],
-                        grid[i + 1],
-                        tol,
-                    )
-                    root = (4.0 * root - root_c) / 3.0
-            kappas.append(float(root))
+    exact = np.nonzero(g[:-1] == 0.0)[0]
+    lo = np.nonzero((g[:-1] != 0.0) & (g[:-1] * g[1:] < 0))[0]
+    roots = find_roots(lambda kp: _f0_imag_axis(q, kp), grid[lo], grid[lo + 1], tol)
+    if refine and q.grid.n % 2 == 1 and lo.size:
+        gc = _f0_imag_axis(q, np.concatenate([grid[lo], grid[lo + 1]]), step=2)
+        both = gc[: lo.size] * gc[lo.size :] < 0
+        roots_c = find_roots(lambda kp: _f0_imag_axis(q, kp, step=2), grid[lo[both]], grid[lo[both] + 1], tol)
+        roots[both] = (4.0 * roots[both] - roots_c) / 3.0
+    order = np.argsort(np.concatenate([exact, lo]), kind="stable")
+    kappas = np.concatenate([grid[exact], roots])[order]
     if not resonance and f00 * (g[0] if g.size else 1.0) < 0:
         resonance = True  # sign change straddling kappa_min
-    return BoundStateScan(tuple(kappas), resonance, f00)
+    return BoundStateScan(tuple(float(k) for k in kappas), resonance, f00)
 
 
 def norming_constants(q: Potential, kappas) -> tuple[np.ndarray, list[dict]]:
@@ -224,23 +219,29 @@ def norming_constants(q: Potential, kappas) -> tuple[np.ndarray, list[dict]]:
     with f'(0, i kappa_j) in the numerator instead gives the norming
     constant of the regular solution, c_j = s_j [f'(0, i kappa_j)]^2.
     Secondary value: s_j = 1 / int_0^inf f(x, i kappa_j)^2 dx.  The relative
-    discrepancy between the two routes is recorded per state.
+    discrepancy between the two routes is recorded per state.  One march
+    for all states gives the fields at i kappa_j and the values at
+    i (kappa_j +- h).
     """
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
-    out = np.empty(kappas.size)
+    nj = kappas.size
+    h = 1e-4 * kappas
+    ks = 1j * np.concatenate([kappas, kappas + h, kappas - h])
+    n0, w0, v0, field = _march(q.values, q.grid.dx, ks, keep_field=True)
+    f_x = field[:, :nj] * np.exp(np.multiply.outer(q.grid.nodes, 1j * ks[:nj]))
+    fprime0 = 1j * ks[:nj] - 0.5 * (w0[:nj] + v0[:nj])
+    gp, gm = n0[nj : 2 * nj].real, n0[2 * nj :].real
+    out = np.empty(nj)
     report = []
     for j, kap in enumerate(kappas):
-        h = 1e-4 * kap
-        f_x, fprime0 = solve_jost(q, 1j * kap)
-        gp, gm = _f0_imag_axis(q, np.array([kap + h, kap - h]))
         # f is analytic: d/dk = -i d/dkappa along k = i*kappa
-        fdot = -1j * (gp - gm) / (2 * h)
+        fdot = -1j * (gp[j] - gm[j]) / (2 * h[j])
         if abs(fdot) < 1e-8:
             raise SolverError(f"zero at kappa = {kap:.6f} is not simple (|fdot| < 1e-8)")
-        s_primary = -2j * kap / (fdot * fprime0)
+        s_primary = -2j * kap / (fdot * complex(fprime0[j]))
         if abs(s_primary.imag) > 1e-6 * max(1.0, abs(s_primary.real)):
             raise SolverError(f"norming constant at kappa = {kap:.6f} is not real: {s_primary}")
-        norm = float(integrate(np.real(f_x) ** 2, q.grid))
+        norm = float(integrate(np.real(f_x[:, j]) ** 2, q.grid))
         s_secondary = 1.0 / norm
         sp = float(s_primary.real)
         rel = abs(sp - s_secondary) / max(abs(sp), abs(s_secondary))

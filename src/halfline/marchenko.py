@@ -40,8 +40,9 @@ from .model import (
     UniformGrid,
 )
 from .numkit import (
+    _oscillatory_sum,
     differentiate,
-    find_root,
+    find_roots,
     fourier_kernel_to_space,
     fourier_space_to_kernel,
     integrate,
@@ -490,11 +491,13 @@ def data_from_kernel(
 ) -> ScatteringData:
     """Scattering data directly from the transformation kernel.
 
-    f(k) = 1 + int_0^inf A(0,y) e^{iky} dy; bound states are the sign
-    changes of f(i kappa) on the imaginary axis; s_j = ||f_j||^{-2} with
-    f_j(x) = e^{-kappa_j x} + int_x^inf A(x,y) e^{-kappa_j y} dy; and
-    S = conj(f)/f with the S(0) sign set by the resonance test |f(0)| <
-    resonance_tol.
+    f(k) = 1 + int_0^inf A(0,y) e^{iky} dy, summed by the uniform phase
+    recurrence of the Fourier transforms; bound states are the sign changes
+    of f(i kappa) on the imaginary axis, all refined at once by batched
+    bracketed root finding; s_j = ||f_j||^{-2} with f_j(x) = e^{-kappa_j x}
+    + int_x^inf A(x,y) e^{-kappa_j y} dy, one kernel product for all
+    states; and S = conj(f)/f with the S(0) sign set by the resonance test
+    |f(0)| < resonance_tol.
 
     The scan reaches kappa_max, by default 1.5 sqrt(max|q|) + 0.5 with
     q = -2 dA(x,x)/dx read off the kernel diagonal (the bound the forward
@@ -503,50 +506,46 @@ def data_from_kernel(
     """
     if kgrid is None:
         kgrid = MomentumGrid.make(200.0, 0.05)
-    row0 = kernel.row(0)
     y = kernel.ygrid.nodes
     dx = kernel.ygrid.dx
-    w = quadrature_weights(y.size, dx, rule)
+    wrow = quadrature_weights(y.size, dx, rule) * kernel.row(0)
     pos = np.nonzero(kgrid.nodes >= 0)[0]
-    kp = kgrid.nodes[pos]
     f0 = np.empty(kgrid.n, dtype=complex)
-    chunk = max(1, int(2e6) // y.size)
-    for i in range(0, kp.size, chunk):
-        ki = kp[i : i + chunk]
-        f0[pos[i : i + chunk]] = 1.0 + np.exp(1j * np.outer(ki, y)) @ (w * row0)
+    f0[pos] = 1.0 + _oscillatory_sum(wrow, y, kgrid.nodes[pos], 1.0)
     neg = np.nonzero(kgrid.nodes < 0)[0]
     f0[neg] = np.conj(f0[kgrid.n - 1 - neg])
 
-    def f_imag(kap: float) -> float:
-        return float(1.0 + np.dot(w * row0, np.exp(-kap * y)))
+    def f_imag(kaps: np.ndarray) -> np.ndarray:
+        e = np.multiply.outer(-np.asarray(kaps, dtype=float), y)
+        return 1.0 + np.exp(e, out=e) @ wrow
 
-    resonance = abs(f_imag(0.0)) < resonance_tol
     if kappa_max is None:
         q_max = 2.0 * float(np.max(np.abs(differentiate(kernel.diagonal, kernel.xgrid.dx))))
         kappa_max = 1.5 * np.sqrt(q_max) + 0.5
     grid = np.arange(kappa_min, kappa_max + scan_step, scan_step)
-    gv = np.array([f_imag(k) for k in grid])
+    gv = f_imag(np.concatenate([[0.0], grid]))
+    resonance = abs(gv[0]) < resonance_tol
+    gv = gv[1:]
     if gv[-1] < 0:
         raise SolverError(
             f"f(i kappa) is still negative at the scan edge kappa = {grid[-1]:.3f}; "
             "bound states lie beyond kappa_max"
         )
-    kappas = [
-        find_root(f_imag, grid[i], grid[i + 1], 1e-12)
-        for i in range(grid.size - 1)
-        if gv[i] * gv[i + 1] < 0
-    ]
-    bound = []
-    X = kernel.xgrid.nodes
-    diag = np.diagonal(kernel.values)
-    for kap in kappas:
-        decay = np.exp(-kap * y)
-        P = kernel.values * decay[None, :]
-        # trapezoid over [x_i, x_max] per row: the j < i entries are zero,
-        # so the row sum starts at the diagonal; halve the two end nodes
-        fj = np.exp(-kap * X) + dx * P.sum(axis=1) - 0.5 * dx * (diag * decay + P[:, -1])
-        norm = float(integrate(fj**2, kernel.xgrid, rule))
-        bound.append(BoundState(kap, 1.0 / norm))
+    lo = np.nonzero(gv[:-1] * gv[1:] < 0)[0]
+    kappas = find_roots(f_imag, grid[lo], grid[lo + 1], 1e-12)
+    # f_j(x) = e^{-kappa_j x} + int_x^inf A(x,y) e^{-kappa_j y} dy for all
+    # states at once: trapezoid over [x_i, x_max] per row; the j < i entries
+    # of A are zero, so the row sum starts at the diagonal; halve the two
+    # end nodes
+    A = kernel.values
+    decay = np.exp(-np.multiply.outer(y, kappas))
+    fj = (
+        np.exp(-np.multiply.outer(kernel.xgrid.nodes, kappas))
+        + dx * (A @ decay)
+        - 0.5 * dx * (np.diagonal(A)[:, None] * decay + A[:, -1:] * decay[-1])
+    )
+    norms = integrate(fj.T**2, kernel.xgrid, rule)
+    bound = [BoundState(float(kap), float(1.0 / norm)) for kap, norm in zip(kappas, norms)]
     svals = np.conj(f0) / f0
     sign = -1 if resonance else 1
     if kgrid.zero_index is not None:

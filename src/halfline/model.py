@@ -40,6 +40,8 @@ def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
 def _check_uniform(nodes: np.ndarray) -> float:
     if nodes.ndim != 1 or nodes.size < 2:
         raise GridError("grid needs at least two nodes")
+    if not np.all(np.isfinite(nodes)):
+        raise GridError("grid nodes must be finite")
     d = np.diff(nodes)
     if np.any(d <= 0):
         raise GridError("grid nodes must be strictly increasing")

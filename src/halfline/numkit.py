@@ -4,7 +4,8 @@ Quadrature (trapezoid and composite Simpson), finite-difference
 differentiation, truncated oscillatory Fourier integrals with an optional
 endpoint taper and an optional analytic 1/k tail correction, dense Nystrom
 solves for Fredholm equations of the second kind, backward-marching Volterra
-solves, bracketed root finding, winding numbers by nearest-branch phase
+solves, batched bracketed root finding (one vectorized call of g per
+secant step for all brackets), winding numbers by nearest-branch phase
 continuation, and principal-value Cauchy transforms on uniform grids (one
 FFT convolution per transform).
 
@@ -36,6 +37,7 @@ __all__ = [
     "solve_fredholm",
     "solve_volterra_backward",
     "find_root",
+    "find_roots",
     "winding_number",
     "unwrap_phase",
     "pv_cauchy_grid",
@@ -373,6 +375,78 @@ def solve_volterra_backward(
 # roots, winding numbers, phase continuation
 
 
+def find_roots(
+    g: Callable[[np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    tol: float = 1e-10,
+    max_iter: int = 200,
+) -> np.ndarray:
+    """Roots of g on the brackets [a_i, b_i] by bisection with secant
+    refinement, all brackets at once.
+
+    g is vectorized: it maps an array of points to the array of values and
+    is called once per step for every bracket not yet converged (once more
+    at the start, for all bracket ends).  Each bracket follows the iterates
+    of a scalar run: it needs a sign change and stops when |g| <= tol or it
+    is at rounding width.  Raises DataError for a bracket without a sign
+    change, and SolverError when max_iter runs out or when a bracket
+    collapses while |g| at both its ends is still above 1e-6 max(|g(a)|,
+    |g(b)|): that is a jump of g, not a root.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    n = a.size
+    if n == 0:
+        return np.empty(0)
+    fab = np.asarray(g(np.concatenate([a, b])), dtype=float)
+    fa, fb = fab[:n], fab[n:]
+    root = np.where(fa == 0.0, a, b)
+    active = (fa != 0.0) & (fb != 0.0)
+    bad = np.nonzero(active & (fa * fb > 0))[0]
+    if bad.size:
+        i = bad[0]
+        raise DataError(f"no sign change on [{a[i]}, {b[i]}]")
+    idx = np.nonzero(active)[0]
+    x_prev, f_prev = a[idx], fa[idx]
+    x_cur, f_cur = b[idx], fb[idx]
+    lo, hi, flo, fhi = x_prev, x_cur, f_prev, f_cur
+    jump_floor = 1e-6 * np.maximum(np.abs(fa[idx]), np.abs(fb[idx]))
+    for _ in range(max_iter):
+        if idx.size == 0:
+            break
+        # secant candidate, safeguarded by the bracket
+        mid = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
+        x_new = np.where(f_cur != f_prev, secant, mid)
+        x_new = np.where((lo < x_new) & (x_new < hi), x_new, mid)
+        f_new = np.asarray(g(x_new), dtype=float)
+        hit = np.abs(f_new) <= tol
+        root[idx[hit]] = x_new[hit]
+        left = flo * f_new < 0
+        hi, fhi = np.where(left, x_new, hi), np.where(left, f_new, fhi)
+        lo, flo = np.where(left, lo, x_new), np.where(left, flo, f_new)
+        x_prev, f_prev = x_cur, f_cur
+        x_cur, f_cur = x_new, f_new
+        width = 4 * np.finfo(float).eps * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+        collapsed = ~hit & (hi - lo <= width)
+        g_near = np.minimum(np.abs(flo), np.abs(fhi))
+        jump = np.nonzero(collapsed & (g_near > jump_floor))[0]
+        if jump.size:
+            i = jump[0]
+            raise SolverError(f"sign change of g at {float(lo[i])!r} is a jump, not a root (|g| >= {g_near[i]:.3e})")
+        root[idx[collapsed]] = 0.5 * (lo[collapsed] + hi[collapsed])
+        keep = ~(hit | collapsed)
+        idx, jump_floor = idx[keep], jump_floor[keep]
+        x_prev, f_prev, x_cur, f_cur = x_prev[keep], f_prev[keep], x_cur[keep], f_cur[keep]
+        lo, hi, flo, fhi = lo[keep], hi[keep], flo[keep], fhi[keep]
+    if idx.size:
+        i = idx[0]
+        raise SolverError(f"root finder did not converge in {max_iter} iterations on [{a[i]}, {b[i]}]")
+    return root
+
+
 def find_root(
     g: Callable[[float], float],
     a: float,
@@ -380,46 +454,8 @@ def find_root(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> float:
-    """Root of g on [a, b] by bisection with secant refinement.
-
-    Requires a sign change on the bracket; stops when |g| <= tol or the
-    bracket is at rounding width.  Raises SolverError when max_iter runs
-    out, or when the bracket collapses while |g| at both its ends is still
-    above 1e-6 max(|g(a)|, |g(b)|): that is a jump of g, not a root.
-    """
-    fa, fb = g(a), g(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise DataError(f"no sign change on [{a}, {b}]")
-    x_prev, f_prev = a, fa
-    x_cur, f_cur = b, fb
-    lo, hi, flo, fhi = a, b, fa, fb
-    for _ in range(max_iter):
-        # secant candidate, safeguarded by the bracket
-        if f_cur != f_prev:
-            x_new = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
-        else:
-            x_new = 0.5 * (lo + hi)
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        f_new = g(x_new)
-        if abs(f_new) <= tol:
-            return x_new
-        if flo * f_new < 0:
-            hi, fhi = x_new, f_new
-        else:
-            lo, flo = x_new, f_new
-        x_prev, f_prev = x_cur, f_cur
-        x_cur, f_cur = x_new, f_new
-        if hi - lo <= 4 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
-            g_near = min(abs(flo), abs(fhi))
-            if g_near > 1e-6 * max(abs(fa), abs(fb)):
-                raise SolverError(f"sign change of g at {lo!r} is a jump, not a root (|g| >= {g_near:.3e})")
-            return 0.5 * (lo + hi)
-    raise SolverError(f"root finder did not converge in {max_iter} iterations on [{a}, {b}]")
+    """Root of a scalar g on [a, b]: find_roots on one bracket."""
+    return float(find_roots(lambda xs: [g(float(x)) for x in xs], a, b, tol, max_iter)[0])
 
 
 class WindingResult(NamedTuple):

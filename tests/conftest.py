@@ -77,3 +77,33 @@ def well_kappa_oracle(depth: float = 4.0, width: float = 1.0, iters: int = 200) 
         else:
             lo, glo = mid, g(mid)
     return 0.5 * (lo + hi)
+
+
+def find_root_scalar(g, a: float, b: float, tol: float = 1e-10, max_iter: int = 200) -> float:
+    """Reference scalar safeguarded secant: the iterates the batched
+    numkit.find_roots must reproduce bracket by bracket."""
+    fa, fb = g(a), g(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    assert fa * fb < 0
+    x_prev, f_prev = a, fa
+    x_cur, f_cur = b, fb
+    lo, hi, flo, fhi = a, b, fa, fb
+    for _ in range(max_iter):
+        x_new = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev) if f_cur != f_prev else 0.5 * (lo + hi)
+        if not (lo < x_new < hi):
+            x_new = 0.5 * (lo + hi)
+        f_new = g(x_new)
+        if abs(f_new) <= tol:
+            return x_new
+        if flo * f_new < 0:
+            hi, fhi = x_new, f_new
+        else:
+            lo, flo = x_new, f_new
+        x_prev, f_prev = x_cur, f_cur
+        x_cur, f_cur = x_new, f_new
+        if hi - lo <= 4 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
+            return 0.5 * (lo + hi)
+    raise AssertionError("reference root finder did not converge")

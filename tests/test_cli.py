@@ -1,7 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfline import cli
 from halfline.model import BoundState, MomentumGrid, RadialGrid, ScatteringData
@@ -190,3 +193,114 @@ def test_invert_and_roundtrip_subcommands(tmp_path):
     ref = np.interp(pot.grid.nodes, q.grid.nodes, q.values)
     l1 = np.trapezoid(np.abs(pot.values - ref), dx=pot.grid.dx)
     assert l1 / 4.0 < 0.05
+
+
+def test_empty_input_file_exits_2(tmp_path, capsys):
+    # a zero-byte artifact is a usage error, like a missing one
+    (tmp_path / "q.csv").write_text("")
+    (tmp_path / "sd.json").write_text("")
+    for args in (
+        ["forward", "--potential", str(tmp_path / "q.csv")],
+        ["roundtrip", "--potential", str(tmp_path / "q.csv")],
+        ["validate", "--data", str(tmp_path / "sd.json")],
+    ):
+        assert cli.main(args + ["--out", str(tmp_path / "o")]) == 2
+        assert "input file is empty" in capsys.readouterr().err
+
+
+def test_non_numeric_potential_csv_exits_3(tmp_path, capsys):
+    path = tmp_path / "q.csv"
+    path.write_text("x,q\n0.0,-4.0\n0.5,abc\n1.0,0.0\n")
+    for sub in ("forward", "roundtrip"):
+        assert cli.main([sub, "--potential", str(path), "--out", str(tmp_path / sub)]) == cli.EXIT_FORWARD
+        err = capsys.readouterr().err
+        assert "non-numeric" in err and "Traceback" not in err
+
+
+def test_header_only_csv_exits_with_stage_code(tmp_path, capsys):
+    (tmp_path / "q.csv").write_text("x,q\n")
+    (tmp_path / "f.csv").write_text("x,F\n0.0,1.0\n0.1\n")
+    assert cli.main(["forward", "--potential", str(tmp_path / "q.csv"), "--out", str(tmp_path / "o")]) == 3
+    assert "no data rows" in capsys.readouterr().err
+    assert cli.main(["extract", "--f-data", str(tmp_path / "f.csv"), "--out", str(tmp_path / "o")]) == 4
+    assert "needs 2 values" in capsys.readouterr().err
+
+
+def test_scattering_json_without_s_re_exits_with_stage_code(tmp_path, capsys):
+    path = identity_dataset(tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["S_re"]
+    path.write_text(json.dumps(doc))
+    assert_stage_exits(path, tmp_path, capsys, "S_re")
+
+
+def test_undecodable_scattering_json_exits_6(tmp_path, capsys):
+    path = tmp_path / "sd.json"
+    path.write_text("\n")  # not zero bytes, but no JSON document
+    assert cli.main(["validate", "--data", str(path), "--out", str(tmp_path / "v")]) == cli.EXIT_VALIDATION
+    assert "malformed scattering JSON" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: malformed artifacts end in a documented exit code, never a traceback
+
+_FUZZ_GRID = ["--kmax", "200", "--dk", "0.1", "--xmax", "5", "--dx", "0.05"]
+
+
+@functools.lru_cache(maxsize=1)
+def _fuzz_artifacts():
+    """A small valid potential CSV and scattering JSON (square well, one
+    bound state) for the fuzz test to corrupt."""
+    from halfline.forward import forward
+
+    q = square_well_potential(RadialGrid.make(5.0, 0.05))
+    sd = forward(q, MomentumGrid.make(200.0, 0.1)).sd
+    doc = {
+        "k": [float(v) for v in sd.kgrid.nodes],
+        "S_re": [float(v) for v in sd.s_values.real],
+        "S_im": [float(v) for v in sd.s_values.imag],
+        "bound_states": [{"kappa": b.kappa, "s": b.s} for b in sd.bound_states],
+        "s_zero_sign": sd.s_at_zero_sign,
+    }
+    csv_text = "x,q\n" + "".join(f"{float(x)!r},{float(v)!r}\n" for x, v in zip(q.grid.nodes, q.values))
+    return csv_text, doc
+
+
+@st.composite
+def _malformed_artifact(draw):
+    csv_text, json_doc = _fuzz_artifacts()
+    kind = draw(st.sampled_from(["csv", "json"]))
+    text = csv_text if kind == "csv" else json.dumps(json_doc)
+    how = draw(st.sampled_from(["truncate", "non_numeric", "missing", "empty"]))
+    if how == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif how == "non_numeric":
+        tokens = text.split(",")
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = draw(st.sampled_from(["abc", "", "1e", "--1", "[]", '"x"']))
+        text = ",".join(tokens)
+    elif how == "missing" and kind == "json":
+        doc = dict(json_doc)
+        del doc[draw(st.sampled_from(sorted(doc)))]
+        text = json.dumps(doc)
+    elif how == "missing":
+        lines = text.splitlines(keepends=True)
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i].split(",")[0] + "\n"
+        text = "".join(lines)
+    else:
+        text = draw(st.sampled_from(["", "\n", " ", "{}", "[]", "x,q\n"]))
+    return kind, text
+
+
+@settings(max_examples=100, deadline=None)
+@given(_malformed_artifact())
+def test_malformed_artifacts_keep_exit_code_contract(tmp_path_factory, artifact):
+    kind, text = artifact
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / ("q.csv" if kind == "csv" else "sd.json")
+    path.write_text(text)
+    subs = (("forward", "--potential"),) if kind == "csv" else (("validate", "--data"), ("riemann", "--data"), ("invert", "--data"))
+    for sub, flag in subs:
+        rc = cli.main([sub, flag, str(path), "--out", str(work / sub)] + _FUZZ_GRID)
+        assert rc in (0, 2, 3, 4, 5, 6), (sub, rc, text[:200])

@@ -128,6 +128,91 @@ def test_norming_cross_check(q_well):
     assert report[0]["rel_diff"] < 1e-4
 
 
+def _bound_states_one_by_one(q, tol=1e-10):
+    """Reference: the scan refined state by state, each root by a scalar
+    secant on single-kappa marches (dx grid, then the 2*dx grid)."""
+    from conftest import find_root_scalar
+
+    kappa_max = float(np.sqrt(np.max(np.abs(q.values)))) * 1.5 + 0.5
+    grid = np.arange(1e-3, kappa_max + 0.01, 0.01)
+    g = fw._f0_imag_axis(q, grid)
+    kappas = []
+    for i in range(grid.size - 1):
+        if g[i] == 0.0:
+            kappas.append(float(grid[i]))
+        elif g[i] * g[i + 1] < 0:
+            root = find_root_scalar(lambda kp: float(fw._f0_imag_axis(q, np.array([kp]))[0]), grid[i], grid[i + 1], tol)
+            if q.grid.n % 2 == 1:
+                gc = fw._f0_imag_axis(q, np.array([grid[i], grid[i + 1]]), step=2)
+                if gc[0] * gc[1] < 0:
+                    root_c = find_root_scalar(
+                        lambda kp: float(fw._f0_imag_axis(q, np.array([kp]), step=2)[0]), grid[i], grid[i + 1], tol
+                    )
+                    root = (4.0 * root - root_c) / 3.0
+            kappas.append(float(root))
+    return tuple(kappas)
+
+
+def _deep_well():
+    grid = RadialGrid.make(10.0, 0.005)
+    return Potential(grid=grid, values=np.where(grid.nodes < 1.0, -64.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "make_q",
+    [
+        lambda: square_well_potential(RadialGrid.make(40.0, 0.01)),
+        lambda: sech2_potential(RadialGrid.make(20.0, 0.01), depth=6.0),  # kappa = 1
+        lambda: sech2_potential(RadialGrid.make(20.0, 0.01), depth=20.0),  # kappa = 1, 3
+        _deep_well,
+    ],
+    ids=["square_well", "sech2_depth6", "sech2_depth20", "deep_well"],
+)
+def test_bound_states_batched_equal_one_by_one(make_q):
+    q = make_q()
+    scan = fw.find_bound_states(q)
+    assert len(scan.kappas) >= 1
+    assert scan.kappas == _bound_states_one_by_one(q)
+
+
+def test_norming_batched_equal_one_by_one():
+    # reference: one solve_jost and one two-point march per state
+    q = _deep_well()
+    kappas = fw.find_bound_states(q).kappas
+    vals, report = fw.norming_constants(q, kappas)
+    for kap, s, rep in zip(kappas, vals, report):
+        h = 1e-4 * kap
+        f_x, fprime0 = fw.solve_jost(q, 1j * kap)
+        gp, gm = fw._f0_imag_axis(q, np.array([kap + h, kap - h]))
+        s_ref = (-2j * kap / (-1j * (gp - gm) / (2 * h) * fprime0)).real
+        assert s == s_ref
+        assert rep["s_norm"] == 1.0 / float(integrate(np.real(f_x) ** 2, q.grid))
+
+
+def _count_marches(monkeypatch):
+    widths = []
+    march = fw._march
+
+    def counting(q_vals, dx, ks, keep_field=False):
+        widths.append(np.size(ks))
+        return march(q_vals, dx, ks, keep_field)
+
+    monkeypatch.setattr(fw, "_march", counting)
+    return widths
+
+
+def test_bound_states_and_norming_batch_the_marches(monkeypatch):
+    q = _deep_well()
+    widths = _count_marches(monkeypatch)
+    scan = fw.find_bound_states(q)
+    assert len(scan.kappas) == 3
+    assert len(widths) <= 12  # one state at a time took 24
+    widths.clear()
+    vals, report = fw.norming_constants(q, scan.kappas)
+    assert widths == [9]  # kappa_j and kappa_j +- h for all three states
+    assert np.all(vals > 0) and max(r["rel_diff"] for r in report) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # s_matrix / phase shift
 

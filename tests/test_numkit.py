@@ -257,6 +257,59 @@ def test_find_root_refuses_when_iterations_run_out():
         nk.find_root(np.cos, 1.0, 2.0, tol=0.0, max_iter=3)
 
 
+def _well_equation(kappa):
+    om = np.sqrt(4.0 - kappa**2)
+    return om / np.tan(om) + kappa
+
+
+@pytest.mark.parametrize(
+    "g, lo, root, hi", [(np.cos, 0.2, np.pi / 2, 3.0), (_well_equation, 0.01, 0.6380450482852378, 1.99)]
+)
+@pytest.mark.parametrize("tol", [1e-10, 1e-14, 0.0])
+def test_find_roots_matches_scalar_runs(g, lo, root, hi, tol):
+    # batching must not change any bracket's iterates: bit-identical roots
+    from conftest import find_root_scalar
+
+    rng = np.random.default_rng(7)
+    a = rng.uniform(lo, root - 0.01, 20)
+    b = rng.uniform(root + 0.01, hi, 20)
+    roots = nk.find_roots(g, a, b, tol)
+    assert np.array_equal(roots, [nk.find_root(g, x, y, tol) for x, y in zip(a, b)])
+    assert np.array_equal(roots, [find_root_scalar(g, float(x), float(y), tol) for x, y in zip(a, b)])
+    assert np.all(np.abs(g(roots)) <= max(tol, 1e-14))
+
+
+def test_find_roots_calls_g_once_per_step():
+    calls = []
+
+    def g(x):
+        calls.append(np.size(x))
+        return np.cos(x)
+
+    nk.find_roots(g, np.linspace(0.5, 1.5, 7), np.full(7, 2.5), tol=1e-12)
+    assert calls[0] == 14  # every bracket end in one call
+    assert len(calls) < 12 and all(0 < c <= 7 for c in calls[1:])
+
+
+def test_find_roots_exact_zero_at_bracket_end():
+    assert np.array_equal(nk.find_roots(lambda x: x - 1.0, [1.0, 0.0], [2.0, 1.0]), [1.0, 1.0])
+
+
+def test_find_roots_refusals():
+    def step_or_cos(x):
+        # a jump at 0.3 on the first bracket, plain roots on the others
+        return np.where(x < 0.4, np.where(x < 0.3, -1.0, 1.0), np.cos(x))
+
+    with pytest.raises(SolverError, match="jump"):
+        nk.find_roots(step_or_cos, [0.0, 1.0, 1.2], [0.35, 2.0, 2.5])
+    with pytest.raises(SolverError, match="did not converge"):
+        nk.find_roots(np.cos, [1.0, 1.1], [2.0, 2.1], tol=0.0, max_iter=3)
+    with pytest.raises(DataError):
+        nk.find_roots(np.cos, [1.0, 0.0], [2.0, 1.0])
+    empty = nk.find_roots(np.cos, [], [])
+    assert empty.shape == (0,)
+
+
 def test_winding_constant():
     assert nk.winding_number(np.ones(100, dtype=complex)).value == 0
 
