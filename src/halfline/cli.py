@@ -63,11 +63,7 @@ def _fmt(x: float) -> str:
 
 
 def write_potential_csv(path: Path, q: Potential) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "q"])
-        for x, v in zip(q.grid.nodes, q.values):
-            w.writerow([_fmt(x), _fmt(v)])
+    _write_csv(path, ["x", "q"], [q.grid.nodes, q.values])
 
 
 def _read_columns(path: Path, names: list[str]) -> list[np.ndarray]:
@@ -188,7 +184,6 @@ class JobSpec:
     tol: float = 5e-3
     stripping_tol: float = 1e-3
     force: bool = False
-    threads: int | None = None
     fmt: str = "json"
 
 
@@ -210,7 +205,6 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
         sp.add_argument("--xmax", type=float, default=40.0)
         sp.add_argument("--dx", type=float, default=0.05)
         sp.add_argument("--tol", type=float, default=5e-3, help="tolerance for pass/fail checks")
-        sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--force", action="store_true", help="skip the characterization gate")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -259,7 +253,6 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
         tol=ns.tol,
         stripping_tol=getattr(ns, "stripping_tol", 1e-3),
         force=ns.force,
-        threads=ns.threads,
         fmt=ns.format,
     )
 
@@ -300,10 +293,7 @@ def _run_forward(job: JobSpec) -> int:
 def _run_invert(job: JobSpec) -> int:
     try:
         sd = read_scattering_json(job.data)
-        cfg = mk.InversionConfig(
-            x_max=job.x_max, dx=job.dx, k_max=job.k_max, dk=job.dk,
-            threads=job.threads, force=job.force,
-        )
+        cfg = mk.InversionConfig(x_max=job.x_max, dx=job.dx, force=job.force)
         res = mk.invert_full(sd, cfg)
     except StageError as exc:
         print(f"inversion failed in stage {exc.stage}: {exc.cause}", file=sys.stderr)
@@ -381,10 +371,7 @@ def _run_roundtrip(job: JobSpec) -> int:
         return EXIT_FORWARD
     report = characterize.full_report(result.sd)
     try:
-        cfg = mk.InversionConfig(
-            x_max=q.grid.x_max, dx=job.dx, k_max=job.k_max, dk=job.dk,
-            threads=job.threads, force=True,
-        )
+        cfg = mk.InversionConfig(x_max=q.grid.x_max, dx=job.dx, force=True)
         res = mk.invert_full(result.sd, cfg)
     except HalflineError as exc:
         print(f"roundtrip failed in inversion: {exc}", file=sys.stderr)

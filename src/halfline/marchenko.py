@@ -14,16 +14,14 @@ bound-state exponentials off the x -> -inf asymptotics of F and Fourier
 transforms the remainder back to 1 - S(k); data_from_kernel reconstructs
 the full scattering data from A alone.
 
-Each kernel row is an independent dense Nystrom solve; F beyond the sample
-window is treated as zero (its tail mass is the reported error scale), rows
-are truncated where the remaining |F| mass is negligible, and the row
-solves are farmed out to a thread pool (BLAS releases the GIL).
+Each kernel row is one dense Nystrom solve by solve_marchenko, and
+invert_full runs them one row after another; F beyond the sample window is
+treated as zero (its tail mass is the reported error scale), and rows are
+truncated where the remaining |F| mass is negligible.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,43 +62,31 @@ __all__ = [
 ]
 
 
-def _thread_count(requested: int | None) -> int:
-    if requested is not None and requested > 0:
-        return requested
-    env = os.environ.get("HALFLINE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class InversionConfig:
-    """Grids, quadrature, and tolerance knobs for the inversion pipeline.
+    """Spatial grid, quadrature, and tolerance knobs for the inversion pipeline.
 
-    F is built on [0, 2*x_max] since the Marchenko kernel samples F(s + y)
-    with s, y <= x_max.  rule is the Nystrom quadrature for kernel rows;
-    deriv_stencil is the finite-difference width for the diagonal derivative
-    (q = -2 dA/dx amplifies noise, so 5 points by default).  y_tail_tol is
-    the |F| tail mass below which a row is truncated.  The analytic 1/k
-    tail correction in the oscillatory transform suppresses Gibbs ringing
-    that would otherwise dominate the recovered q after differentiation;
-    when it is on, the endpoint taper is skipped.
+    The kernel is computed on [0, x_max] with spacing dx; the momentum grid
+    is the scattering data's own.  F is built on [0, 2*x_max] since the
+    Marchenko kernel samples F(s + y) with s, y <= x_max.  rule is the
+    Nystrom quadrature for kernel rows and fredholm_tol the relative residual
+    above which a row solve is refused; deriv_stencil is the finite-difference
+    width for the diagonal derivative (q = -2 dA/dx amplifies noise, so 5
+    points by default).  y_tail_tol is the |F| tail mass below which a row is
+    truncated.  The analytic 1/k tail correction in the oscillatory
+    transform suppresses Gibbs ringing that would otherwise dominate the
+    recovered q after differentiation; when it is on, the endpoint taper is
+    skipped.
     """
 
     x_max: float = 40.0
     dx: float = 0.05
-    k_max: float = 200.0
-    dk: float = 0.01
     rule: str = "simpson"
     deriv_stencil: int = 5
     fredholm_tol: float = 1e-10
     y_tail_tol: float = 1e-8
     fourier_taper: float = 0.2
     fourier_tail_correction: bool = True
-    threads: int | None = None
     force: bool = False
 
 
@@ -135,30 +121,39 @@ def build_F(
     return MarchenkoInput(xgrid=grid, f_values=f, fs_values=fs, fd_values=fd, fprime=fprime)
 
 
-def _marchenko_row(
-    F_vals: np.ndarray,
-    F_lo: float,
-    dx: float,
+def solve_marchenko(
+    F: MarchenkoInput,
     x: float,
-    y_max: float,
-    rule: str,
-    residual_tol: float,
+    y_max: float | None = None,
+    rule: str = "simpson",
+    residual_tol: float = 1e-10,
 ) -> np.ndarray:
-    """One Marchenko row: A(x, y) on the nodes y = x, x+dx, ..., y_max.
+    """Row A(x, y) of the transformation kernel on y = x, x+dx, ..., y_max.
 
-    F is looked up by index (x, y_max, and the F origin must be commensurate
-    with dx); samples beyond the F window are taken as zero, so the error
-    scales with the neglected tail mass of F.
+    F must be sampled down to 2x and is looked up by index (x, y_max and the
+    F origin must be commensurate with its spacing); samples beyond the F
+    window are taken as zero, so the error scales with the neglected tail
+    mass of F.  y_max defaults to the end of the F window.  Raises
+    SolverError when the row's system is singular: a zero or non-finite
+    one-node pivot, a failed dense solve, or a relative residual above
+    residual_tol (data that violate unique solvability).
     """
+    dx = F.xgrid.dx
+    if y_max is None:
+        y_max = F.xgrid.hi
     m = int(round((y_max - x) / dx)) + 1
-    base = int(round((2 * x - F_lo) / dx))
+    base = int(round((2 * x - F.xgrid.lo) / dx))
     if base < 0:
         raise DataError("F window does not reach down to 2x")
     idx = base + np.arange(2 * (m - 1) + 1)
-    Fwin = np.where(idx < F_vals.size, F_vals[np.minimum(idx, F_vals.size - 1)], 0.0)
+    f = F.f_values
+    Fwin = np.where(idx < f.size, f[np.minimum(idx, f.size - 1)], 0.0)
     rhs = -Fwin[:m]
     if m == 1:
-        return rhs / (1.0 + dx * Fwin[0])
+        pivot = 1.0 + dx * Fwin[0]
+        if pivot == 0.0 or not np.isfinite(pivot):
+            raise SolverError(f"Marchenko row at x = {x:.4f} is singular: pivot {pivot}")
+        return rhs / pivot
     w = quadrature_weights(m, dx, rule)
     kmat = Fwin[np.add.outer(np.arange(m), np.arange(m))]
     mat = np.eye(m) + kmat * w[None, :]
@@ -177,24 +172,6 @@ def _marchenko_row(
                 condition=cond,
             )
     return a
-
-
-def solve_marchenko(
-    F: MarchenkoInput,
-    x: float,
-    y_max: float | None = None,
-    rule: str = "simpson",
-    residual_tol: float = 1e-10,
-) -> np.ndarray:
-    """Row A(x, y) of the transformation kernel on y = x, x+dx, ..., y_max.
-
-    F must be sampled down to 2x; its tail beyond the window is treated as
-    zero.  y_max defaults to the end of the F window.
-    """
-    dx = F.xgrid.dx
-    if y_max is None:
-        y_max = F.xgrid.hi
-    return _marchenko_row(F.f_values, F.xgrid.lo, dx, x, y_max, rule, residual_tol)
 
 
 def recover_potential(kernel: TransformationKernel, stencil: int = 5) -> Potential:
@@ -218,7 +195,7 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
     """Scattering data to potential, keeping the intermediate artifacts.
 
     Stages: characterization gate (unless config.force), build_F on
-    [0, 2*x_max], per-row Marchenko solves (threaded), diagonal
+    [0, 2*x_max], one Marchenko solve per kernel row, diagonal
     differentiation.  Raises StageError tagged with the failing stage.
     """
     cfg = config or InversionConfig()
@@ -262,22 +239,13 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
     p_cut = F.xgrid.nodes[below[0]] if below.size else F.xgrid.hi
     neglected = float(tail_env[below[0]]) if below.size else float(tail_env[-1])
 
-    def solve_row(i: int) -> np.ndarray:
-        x = xg.nodes[i]
-        y_hi = min(xg.x_max, max(x + 2 * dx, p_cut - x))
-        steps = min(int(round((y_hi - x) / dx)), n - 1 - i)
-        if steps <= 0:
-            f2x = F.value_at(2 * x) if 2 * x <= F.xgrid.hi else 0.0
-            return np.array([-f2x / (1.0 + dx * f2x)])
-        return _marchenko_row(
-            F.f_values, F.xgrid.lo, dx, x, x + steps * dx, cfg.rule, cfg.fredholm_tol
-        )
-
     values = np.zeros((n, n))
     try:
-        with ThreadPoolExecutor(max_workers=_thread_count(cfg.threads)) as pool:
-            for i, row in enumerate(pool.map(solve_row, range(n))):
-                values[i, i : i + row.size] = row
+        for i, x in enumerate(xg.nodes):
+            y_hi = min(xg.x_max, max(x + 2 * dx, p_cut - x))
+            steps = min(int(round((y_hi - x) / dx)), n - 1 - i)
+            row = solve_marchenko(F, x, x + steps * dx, cfg.rule, cfg.fredholm_tol)
+            values[i, i : i + row.size] = row
     except SolverError as exc:
         raise StageError("solve_marchenko", exc)
     kernel = TransformationKernel(

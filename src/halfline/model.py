@@ -2,7 +2,7 @@
 Jost fields, transformation kernels, and the validation report.
 
 All types are immutable value objects: arrays are copied on construction and
-marked read-only, so instances can be shared freely across worker threads.
+marked read-only, so instances can be shared freely.
 """
 
 from __future__ import annotations
@@ -153,14 +153,12 @@ class MomentumGrid:
 class Potential:
     """Real sampled potential q(x) on a radial grid.
 
-    support_hint marks the length beyond which q is treated as zero; it
-    defaults to x_max.  The admissibility class requires a finite first
-    moment, integral of x|q(x)| dx; use l11_moment to evaluate it.
+    The admissibility class requires a finite first moment, integral of
+    x|q(x)| dx; use l11_moment to evaluate it.
     """
 
     grid: RadialGrid
     values: np.ndarray
-    support_hint: float = -1.0
 
     def __post_init__(self):
         values = _frozen(self.values, dtype=float)
@@ -169,8 +167,6 @@ class Potential:
         if not np.all(np.isfinite(values)):
             raise DataError("potential samples must be finite")
         object.__setattr__(self, "values", values)
-        if self.support_hint < 0:
-            object.__setattr__(self, "support_hint", self.grid.x_max)
 
 
 @dataclass(frozen=True, order=True)
@@ -302,6 +298,8 @@ class MarchenkoInput:
             a = _frozen(getattr(self, name), dtype=float)
             if a.shape != self.xgrid.nodes.shape:
                 raise DataError(f"{name} must match the grid")
+            if not np.all(np.isfinite(a)):
+                raise DataError(f"{name} samples must be finite")
             arrays[name] = a
         if np.max(np.abs(arrays["f_values"] - arrays["fs_values"] - arrays["fd_values"])) > 1e-9 * (
             1.0 + np.max(np.abs(arrays["f_values"]))
@@ -309,13 +307,6 @@ class MarchenkoInput:
             raise DataError("F must equal F_s + F_d pointwise")
         for name, a in arrays.items():
             object.__setattr__(self, name, a)
-
-    def value_at(self, x: float) -> float:
-        """F at a grid point (nearest-node lookup; x must be on the grid)."""
-        i = int(round((x - self.xgrid.lo) / self.xgrid.dx))
-        if not (0 <= i < self.xgrid.n):
-            raise GridError(f"x = {x} outside the F grid")
-        return float(self.f_values[i])
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,24 @@
 """Shared numerical primitives.
 
-Quadrature (trapezoid and composite Simpson), finite-difference
+Composite trapezoid and Simpson quadrature, finite-difference
 differentiation, truncated oscillatory Fourier integrals with an optional
-endpoint taper and an optional analytic 1/k tail correction, dense Nystrom
-solves for Fredholm equations of the second kind, backward-marching Volterra
-solves, batched bracketed root finding (one vectorized call of g per
-secant step for all brackets), winding numbers by nearest-branch phase
-continuation, and principal-value Cauchy transforms on uniform grids (one
-FFT convolution per transform).
+endpoint taper and an optional analytic 1/k tail correction,
+backward-marching Volterra solves, batched bracketed root finding (one
+vectorized call of g per secant step for all brackets), winding numbers by
+nearest-branch phase continuation, and principal-value Cauchy transforms on
+uniform grids (one FFT convolution per transform).
 
-Conventions: both integral-equation solvers use the sign convention of the
-Marchenko equation, i.e. they return h satisfying
+Conventions: the Volterra solver uses the sign convention of the Marchenko
+equation, i.e. it returns h satisfying
 
     h + (integral operator applied to h) = -g,
 
-so a zero kernel gives h = -g.
+so a zero kernel gives h = -g.  The Marchenko rows themselves are solved
+by marchenko.solve_marchenko.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,14 +26,11 @@ import numpy as np
 from .errors import DataError, GridError, PhaseUnwrapError, SolverError
 
 __all__ = [
-    "Quadrature",
-    "LinearSystem",
     "quadrature_weights",
     "integrate",
     "differentiate",
     "fourier_kernel_to_space",
     "fourier_space_to_kernel",
-    "solve_fredholm",
     "solve_volterra_backward",
     "find_root",
     "find_roots",
@@ -84,19 +80,6 @@ def quadrature_weights(n: int, dx: float, rule: str = "trapezoid") -> np.ndarray
     w *= dx / 3.0
     w[head - 1 :] += dx * np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
     return w
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    """A composite rule bound to a uniform grid."""
-
-    rule: str
-    n: int
-    dx: float
-
-    @property
-    def weights(self) -> np.ndarray:
-        return quadrature_weights(self.n, self.dx, self.rule)
 
 
 def integrate(samples: np.ndarray, grid, rule: str = "trapezoid"):
@@ -277,66 +260,7 @@ def fourier_space_to_kernel(fs: np.ndarray, xgrid, k) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# integral-equation solvers
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Dense Nystrom system (I + K W) h = rhs."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-
-def build_fredholm_system(
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    g: np.ndarray,
-    nodes: np.ndarray,
-    rule: str = "trapezoid",
-) -> LinearSystem:
-    """Collocation system for h(t) + int K(s,t) h(s) ds = -g(t).
-
-    kernel(s, t) must broadcast over outer (s_j, t_i) arrays; row i of the
-    matrix discretizes the equation at t_i.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    g = np.asarray(g)
-    if g.shape != nodes.shape:
-        raise GridError("rhs samples must match the grid")
-    w = quadrature_weights(nodes.size, nodes[1] - nodes[0], rule)
-    kmat = kernel(nodes[None, :], nodes[:, None])  # [i_t, j_s] = K(s_j, t_i)
-    mat = np.eye(nodes.size, dtype=kmat.dtype) + kmat * w[None, :]
-    return LinearSystem(mat, -g)
-
-
-def solve_fredholm(
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    g: np.ndarray,
-    nodes: np.ndarray,
-    rule: str = "trapezoid",
-    residual_tol: float = 1e-12,
-) -> np.ndarray:
-    """Solve h(t) + int K(s,t) h(s) ds = -g(t) by Nystrom collocation.
-
-    Raises SolverError with a condition estimate when the discrete system is
-    singular or the relative residual exceeds residual_tol (which signals
-    data for which the homogeneous equation has nontrivial solutions).
-    """
-    sys = build_fredholm_system(kernel, g, nodes, rule)
-    try:
-        h = np.linalg.solve(sys.matrix, sys.rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular Nystrom system: {exc}", condition=float("inf"))
-    scale = np.linalg.norm(sys.rhs)
-    if scale > 0:
-        resid = np.linalg.norm(sys.matrix @ h - sys.rhs) / scale
-        if not np.isfinite(resid) or resid > residual_tol:
-            cond = float(np.linalg.cond(sys.matrix))
-            raise SolverError(
-                f"ill-conditioned Nystrom system: relative residual {resid:.2e}",
-                condition=cond,
-            )
-    return h
+# backward Volterra marching
 
 
 def solve_volterra_backward(

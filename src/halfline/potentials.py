@@ -10,13 +10,13 @@ __all__ = ["zero_potential", "sech2_potential", "square_well_potential"]
 
 
 def zero_potential(grid: RadialGrid) -> Potential:
-    return Potential(grid=grid, values=np.zeros(grid.n), support_hint=0.0)
+    return Potential(grid=grid, values=np.zeros(grid.n))
 
 
 def sech2_potential(grid: RadialGrid, depth: float = 2.0) -> Potential:
     """q(x) = -depth / cosh^2 x.  depth = 2 is the classic transparent-type
     profile with Jost function k/(k+i) and a zero-energy resonance."""
-    return Potential(grid=grid, values=-depth / np.cosh(grid.nodes) ** 2, support_hint=min(30.0, grid.x_max))
+    return Potential(grid=grid, values=-depth / np.cosh(grid.nodes) ** 2)
 
 
 def square_well_potential(grid: RadialGrid, depth: float = 4.0, width: float = 1.0) -> Potential:
@@ -27,7 +27,7 @@ def square_well_potential(grid: RadialGrid, depth: float = 4.0, width: float = 1
     v = np.where(x < width, -depth, 0.0)
     edge = np.abs(x - width) < 1e-9 * max(width, 1.0)
     v[edge] = -depth / 2.0
-    return Potential(grid=grid, values=v, support_hint=width)
+    return Potential(grid=grid, values=v)
 
 
 def square_well_jost_oracle(k: complex, depth: float = 4.0, width: float = 1.0) -> tuple[complex, complex]:

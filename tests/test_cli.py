@@ -226,6 +226,19 @@ def test_header_only_csv_exits_with_stage_code(tmp_path, capsys):
     assert "needs 2 values" in capsys.readouterr().err
 
 
+def test_nonfinite_f_csv_refused_at_the_input(tmp_path, capsys):
+    # the NaN is refused as F input, before any Fourier transform
+    (tmp_path / "f.csv").write_text("x,F\n" + "".join(f"{x},{'nan' if x == 0 else 1.0}\n" for x in range(-40, 41)))
+    assert cli.main(["extract", "--f-data", str(tmp_path / "f.csv"), "--out", str(tmp_path / "o")]) == cli.EXIT_INVERSE
+    assert "f_values samples must be finite" in capsys.readouterr().err
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    path = identity_dataset(tmp_path)
+    assert cli.main(["invert", "--data", str(path), "--threads", "2", "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_scattering_json_without_s_re_exits_with_stage_code(tmp_path, capsys):
     path = identity_dataset(tmp_path)
     doc = json.loads(path.read_text())

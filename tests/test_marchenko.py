@@ -79,7 +79,7 @@ def test_build_F_residue_oracle(analytic_sech2_sd):
     F2 = mk.build_F(analytic_sech2_sd, -6.0, 10.0, 0.01, taper_frac=0.0, tail_correction=True)
     mask2 = np.abs(x) >= 0.02
     assert np.max(np.abs(F2.f_values - ref)[mask2]) < 1e-3
-    assert F2.value_at(0.0) == pytest.approx(2.0, abs=1e-3)
+    assert F2.f_values[np.argmin(np.abs(x))] == pytest.approx(2.0, abs=1e-3)
 
 
 def test_build_F_rejects_asymmetric(kgrid_fourier):
@@ -112,6 +112,34 @@ def test_row_separable_closed_form():
     y1 = np.arange(1.0, 40.0 + 1e-9, 0.025)
     ref1 = -2 * np.exp(-(1.0 + y1)) / (1 + np.exp(-2.0))
     assert np.max(np.abs(row1 - ref1)) < 1e-6
+
+
+def test_row_two_node_hand_elimination():
+    # F = (1, 2, 3) on [0, 2] with dx = 1, x = 0, y_max = 1, trapezoid
+    # weights (1/2, 1/2): the row system is
+    #   a0 + (F(0) a0 + F(1) a1)/2 = -F(0)  ->  3/2 a0 +     a1 = -1
+    #   a1 + (F(1) a0 + F(2) a1)/2 = -F(1)  ->      a0 + 5/2 a1 = -2
+    # elimination: a1 = -8/11, a0 = -2/11
+    F = make_input(0.0, 2.0, 1.0, lambda x: x + 1.0)
+    row = mk.solve_marchenko(F, 0.0, y_max=1.0, rule="trapezoid")
+    np.testing.assert_allclose(row, [-2.0 / 11.0, -8.0 / 11.0], rtol=0, atol=1e-14)
+
+
+def test_row_singular_refused():
+    # F = -1 with trapezoid weights summing to 1 makes I + F W annihilate
+    # the constant mode exactly
+    F = make_input(0.0, 2.0, 0.5, lambda x: -np.ones_like(x))
+    with pytest.raises(SolverError):
+        mk.solve_marchenko(F, 0.0, y_max=1.0, rule="trapezoid")
+
+
+def test_row_one_node_pivot():
+    # a one-node row is -F(2x)/(1 + dx F(2x)); F = -1/dx zeroes the pivot
+    F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, -2.0))
+    with pytest.raises(SolverError, match="pivot"):
+        mk.solve_marchenko(F, 1.0, y_max=1.0)
+    F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, 3.0))
+    assert mk.solve_marchenko(F, 1.0, y_max=1.0).tolist() == [-3.0 / (1.0 + 0.5 * 3.0)]
 
 
 def test_row_grid_refinement_second_order():
@@ -180,19 +208,6 @@ def test_invert_square_well_roundtrip(fw_well, q_well):
     ref = np.interp(q.grid.nodes, q_well.grid.nodes, q_well.values)
     l1 = np.trapezoid(np.abs(q.values - ref), dx=q.grid.dx)
     assert l1 / np.trapezoid(np.abs(ref), dx=q.grid.dx) <= 0.05
-
-
-def test_invert_thread_count_does_not_change_results(analytic_sech2_sd, monkeypatch):
-    # per-row solves are farmed to a pool; results must match the serial run
-    # bit for bit (deterministic indexed assembly)
-    cfg1 = mk.InversionConfig(x_max=10.0, dx=0.1, threads=1)
-    cfg4 = mk.InversionConfig(x_max=10.0, dx=0.1, threads=4)
-    r1 = mk.invert_full(analytic_sech2_sd, cfg1)
-    r4 = mk.invert_full(analytic_sech2_sd, cfg4)
-    assert np.array_equal(r1.potential.values, r4.potential.values)
-    assert np.array_equal(r1.kernel.values, r4.kernel.values)
-    monkeypatch.setenv("HALFLINE_THREADS", "3")
-    assert mk._thread_count(None) == 3
 
 
 def test_invert_gate_rejects_bad_data(kgrid_fourier):

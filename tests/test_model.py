@@ -77,6 +77,20 @@ def test_marchenko_input_sum_invariant():
         MarchenkoInput(xgrid=g, f_values=f, fs_values=f, fd_values=f, fprime=f)
 
 
+def test_marchenko_input_rejects_nonfinite():
+    # a NaN makes the F = F_s + F_d comparison false, so it must be refused
+    # on its own
+    g = UniformGrid.make(0.0, 1.0, 0.1)
+    zero = np.zeros(g.n)
+    for bad in (np.nan, np.inf):
+        f = zero.copy()
+        f[4] = bad
+        with pytest.raises(DataError, match="finite"):
+            MarchenkoInput(xgrid=g, f_values=f, fs_values=f, fd_values=zero, fprime=zero)
+        with pytest.raises(DataError, match="finite"):
+            MarchenkoInput(xgrid=g, f_values=zero, fs_values=zero, fd_values=zero, fprime=f)
+
+
 def test_validate_identity_data():
     kg = MomentumGrid.make(50.0, 0.05)
     sd = ScatteringData(kgrid=kg, s_values=np.ones(kg.n, dtype=complex))

@@ -143,53 +143,7 @@ def test_fourier_transforms_are_inverse_pair():
 
 
 # ---------------------------------------------------------------------------
-# Fredholm / Volterra
-
-
-def test_fredholm_zero_kernel():
-    nodes = np.linspace(0.0, 1.0, 51)
-    g = np.sin(nodes)
-    h = nk.solve_fredholm(lambda s, t: np.zeros_like(s * t), g, nodes)
-    np.testing.assert_allclose(h, -g, atol=1e-14)
-
-
-def test_fredholm_rank_one_oracle():
-    # separable closed form: h + int 2 e^{-(s+t)} h(s) ds = -2 e^{-t} is
-    # solved by h = c e^{-t} with c (1 + 2 * 1/2) = -2, so h = -e^{-t}
-    nodes = np.arange(0.0, 40.0 + 1e-9, 0.01)
-    h = nk.solve_fredholm(lambda s, t: 2 * np.exp(-(s + t)), 2 * np.exp(-nodes), nodes, rule="simpson")
-    assert np.max(np.abs(h + np.exp(-nodes))) < 1e-6
-
-
-def test_fredholm_two_node_hand_elimination():
-    # two-node trapezoid system solved by hand: nodes {0, 1}, w = (1/2, 1/2),
-    # K(s,t) = s + t, g = (1, 2):
-    #   h0 + [w0 K(0,0) h0 + w1 K(1,0) h1] = -1  ->  h0 + h1/2 = -1
-    #   h1 + [w0 K(0,1) h0 + w1 K(1,1) h1] = -2  ->  h0/2 + 2 h1 = -2
-    # elimination: h1 = -6/7, h0 = -1 - h1/2 = -4/7
-    nodes = np.array([0.0, 1.0])
-    h = nk.solve_fredholm(lambda s, t: s + t, np.array([1.0, 2.0]), nodes)
-    np.testing.assert_allclose(h, [-4.0 / 7.0, -6.0 / 7.0], atol=1e-14)
-
-
-def test_fredholm_solve_then_apply_identity():
-    rng = np.random.default_rng(7)
-    nodes = np.linspace(0.0, 4.0, 101)
-    coeffs = rng.normal(size=4)
-    h0 = sum(c * np.cos((j + 1) * nodes) for j, c in enumerate(coeffs))
-    kernel = lambda s, t: np.exp(-((s - t) ** 2))
-    w = nk.quadrature_weights(nodes.size, nodes[1] - nodes[0])
-    g = -(h0 + (kernel(nodes[None, :], nodes[:, None]) * w[None, :]) @ h0)
-    h = nk.solve_fredholm(kernel, g, nodes)
-    assert np.max(np.abs(h - h0)) < 1e-10
-
-
-def test_fredholm_singular_reports_condition():
-    # constant kernel c = -1/(interval length) makes I + K W annihilate the
-    # constant mode exactly
-    nodes = np.linspace(0.0, 1.0, 3)
-    with pytest.raises(SolverError):
-        nk.solve_fredholm(lambda s, t: -np.ones_like(s * t), np.ones(3), nodes)
+# Volterra
 
 
 def test_volterra_zero_kernel():
