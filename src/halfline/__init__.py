@@ -4,8 +4,9 @@ Forward direction: sampled potential -> Jost field, bound states, norming
 constants, S-matrix, phase shift, transformation kernel.  Inverse direction:
 scattering data -> Marchenko input F -> transformation kernel A -> potential,
 together with every reverse arrow (A -> F, F -> data, A -> data), a scalar
-Riemann-problem reconstruction of the Jost function from S(k), and a
-validator for the characterization conditions on scattering data.
+Riemann-problem reconstruction of the Jost function from S(k), and the
+characterization conditions on scattering data, which also check every
+forward result.
 """
 
 from .characterize import ConditionThresholds, full_report
@@ -32,7 +33,6 @@ from .model import (
     UniformGrid,
     ValidationReport,
     l11_moment,
-    validate_scattering_data,
 )
 from .riemann import RiemannSolution, solve_riemann, verify_factorization
 
@@ -64,7 +64,6 @@ __all__ = [
     "s_matrix",
     "solve_marchenko",
     "solve_riemann",
-    "validate_scattering_data",
     "verify_factorization",
 ]
 

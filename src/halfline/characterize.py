@@ -155,27 +155,21 @@ def check_index(sd: ScatteringData, thresholds: ConditionThresholds | None = Non
     )
 
 
-def full_report(
-    sd: ScatteringData,
-    thresholds: ConditionThresholds | None = None,
-    x_lo: float = -20.0,
-    x_hi: float = 40.0,
-    dx: float = 0.01,
-    taper_frac: float = 0.2,
-) -> ValidationReport:
-    """Aggregate all four conditions into a ValidationReport.
+def full_report(sd: ScatteringData, x_hi: float = 40.0, dx: float = 0.01) -> ValidationReport:
+    """Aggregate all four conditions, at the default ConditionThresholds,
+    into a ValidationReport.
 
-    F is built internally on [x_lo, x_hi] for the integrability check.
-    The verdict passes iff every entry passes.
+    F is built internally on [-20, x_hi] (build_F's default taper) for the
+    integrability check.  The verdict passes iff every entry passes.
     """
     from .marchenko import build_F
 
-    t = thresholds or ConditionThresholds()
+    t = ConditionThresholds()
     entries = [
         check_symmetry_unitarity(sd, t),
         check_discrete(sd, t),
     ]
-    F = build_F(sd, x_lo, x_hi, dx, taper_frac=taper_frac, imag_tol=1e-6)
+    F = build_F(sd, -20.0, x_hi, dx, imag_tol=1e-6)
     entries.append(check_integrability(F, t))
     idx_entry = check_index(sd, t)
     entries.append(idx_entry)

@@ -190,7 +190,8 @@ class JobSpec:
 def parse_args(argv: list[str] | None = None) -> JobSpec:
     """Parse and validate CLI arguments into a JobSpec.
 
-    Usage errors (unknown flags, missing or empty files) exit with status 2.
+    Usage errors (unknown flags, missing or empty files, a grid or tolerance
+    flag that is not positive and finite) exit with status 2.
     """
     p = argparse.ArgumentParser(
         prog="halfline",
@@ -229,6 +230,10 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
     common(sp)
 
     ns = p.parse_args(argv)
+    for flag in ("kmax", "dk", "xmax", "dx", "tol", "stripping_tol"):
+        value = getattr(ns, flag, 1.0)
+        if not (np.isfinite(value) and value > 0):
+            p.error(f"--{flag.replace('_', '-')} must be positive and finite, got {value}")
 
     def checked(path_str: str | None) -> Path | None:
         if path_str is None:

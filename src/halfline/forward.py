@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characterize import ConditionThresholds, check_discrete, check_symmetry_unitarity
 from .errors import DataError, SolverError
 from .model import (
     BoundState,
@@ -31,14 +32,12 @@ from .model import (
     Potential,
     ScatteringData,
     TransformationKernel,
-    validate_scattering_data,
 )
 from .numkit import find_roots, integrate, unwrap_phase
 
 __all__ = [
     "ForwardResult",
     "BoundStateScan",
-    "solve_jost",
     "jost_boundary",
     "jost_field",
     "find_bound_states",
@@ -50,6 +49,20 @@ __all__ = [
 ]
 
 RESONANCE_TOL = 1e-3  # |f(0)| below this flags a zero-energy resonance
+KAPPA_MIN = 1e-3  # lower end of the bound-state scan on the imaginary axis
+SCAN_STEP = 0.01  # spacing of the scan; closer pairs of zeros may be missed
+ROOT_TOL = 1e-10  # |f(0, i kappa)| at which a refined bound state is accepted
+# forward's data must meet the characterization at this tolerance
+FORWARD_THRESHOLDS = ConditionThresholds(unitarity_tol=1e-8, symmetry_tol=1e-8)
+
+
+def _kappa_scan(q_max: float, kappa_max: float | None = None) -> np.ndarray:
+    """Bound-state scan nodes KAPPA_MIN, KAPPA_MIN + SCAN_STEP, ... up to
+    kappa_max, by default 1.5 sqrt(q_max) + 0.5 for a potential whose depth
+    is at most q_max (every kappa_j^2 lies below it)."""
+    if kappa_max is None:
+        kappa_max = float(np.sqrt(q_max)) * 1.5 + 0.5
+    return np.arange(KAPPA_MIN, kappa_max + SCAN_STEP, SCAN_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +117,6 @@ def _march(q_vals: np.ndarray, dx: float, ks: np.ndarray, keep_field: bool = Fal
     return n_cur, w0, v, field
 
 
-def solve_jost(q: Potential, k: complex) -> tuple[np.ndarray, complex]:
-    """Jost solution f(x, k) on the potential grid for one momentum with
-    Im k >= 0, plus the boundary derivative f'(0,k).
-
-    f'(0,k) = ik - int_0^inf cos(ky) q(y) f(y,k) dy, evaluated from the
-    marcher's running integrals at no extra cost.
-    """
-    ks = np.array([k], dtype=complex)
-    n0, w0, v0, field = _march(q.values, q.grid.dx, ks, keep_field=True)
-    f_x = field[:, 0] * np.exp(1j * k * q.grid.nodes)
-    fprime0 = 1j * k - 0.5 * (w0[0] + v0[0])
-    return f_x, complex(fprime0)
-
-
 def jost_boundary(q: Potential, kgrid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
     """Boundary values f(k) = f(0,k) and f'(0,k) on a symmetric real grid.
 
@@ -140,13 +139,19 @@ def jost_boundary(q: Potential, kgrid: MomentumGrid) -> tuple[np.ndarray, np.nda
     return f0, fprime0
 
 
-def jost_field(q: Potential, kgrid: MomentumGrid) -> JostField:
-    """Full Jost field f(x_i, k_j) with boundary values and derivatives."""
-    knodes = kgrid.nodes
-    n0, w0, v0, field = _march(q.values, q.grid.dx, knodes, keep_field=True)
-    f_xk = field * np.exp(1j * np.outer(q.grid.nodes, knodes))
-    fprime0 = 1j * knodes - 0.5 * (w0 + v0)
-    return JostField(xgrid=q.grid, kgrid=kgrid, f0=n0, fprime0=fprime0, f_xk=f_xk)
+def jost_field(q: Potential, ks) -> tuple[np.ndarray, np.ndarray]:
+    """Jost solution f(x_i, k_j) on the potential grid, shape (n_x, n_k),
+    and the boundary derivatives f'(0, k_j), for any momenta with Im k >= 0
+    (DataError otherwise).
+
+    f'(0,k) = ik - int_0^inf cos(ky) q(y) f(y,k) dy, evaluated from the
+    marcher's running integrals at no extra cost.  For boundary values
+    alone use jost_boundary, which allocates no field.
+    """
+    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+    _, w0, v0, field = _march(q.values, q.grid.dx, ks, keep_field=True)
+    f_xk = field * np.exp(1j * np.multiply.outer(q.grid.nodes, ks))
+    return f_xk, 1j * ks - 0.5 * (w0 + v0)
 
 
 def _f0_imag_axis(q: Potential, kappas: np.ndarray, step: int = 1) -> np.ndarray:
@@ -166,41 +171,33 @@ class BoundStateScan:
     f_at_zero: float
 
 
-def find_bound_states(
-    q: Potential,
-    kappa_max: float | None = None,
-    kappa_min: float = 1e-3,
-    scan_step: float = 0.01,
-    tol: float = 1e-10,
-    refine: bool = True,
-) -> BoundStateScan:
+def find_bound_states(q: Potential) -> BoundStateScan:
     """Locate the zeros i*kappa_j of the Jost function on the imaginary axis.
 
-    Scans g(kappa) = f(0, i*kappa) for sign changes on (kappa_min, kappa_max]
-    (one march for the whole scan and kappa = 0) and refines all of them at
-    once by batched bracketed root finding, so every step of the root finder
-    is one march for all states.  With refine=True the roots are
+    Scans g(kappa) = f(0, i*kappa) for sign changes on the nodes of
+    _kappa_scan(max|q|) (one march for the whole scan and kappa = 0) and
+    refines all of them at once by batched bracketed root finding to
+    |g| <= ROOT_TOL, so every step of the root finder is one march for all
+    states.  On a grid with an odd node count the roots are then
     Richardson-extrapolated against the 2*dx subsampled grid, refined the
     same way, removing the O(dx^2) discretization bias (the scan may miss
-    nearly degenerate pairs closer than scan_step; zeros of f are simple but
+    nearly degenerate pairs closer than SCAN_STEP; zeros of f are simple but
     not separated).
 
-    A sign change straddling kappa_min, or |f(0,0)| below the resonance
-    threshold, raises the zero-energy-resonance warning flag.
+    A sign change straddling KAPPA_MIN, or |f(0,0)| below RESONANCE_TOL,
+    raises the zero-energy-resonance warning flag.
     """
-    if kappa_max is None:
-        kappa_max = float(np.sqrt(np.max(np.abs(q.values)))) * 1.5 + 0.5
-    grid = np.arange(kappa_min, kappa_max + scan_step, scan_step)
+    grid = _kappa_scan(np.max(np.abs(q.values)))
     n0, _, _, _ = _march(q.values, q.grid.dx, np.concatenate([[0.0j], 1j * grid]))
     f00, g = float(n0[0].real), n0[1:].real
     resonance = abs(f00) < RESONANCE_TOL
     exact = np.nonzero(g[:-1] == 0.0)[0]
     lo = np.nonzero((g[:-1] != 0.0) & (g[:-1] * g[1:] < 0))[0]
-    roots = find_roots(lambda kp: _f0_imag_axis(q, kp), grid[lo], grid[lo + 1], tol)
-    if refine and q.grid.n % 2 == 1 and lo.size:
+    roots = find_roots(lambda kp: _f0_imag_axis(q, kp), grid[lo], grid[lo + 1], ROOT_TOL)
+    if q.grid.n % 2 == 1 and lo.size:
         gc = _f0_imag_axis(q, np.concatenate([grid[lo], grid[lo + 1]]), step=2)
         both = gc[: lo.size] * gc[lo.size :] < 0
-        roots_c = find_roots(lambda kp: _f0_imag_axis(q, kp, step=2), grid[lo[both]], grid[lo[both] + 1], tol)
+        roots_c = find_roots(lambda kp: _f0_imag_axis(q, kp, step=2), grid[lo[both]], grid[lo[both] + 1], ROOT_TOL)
         roots[both] = (4.0 * roots[both] - roots_c) / 3.0
     order = np.argsort(np.concatenate([exact, lo]), kind="stable")
     kappas = np.concatenate([grid[exact], roots])[order]
@@ -219,18 +216,15 @@ def norming_constants(q: Potential, kappas) -> tuple[np.ndarray, list[dict]]:
     with f'(0, i kappa_j) in the numerator instead gives the norming
     constant of the regular solution, c_j = s_j [f'(0, i kappa_j)]^2.
     Secondary value: s_j = 1 / int_0^inf f(x, i kappa_j)^2 dx.  The relative
-    discrepancy between the two routes is recorded per state.  One march
-    for all states gives the fields at i kappa_j and the values at
-    i (kappa_j +- h).
+    discrepancy between the two routes is recorded per state.  One
+    jost_field march for all states gives the fields at i kappa_j and the
+    values at i (kappa_j +- h).
     """
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
     nj = kappas.size
     h = 1e-4 * kappas
-    ks = 1j * np.concatenate([kappas, kappas + h, kappas - h])
-    n0, w0, v0, field = _march(q.values, q.grid.dx, ks, keep_field=True)
-    f_x = field[:, :nj] * np.exp(np.multiply.outer(q.grid.nodes, 1j * ks[:nj]))
-    fprime0 = 1j * ks[:nj] - 0.5 * (w0[:nj] + v0[:nj])
-    gp, gm = n0[nj : 2 * nj].real, n0[2 * nj :].real
+    f_x, fprime0 = jost_field(q, 1j * np.concatenate([kappas, kappas + h, kappas - h]))
+    gp, gm = f_x[0, nj : 2 * nj].real, f_x[0, 2 * nj :].real
     out = np.empty(nj)
     report = []
     for j, kap in enumerate(kappas):
@@ -250,7 +244,7 @@ def norming_constants(q: Potential, kappas) -> tuple[np.ndarray, list[dict]]:
     return out, report
 
 
-def s_matrix(q: Potential, kgrid: MomentumGrid, kappa_max: float | None = None) -> ScatteringData:
+def s_matrix(q: Potential, kgrid: MomentumGrid) -> ScatteringData:
     """Scattering data of a potential: S(k) = f(-k)/f(k) on the grid, bound
     states with norming constants, and the S(0) sign flag.
 
@@ -260,14 +254,12 @@ def s_matrix(q: Potential, kgrid: MomentumGrid, kappa_max: float | None = None) 
     the resonance threshold |f(0,0)| < 1e-3.
     """
     f0, _ = jost_boundary(q, kgrid)
-    return _scattering_data(q, kgrid, f0, kappa_max)
+    return _scattering_data(q, kgrid, f0)
 
 
-def _scattering_data(
-    q: Potential, kgrid: MomentumGrid, f0: np.ndarray, kappa_max: float | None
-) -> ScatteringData:
+def _scattering_data(q: Potential, kgrid: MomentumGrid, f0: np.ndarray) -> ScatteringData:
     """The body of s_matrix, given the boundary values f0 = jost_boundary(q, kgrid)[0]."""
-    scan = find_bound_states(q, kappa_max)
+    scan = find_bound_states(q)
     svals = np.conj(f0) / f0
     sign = -1 if scan.resonance_suspected else 1
     if kgrid.zero_index is not None:
@@ -378,30 +370,25 @@ class ForwardResult:
     jost: JostField
     sd: ScatteringData
     delta: np.ndarray
-    kernel: TransformationKernel | None = None
 
 
-def forward(
-    q: Potential,
-    kgrid: MomentumGrid | None = None,
-    kappa_max: float | None = None,
-    with_kernel: bool = False,
-    with_field: bool = False,
-    validate_tol: float = 1e-8,
-) -> ForwardResult:
-    """Full direct problem: Jost boundary data, scattering data, phase shift,
-    and optionally the transformation kernel and the full Jost field."""
+def forward(q: Potential, kgrid: MomentumGrid | None = None) -> ForwardResult:
+    """Full direct problem: Jost boundary data, scattering data and phase
+    shift, on kgrid (by default [-200, 200] with dk = 0.01).
+
+    The scattering data must pass the characterization's symmetry/unitarity
+    and discrete-data checks at FORWARD_THRESHOLDS; a failure raises
+    SolverError naming the failed checks.  The transformation kernel comes
+    from kernel_from_potential and the Jost field from jost_field.
+    """
     if kgrid is None:
         kgrid = MomentumGrid.make(200.0, 0.01)
     f0, fprime0 = jost_boundary(q, kgrid)
-    sd = _scattering_data(q, kgrid, f0, kappa_max)
-    bad = validate_scattering_data(sd, tol=validate_tol)
+    sd = _scattering_data(q, kgrid, f0)
+    checks = (check_symmetry_unitarity(sd, FORWARD_THRESHOLDS), check_discrete(sd, FORWARD_THRESHOLDS))
+    bad = [f"{c.name} ({c.note})" for c in checks if not c.passed]
     if bad:
         raise SolverError("forward data failed validation: " + "; ".join(bad))
     delta = phase_shift(sd)
-    field = None
-    if with_field:
-        field = jost_field(q, kgrid).f_xk
-    jost = JostField(xgrid=q.grid, kgrid=kgrid, f0=f0, fprime0=fprime0, f_xk=field)
-    kernel = kernel_from_potential(q) if with_kernel else None
-    return ForwardResult(jost=jost, sd=sd, delta=delta, kernel=kernel)
+    jost = JostField(xgrid=q.grid, kgrid=kgrid, f0=f0, fprime0=fprime0)
+    return ForwardResult(jost=jost, sd=sd, delta=delta)

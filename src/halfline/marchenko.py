@@ -14,10 +14,10 @@ bound-state exponentials off the x -> -inf asymptotics of F and Fourier
 transforms the remainder back to 1 - S(k); data_from_kernel reconstructs
 the full scattering data from A alone.
 
-Each kernel row is one dense Nystrom solve by solve_marchenko, and
-invert_full runs them one row after another; F beyond the sample window is
-treated as zero (its tail mass is the reported error scale), and rows are
-truncated where the remaining |F| mass is negligible.
+Each kernel row is one dense Nystrom solve by solve_marchenko (Simpson
+rule), and invert_full runs them one row after another; F beyond the sample
+window is treated as zero (its tail mass is the reported error scale), and
+rows are truncated where the remaining |F| mass falls below Y_TAIL_TOL.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SolverError, StageError, StrippingError
+from .forward import RESONANCE_TOL, _kappa_scan
 from .model import (
     BoundState,
     MarchenkoInput,
@@ -61,32 +62,32 @@ __all__ = [
     "data_from_kernel",
 ]
 
+RESIDUAL_TOL = 1e-10  # relative residual above which a kernel row is refused
+Y_TAIL_TOL = 1e-8  # |F| tail mass below which a kernel row is truncated
+# bound-state stripping in extract_data_from_F: fit and polish windows as
+# fractions of the x < 0 samples, the state cap, the resolvable separation
+STRIP_WINDOW_FRAC = 0.25
+STRIP_REFINE_FRAC = 0.6
+STRIP_MAX_STATES = 12
+STRIP_KAPPA_SEP = 1e-2
+
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Spatial grid, quadrature, and tolerance knobs for the inversion pipeline.
+    """Spatial grid of the inversion pipeline, and whether to skip its
+    characterization gate.
 
     The kernel is computed on [0, x_max] with spacing dx; the momentum grid
     is the scattering data's own.  F is built on [0, 2*x_max] since the
-    Marchenko kernel samples F(s + y) with s, y <= x_max.  rule is the
-    Nystrom quadrature for kernel rows and fredholm_tol the relative residual
-    above which a row solve is refused; deriv_stencil is the finite-difference
-    width for the diagonal derivative (q = -2 dA/dx amplifies noise, so 5
-    points by default).  y_tail_tol is the |F| tail mass below which a row is
-    truncated.  The analytic 1/k tail correction in the oscillatory
-    transform suppresses Gibbs ringing that would otherwise dominate the
-    recovered q after differentiation; when it is on, the endpoint taper is
-    skipped.
+    Marchenko kernel samples F(s + y) with s, y <= x_max, with the analytic
+    1/k tail correction and no endpoint taper: the correction suppresses
+    Gibbs ringing that would otherwise dominate the recovered q after
+    differentiation.  Kernel rows use the Simpson rule, and q = -2 dA/dx
+    the five-point derivative, since differentiation amplifies noise.
     """
 
     x_max: float = 40.0
     dx: float = 0.05
-    rule: str = "simpson"
-    deriv_stencil: int = 5
-    fredholm_tol: float = 1e-10
-    y_tail_tol: float = 1e-8
-    fourier_taper: float = 0.2
-    fourier_tail_correction: bool = True
     force: bool = False
 
 
@@ -126,7 +127,6 @@ def solve_marchenko(
     x: float,
     y_max: float | None = None,
     rule: str = "simpson",
-    residual_tol: float = 1e-10,
 ) -> np.ndarray:
     """Row A(x, y) of the transformation kernel on y = x, x+dx, ..., y_max.
 
@@ -136,7 +136,7 @@ def solve_marchenko(
     mass of F.  y_max defaults to the end of the F window.  Raises
     SolverError when the row's system is singular: a zero or non-finite
     one-node pivot, a failed dense solve, or a relative residual above
-    residual_tol (data that violate unique solvability).
+    RESIDUAL_TOL (data that violate unique solvability).
     """
     dx = F.xgrid.dx
     if y_max is None:
@@ -164,7 +164,7 @@ def solve_marchenko(
     scale = float(np.linalg.norm(rhs))
     if scale > 0:
         resid = float(np.linalg.norm(mat @ a - rhs)) / scale
-        if not np.isfinite(resid) or resid > residual_tol:
+        if not np.isfinite(resid) or resid > RESIDUAL_TOL:
             cond = float(np.linalg.cond(mat))
             raise SolverError(
                 f"Marchenko row at x = {x:.4f}: data violate unique solvability "
@@ -174,9 +174,10 @@ def solve_marchenko(
     return a
 
 
-def recover_potential(kernel: TransformationKernel, stencil: int = 5) -> Potential:
-    """Potential from the kernel diagonal: q = -2 dA(x,x)/dx."""
-    q = -2.0 * differentiate(kernel.diagonal, kernel.xgrid.dx, stencil=stencil)
+def recover_potential(kernel: TransformationKernel) -> Potential:
+    """Potential from the kernel diagonal: q = -2 dA(x,x)/dx (five-point
+    differences)."""
+    q = -2.0 * differentiate(kernel.diagonal, kernel.xgrid.dx, stencil=5)
     return Potential(grid=kernel.xgrid, values=q)
 
 
@@ -213,14 +214,7 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
                 DataError("scattering data fail characterization: " + ", ".join(report.failures())),
             )
     try:
-        F = build_F(
-            sd,
-            0.0,
-            2 * cfg.x_max,
-            cfg.dx,
-            taper_frac=0.0 if cfg.fourier_tail_correction else cfg.fourier_taper,
-            tail_correction=cfg.fourier_tail_correction,
-        )
+        F = build_F(sd, 0.0, 2 * cfg.x_max, cfg.dx, tail_correction=True)
     except StageError:
         raise
     except Exception as exc:
@@ -235,7 +229,7 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
     tail = np.zeros(F.xgrid.n)
     tail[:-1] = (0.5 * dx * (F.f_values[1:] + F.f_values[:-1]))[::-1].cumsum()[::-1]
     tail_env = np.maximum.accumulate(np.abs(tail)[::-1])[::-1]
-    below = np.nonzero(tail_env <= cfg.y_tail_tol)[0]
+    below = np.nonzero(tail_env <= Y_TAIL_TOL)[0]
     p_cut = F.xgrid.nodes[below[0]] if below.size else F.xgrid.hi
     neglected = float(tail_env[below[0]]) if below.size else float(tail_env[-1])
 
@@ -244,7 +238,7 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
         for i, x in enumerate(xg.nodes):
             y_hi = min(xg.x_max, max(x + 2 * dx, p_cut - x))
             steps = min(int(round((y_hi - x) / dx)), n - 1 - i)
-            row = solve_marchenko(F, x, x + steps * dx, cfg.rule, cfg.fredholm_tol)
+            row = solve_marchenko(F, x, x + steps * dx)
             values[i, i : i + row.size] = row
     except SolverError as exc:
         raise StageError("solve_marchenko", exc)
@@ -252,7 +246,7 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
         xgrid=xg, ygrid=xg, values=values, diagonal=values.diagonal().copy()
     )
     try:
-        q = recover_potential(kernel, stencil=cfg.deriv_stencil)
+        q = recover_potential(kernel)
     except Exception as exc:
         raise StageError("recover_potential", exc)
     return InversionResult(
@@ -294,12 +288,7 @@ def f_from_kernel(
     if peak > 0.0:
         alive = np.nonzero(np.abs(row) > support_tol * peak)[0]
         cut = min(nodes.size - 1, int(alive[-1]) + int(round(1.0 / dx)))
-
-        def kern(p: float, t: np.ndarray) -> np.ndarray:
-            off = np.round((t - p) / dx).astype(int)
-            return row[np.clip(off, 0, row.size - 1)]
-
-        f[: cut + 1] = solve_volterra_backward(kern, row[: cut + 1], nodes[: cut + 1], rule=rule)
+        f[: cut + 1] = solve_volterra_backward(row[: cut + 1], row[: cut + 1], dx, rule=rule)
     fprime = differentiate(f, dx)
     grid = UniformGrid(nodes)
     return MarchenkoInput(
@@ -347,23 +336,20 @@ def extract_data_from_F(
     F: MarchenkoInput,
     stripping_tol: float = 1e-3,
     kgrid: MomentumGrid | None = None,
-    window_frac: float = 0.25,
-    refine_frac: float = 0.6,
-    max_states: int = 12,
-    kappa_sep: float = 1e-2,
 ) -> ScatteringData:
     """Scattering data from F sampled on a window reaching well into x < 0.
 
     Bound states dominate F as x -> -inf (s_J e^{-kappa_J x}, largest kappa
-    first).  Repeatedly: log-linear fit on the most negative window_frac of
-    the negative-x samples, strip the fitted exponential, polish all
-    recovered pairs by a joint Gauss-Newton fit on the most negative
-    refine_frac of the negative-x samples (the lever arm from the fit
-    window to x = 0 otherwise limits the amplitude accuracy).  Stop when
-    the residual sup over x < 0 drops below stripping_tol or the remainder
-    stops looking like a growing positive exponential (it is then the
-    decaying negative-x part of F_s).  Finally F_s = F - F_d and
-    S(k) = 1 - int F_s e^{-ikx} dx.
+    first).  Repeatedly: log-linear fit on the most negative
+    STRIP_WINDOW_FRAC of the negative-x samples, strip the fitted
+    exponential, polish all recovered pairs by a joint Gauss-Newton fit on
+    the most negative STRIP_REFINE_FRAC of the negative-x samples (the lever
+    arm from the fit window to x = 0 otherwise limits the amplitude
+    accuracy).  Stop when the residual sup over x < 0 drops below
+    stripping_tol or the remainder stops looking like a growing positive
+    exponential (it is then the decaying negative-x part of F_s).  More than
+    STRIP_MAX_STATES states, or two closer than STRIP_KAPPA_SEP, raise
+    StrippingError.  Finally F_s = F - F_d and S(k) = 1 - int F_s e^{-ikx} dx.
     """
     nodes = F.xgrid.nodes
     if nodes[0] >= 0:
@@ -371,8 +357,8 @@ def extract_data_from_F(
     if kgrid is None:
         kgrid = MomentumGrid.make(200.0, 0.05)
     n_neg = int(np.count_nonzero(nodes < 0))
-    ref_hi = int(n_neg * refine_frac)
-    if int(n_neg * window_frac) < 8:
+    ref_hi = int(n_neg * STRIP_REFINE_FRAC)
+    if int(n_neg * STRIP_WINDOW_FRAC) < 8:
         raise DataError("negative-x window too short for stripping")
     neg = nodes < 0
 
@@ -386,15 +372,15 @@ def extract_data_from_F(
     residual = F.f_values.copy()
     sup = float(np.max(np.abs(residual[neg])))
     while sup >= stripping_tol:
-        if len(kappas) >= max_states:
-            raise StrippingError(f"more than {max_states} exponentials; window too narrow")
+        if len(kappas) >= STRIP_MAX_STATES:
+            raise StrippingError(f"more than {STRIP_MAX_STATES} exponentials; window too narrow")
         # walk candidate fit windows from the far end toward x = 0: after a
         # strip, the far end is dominated by the previous stage's fit noise
         # and the next state emerges only where it beats that noise
         accepted = False
         for start in (0.0, 0.1, 0.25, 0.4, 0.55, 0.7):
             lo = int(n_neg * start)
-            hi = min(n_neg, lo + max(8, int((n_neg - lo) * window_frac)))
+            hi = min(n_neg, lo + max(8, int((n_neg - lo) * STRIP_WINDOW_FRAC)))
             if hi - lo < 8:
                 break
             seg = residual[lo:hi]
@@ -406,7 +392,7 @@ def extract_data_from_F(
                 continue
             if kappa_c <= 0 or s_c <= 0:
                 continue
-            if kappas and kappa_c >= min(kappas) - kappa_sep:
+            if kappas and kappa_c >= min(kappas) - STRIP_KAPPA_SEP:
                 continue  # contaminant of an already-stripped state
             trial_k, trial_s = _refine_exponentials(
                 nodes[:ref_hi], F.f_values[:ref_hi], kappas + [kappa_c], ss + [s_c]
@@ -421,14 +407,14 @@ def extract_data_from_F(
                 break
         if not accepted:
             break  # remainder is not a growing exponential (the F_s part)
-    if len(kappas) > 1 and np.min(np.abs(np.diff(sorted(kappas)))) < kappa_sep:
+    if len(kappas) > 1 and np.min(np.abs(np.diff(sorted(kappas)))) < STRIP_KAPPA_SEP:
         raise StrippingError("recovered kappas closer than the resolvable separation")
     fd = model(kappas, ss)
     if kappas:
         # legitimate leftovers (the x < 0 part of F_s) decay toward x_lo;
         # a residual that instead grows leftward and is far above rounding
         # relative to the stripped model marks unresolved structure (states
-        # closer than kappa_sep merge into one effective exponential)
+        # closer than STRIP_KAPPA_SEP merge into one effective exponential)
         w = max(8, n_neg // 10)
         far = float(np.abs(residual[0]))
         near_zero = float(np.max(np.abs(residual[n_neg - w : n_neg])))
@@ -452,31 +438,28 @@ def data_from_kernel(
     kernel: TransformationKernel,
     kgrid: MomentumGrid | None = None,
     kappa_max: float | None = None,
-    kappa_min: float = 1e-3,
-    scan_step: float = 0.01,
-    resonance_tol: float = 1e-3,
-    rule: str = "simpson",
 ) -> ScatteringData:
     """Scattering data directly from the transformation kernel.
 
-    f(k) = 1 + int_0^inf A(0,y) e^{iky} dy, summed by the uniform phase
-    recurrence of the Fourier transforms; bound states are the sign changes
-    of f(i kappa) on the imaginary axis, all refined at once by batched
-    bracketed root finding; s_j = ||f_j||^{-2} with f_j(x) = e^{-kappa_j x}
-    + int_x^inf A(x,y) e^{-kappa_j y} dy, one kernel product for all
-    states; and S = conj(f)/f with the S(0) sign set by the resonance test
-    |f(0)| < resonance_tol.
+    f(k) = 1 + int_0^inf A(0,y) e^{iky} dy (Simpson weights), summed by
+    the uniform phase recurrence of the Fourier transforms; bound states
+    are the sign changes of f(i kappa) on the imaginary axis, all refined
+    at once by batched bracketed root finding; s_j = ||f_j||^{-2} with
+    f_j(x) = e^{-kappa_j x} + int_x^inf A(x,y) e^{-kappa_j y} dy, one
+    kernel product for all states; and S = conj(f)/f with the S(0) sign set
+    by the resonance test |f(0)| < RESONANCE_TOL.
 
-    The scan reaches kappa_max, by default 1.5 sqrt(max|q|) + 0.5 with
-    q = -2 dA(x,x)/dx read off the kernel diagonal (the bound the forward
-    scan uses).  f(i kappa) -> 1 as kappa -> inf, so a negative value at
-    the scan's upper edge means zeros beyond it and raises SolverError.
+    The scan has the forward scan's nodes (forward._kappa_scan) with
+    q = -2 dA(x,x)/dx read off the kernel diagonal, up to kappa_max, by
+    default 1.5 sqrt(max|q|) + 0.5.  f(i kappa) -> 1 as kappa -> inf, so a
+    negative value at the scan's upper edge means zeros beyond it and
+    raises SolverError.
     """
     if kgrid is None:
         kgrid = MomentumGrid.make(200.0, 0.05)
     y = kernel.ygrid.nodes
     dx = kernel.ygrid.dx
-    wrow = quadrature_weights(y.size, dx, rule) * kernel.row(0)
+    wrow = quadrature_weights(y.size, dx, "simpson") * kernel.row(0)
     pos = np.nonzero(kgrid.nodes >= 0)[0]
     f0 = np.empty(kgrid.n, dtype=complex)
     f0[pos] = 1.0 + _oscillatory_sum(wrow, y, kgrid.nodes[pos], 1.0)
@@ -487,12 +470,10 @@ def data_from_kernel(
         e = np.multiply.outer(-np.asarray(kaps, dtype=float), y)
         return 1.0 + np.exp(e, out=e) @ wrow
 
-    if kappa_max is None:
-        q_max = 2.0 * float(np.max(np.abs(differentiate(kernel.diagonal, kernel.xgrid.dx))))
-        kappa_max = 1.5 * np.sqrt(q_max) + 0.5
-    grid = np.arange(kappa_min, kappa_max + scan_step, scan_step)
+    q_max = 2.0 * float(np.max(np.abs(differentiate(kernel.diagonal, kernel.xgrid.dx))))
+    grid = _kappa_scan(q_max, kappa_max)
     gv = f_imag(np.concatenate([[0.0], grid]))
-    resonance = abs(gv[0]) < resonance_tol
+    resonance = abs(gv[0]) < RESONANCE_TOL
     gv = gv[1:]
     if gv[-1] < 0:
         raise SolverError(
@@ -512,7 +493,7 @@ def data_from_kernel(
         + dx * (A @ decay)
         - 0.5 * dx * (np.diagonal(A)[:, None] * decay + A[:, -1:] * decay[-1])
     )
-    norms = integrate(fj.T**2, kernel.xgrid, rule)
+    norms = integrate(fj.T**2, kernel.xgrid, "simpson")
     bound = [BoundState(float(kap), float(1.0 / norm)) for kap, norm in zip(kappas, norms)]
     svals = np.conj(f0) / f0
     sign = -1 if resonance else 1

@@ -1,5 +1,5 @@
 """Domain types for half-line scattering: grids, potentials, scattering data,
-Jost fields, transformation kernels, and the validation report.
+Jost boundary data, transformation kernels, and the validation report.
 
 All types are immutable value objects: arrays are copied on construction and
 marked read-only, so instances can be shared freely.
@@ -24,7 +24,6 @@ __all__ = [
     "MarchenkoInput",
     "ConditionEntry",
     "ValidationReport",
-    "validate_scattering_data",
     "l11_moment",
 ]
 
@@ -53,7 +52,11 @@ def _check_uniform(nodes: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class UniformGrid:
-    """Uniformly spaced 1-d sample grid on [lo, hi]."""
+    """Uniformly spaced 1-d sample grid on [lo, hi].
+
+    The subclasses add one check on the nodes each (_check), their own
+    make, and the names of their ends and spacing.
+    """
 
     nodes: np.ndarray
     dx: float = field(init=False)
@@ -63,6 +66,10 @@ class UniformGrid:
         dx = _check_uniform(nodes)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "dx", dx)
+        self._check()
+
+    def _check(self) -> None:
+        """Subclass hook: refuse nodes that do not fit the grid kind."""
 
     @classmethod
     def make(cls, lo: float, hi: float, dx: float) -> "UniformGrid":
@@ -82,20 +89,12 @@ class UniformGrid:
         return int(self.nodes.size)
 
 
-@dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(UniformGrid):
     """Uniform radial grid on [0, x_max]."""
 
-    nodes: np.ndarray
-    dx: float = field(init=False)
-
-    def __post_init__(self):
-        nodes = _frozen(self.nodes, dtype=float)
-        dx = _check_uniform(nodes)
-        if abs(nodes[0]) > _REL_TOL:
+    def _check(self) -> None:
+        if abs(self.nodes[0]) > _REL_TOL:
             raise GridError("radial grid must start at x = 0")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "dx", dx)
 
     @classmethod
     def make(cls, x_max: float, dx: float) -> "RadialGrid":
@@ -104,36 +103,25 @@ class RadialGrid:
 
     @property
     def x_max(self) -> float:
-        return float(self.nodes[-1])
-
-    @property
-    def n(self) -> int:
-        return int(self.nodes.size)
+        return self.hi
 
 
-@dataclass(frozen=True)
-class MomentumGrid:
-    """Uniform momentum grid, symmetric about k = 0.
+class MomentumGrid(UniformGrid):
+    """Uniform momentum grid, symmetric about k = 0, with spacing dk.
 
     A node at k = 0 is allowed but flagged (zero_index), since S(0) needs the
     sign convention S(0) = +1 when f(0) != 0 and S(0) = -1 when f(0) = 0
     rather than a 0/0 division.
     """
 
-    nodes: np.ndarray
-    dk: float = field(init=False)
-    zero_index: int | None = field(init=False)
+    zero_index: int | None
 
-    def __post_init__(self):
-        nodes = _frozen(self.nodes, dtype=float)
-        dk = _check_uniform(nodes)
+    def _check(self) -> None:
+        nodes = self.nodes
         if np.max(np.abs(nodes + nodes[::-1])) > _REL_TOL * max(abs(nodes[-1]), 1.0):
             raise GridError("momentum grid must be symmetric about 0")
         zi = np.argmin(np.abs(nodes))
-        zero_index = int(zi) if abs(nodes[zi]) < _REL_TOL * dk else None
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "dk", dk)
-        object.__setattr__(self, "zero_index", zero_index)
+        object.__setattr__(self, "zero_index", int(zi) if abs(nodes[zi]) < _REL_TOL * self.dx else None)
 
     @classmethod
     def make(cls, k_max: float, dk: float) -> "MomentumGrid":
@@ -142,11 +130,11 @@ class MomentumGrid:
 
     @property
     def k_max(self) -> float:
-        return float(self.nodes[-1])
+        return self.hi
 
     @property
-    def n(self) -> int:
-        return int(self.nodes.size)
+    def dk(self) -> float:
+        return self.dx
 
 
 @dataclass(frozen=True)
@@ -176,8 +164,8 @@ class BoundState:
 
     Admissible data have kappa > 0 and s > 0; construction only requires
     finite values so that tampered or unvetted inputs remain representable
-    for validate_scattering_data and the characterization checks, which
-    report violations instead of throwing.
+    for the characterization checks, which report violations instead of
+    throwing.
     """
 
     kappa: float
@@ -231,14 +219,13 @@ class ScatteringData:
 
 @dataclass(frozen=True)
 class JostField:
-    """Jost solution data: boundary values f(k) = f(0,k), derivatives
-    f'(0,k), and optionally the full field f(x_i, k_j)."""
+    """Jost boundary data on a momentum grid: f(k) = f(0,k) and the
+    derivatives f'(0,k) of the Jost solution on xgrid."""
 
     xgrid: RadialGrid
     kgrid: MomentumGrid
     f0: np.ndarray
     fprime0: np.ndarray
-    f_xk: np.ndarray | None = None
 
     def __post_init__(self):
         f0 = _frozen(self.f0, dtype=complex)
@@ -247,11 +234,6 @@ class JostField:
             raise DataError("boundary samples must match the momentum grid")
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "fprime0", fp)
-        if self.f_xk is not None:
-            fxk = _frozen(self.f_xk, dtype=complex)
-            if fxk.shape != (self.xgrid.n, self.kgrid.n):
-                raise DataError("field matrix must be (n_x, n_k)")
-            object.__setattr__(self, "f_xk", fxk)
 
 
 @dataclass(frozen=True)
@@ -353,35 +335,6 @@ class ValidationReport:
             "s_zero_sign": self.s_zero_sign,
             "entries": [e.to_dict() for e in self.entries],
         }
-
-
-def validate_scattering_data(sd: ScatteringData, tol: float = 1e-8, tail_tol: float = 0.05) -> list[str]:
-    """Report violated structural invariants of a scattering data set.
-
-    Checks |S| = 1 and S(-k) = conj S(k) within tol, |S(k_max) - 1| within
-    tail_tol, and positivity/ordering of the discrete data.  Returns a list
-    of human-readable violations; empty means the data are well-formed.
-    """
-    out: list[str] = []
-    s = sd.s_values
-    uni = float(np.max(np.abs(np.abs(s) - 1.0)))
-    if uni > tol:
-        out.append(f"unitarity: max ||S|-1| = {uni:.3e} > {tol:.1e}")
-    sym = float(np.max(np.abs(s[::-1] - np.conj(s))))
-    if sym > tol:
-        out.append(f"conjugate symmetry: max |S(-k)-conj S(k)| = {sym:.3e} > {tol:.1e}")
-    tail = max(abs(s[0] - 1.0), abs(s[-1] - 1.0))
-    if tail > tail_tol:
-        out.append(f"tail: |S(+-k_max)-1| = {tail:.3e} > {tail_tol:.1e}")
-    kappas = sd.kappas
-    if kappas.size and np.any(kappas <= 0):
-        out.append("bound states: kappa <= 0")
-    if sd.bound_states and np.any(sd.norming <= 0):
-        out.append("bound states: s <= 0")
-    if sd.s_at_zero_sign == -1 and sd.kgrid.zero_index is not None:
-        if abs(s[sd.kgrid.zero_index] + 1.0) > max(tol, 1e-6):
-            out.append("zero-energy flag is -1 but S(0) sample is not -1")
-    return out
 
 
 def l11_moment(q: Potential) -> float:

@@ -3,10 +3,11 @@
 Composite trapezoid and Simpson quadrature, finite-difference
 differentiation, truncated oscillatory Fourier integrals with an optional
 endpoint taper and an optional analytic 1/k tail correction,
-backward-marching Volterra solves, batched bracketed root finding (one
-vectorized call of g per secant step for all brackets), winding numbers by
-nearest-branch phase continuation, and principal-value Cauchy transforms on
-uniform grids (one FFT convolution per transform).
+backward-marching Volterra solves with a difference kernel, batched
+bracketed root finding (one vectorized call of g per secant step for all
+brackets), winding numbers by nearest-branch phase continuation (a step of
+pi or more refused), and principal-value Cauchy transforms on uniform grids
+(one FFT convolution per transform).
 
 Conventions: the Volterra solver uses the sign convention of the Marchenko
 equation, i.e. it returns h satisfying
@@ -263,30 +264,24 @@ def fourier_space_to_kernel(fs: np.ndarray, xgrid, k) -> np.ndarray:
 # backward Volterra marching
 
 
-def solve_volterra_backward(
-    kernel: Callable[[float, np.ndarray], np.ndarray],
-    g: np.ndarray,
-    nodes: np.ndarray,
-    rule: str = "trapezoid",
-) -> np.ndarray:
-    """Solve h(p) + int_p^end K(p,t) h(t) dt = -g(p) by backward marching.
+def solve_volterra_backward(a: np.ndarray, g: np.ndarray, dx: float, rule: str = "trapezoid") -> np.ndarray:
+    """Solve h(p) + int_p^end a(t - p) h(t) dt = -g(p) by backward marching.
 
-    The kernel must be triangular: K(p,t) = 0 for t < p (only t >= p is ever
-    sampled; kernel(p, t_tail) returns the row for the tail nodes).  The
-    recursion starts at the far end, where the integral term is empty.
+    The kernel depends on t - p only and is sampled by offset on the grid
+    of spacing dx, a[j] = a(j dx), as many samples as g (only t >= p is
+    ever read).  The recursion starts at the far end, where the integral
+    term is empty.
     """
-    nodes = np.asarray(nodes, dtype=float)
+    a = np.asarray(a, dtype=float)
     g = np.asarray(g, dtype=float)
-    if g.shape != nodes.shape:
-        raise GridError("rhs samples must match the grid")
-    n = nodes.size
-    dx = nodes[1] - nodes[0]
+    if a.shape != g.shape:
+        raise GridError("kernel and rhs samples must have the same length")
+    n = g.size
     h = np.empty(n)
     h[-1] = -g[-1]
     for i in range(n - 2, -1, -1):
-        tail = nodes[i:]
-        krow = np.asarray(kernel(nodes[i], tail), dtype=float)
-        w = quadrature_weights(tail.size, dx, rule)
+        krow = a[: n - i]
+        w = quadrature_weights(n - i, dx, rule)
         acc = float(np.dot(w[1:] * krow[1:], h[i + 1 :]))
         denom = 1.0 + w[0] * krow[0]
         if abs(denom) < 1e-14:
@@ -387,7 +382,11 @@ class WindingResult(NamedTuple):
     residual: float
 
 
-def _phase_steps(values: np.ndarray, jump_tol: float) -> np.ndarray:
+# a phase step this close to pi has no nearest branch
+_JUMP_TOL = np.pi * (1 - 1e-9)
+
+
+def _phase_steps(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=complex)
     if not np.all(np.isfinite(v)):
         raise PhaseUnwrapError("non-finite sample in phase continuation")
@@ -395,7 +394,7 @@ def _phase_steps(values: np.ndarray, jump_tol: float) -> np.ndarray:
     if np.any(mags == 0.0):
         raise PhaseUnwrapError("zero sample in phase continuation")
     steps = np.angle(v[1:] * np.conj(v[:-1]))
-    bad = np.abs(steps) >= jump_tol
+    bad = np.abs(steps) >= _JUMP_TOL
     if np.any(bad):
         i = int(np.argmax(bad))
         raise PhaseUnwrapError(
@@ -405,10 +404,10 @@ def _phase_steps(values: np.ndarray, jump_tol: float) -> np.ndarray:
     return steps
 
 
-def unwrap_phase(values: np.ndarray, jump_tol: float = np.pi * (1 - 1e-9)) -> np.ndarray:
+def unwrap_phase(values: np.ndarray) -> np.ndarray:
     """Continuous argument along a sample path, anchored at the principal
     argument of the first sample.  Refuses (raises) on jumps >= pi."""
-    steps = _phase_steps(values, jump_tol)
+    steps = _phase_steps(values)
     theta = np.empty(len(values))
     theta[0] = np.angle(values[0])
     np.cumsum(steps, out=theta[1:])
@@ -416,14 +415,14 @@ def unwrap_phase(values: np.ndarray, jump_tol: float = np.pi * (1 - 1e-9)) -> np
     return theta
 
 
-def winding_number(values: np.ndarray, jump_tol: float = np.pi * (1 - 1e-9)) -> WindingResult:
+def winding_number(values: np.ndarray) -> WindingResult:
     """Winding number of a sampled path: total unwrapped argument increment
     over 2 pi, rounded to the nearest integer.
 
     The residual (distance from an integer) is returned as a confidence
     measure.  Zero samples and phase jumps >= pi are refused.
     """
-    steps = _phase_steps(values, jump_tol)
+    steps = _phase_steps(values)
     total = float(np.sum(steps)) / (2 * np.pi)
     value = int(np.round(total))
     return WindingResult(value, abs(total - value))

@@ -10,13 +10,14 @@ i*kappa_j, is solved by peeling off a Blaschke product W carrying the zeros:
 
 where W = w = prod (k - i kappa_j)/(k + i kappa_j) in the generic case
 (index of S equal to -2J) and W = w0 = w * k/(k + i kappa_shift) in the
-zero-energy-resonance case (index -2J - 1, f(0) = 0).  In both cases
-W(-k)/W(k) is pole-free and unimodular on the axis (the k factors of w0
-cancel in the ratio, leaving an extra (k + i kappa_shift)/(k - i
-kappa_shift) Blaschke factor), g has winding number zero, and |g| = 1, so
-log g is purely imaginary.  phi_+ is then the exponential of the Cauchy
-transform of log g, with the principal-value boundary formula on the axis,
-and f = W phi_+.
+zero-energy-resonance case (index -2J - 1, f(0) = 0), with kappa_shift one
+above the largest kappa_j (1 when J = 0).  In both cases W(-k)/W(k) is
+pole-free and unimodular on the axis (the k factors of w0 cancel in the
+ratio, leaving an extra (k + i kappa_shift)/(k - i kappa_shift) Blaschke
+factor), g has winding number zero, and |g| = 1, so log g is purely
+imaginary.  phi_+ is then the exponential of the Cauchy transform of
+log g, with the principal-value boundary formula on the axis, and
+f = W phi_+.
 """
 
 from __future__ import annotations
@@ -98,11 +99,7 @@ class RiemannSolution:
         return W * phi
 
 
-def solve_riemann(
-    sd: ScatteringData,
-    kappa_shift: float | None = None,
-    tail_correction: bool = True,
-) -> RiemannSolution:
+def solve_riemann(sd: ScatteringData) -> RiemannSolution:
     """Solve the boundary factorization f(k) = S(-k) f(-k) for f.
 
     Checks that the winding index of S matches -2J (generic) or -2J - 1
@@ -110,7 +107,7 @@ def solve_riemann(
     g = S(-k) W(-k)/W(k), verifies ind g = 0, takes the continuous
     (purely imaginary) logarithm anchored at -k_max with |g| renormalized
     to 1, evaluates the principal-value Cauchy transform at every node
-    (optionally with the analytic O(1/t) tail of log g added), and returns
+    with the analytic O(1/t) tail of log g added, and returns
     f = W exp[(1/2pi) pv + i arg g / 2].
     """
     k = sd.kgrid.nodes
@@ -127,7 +124,7 @@ def solve_riemann(
         ratio = np.conj(W) / W  # W(-k) = conj W(k) = 1/W(k) on the axis
     elif idx == -2 * j - 1:
         case = "resonance"
-        shift = kappa_shift if kappa_shift is not None else 1.0 + (float(np.max(kappas)) if j else 0.0)
+        shift = 1.0 + (float(np.max(kappas)) if j else 0.0)
         W = blaschke_shifted(kappas, shift, k)
         # w0(-k)/w0(k) = (1/w^2) (k + i shift)/(k - i shift): no zero at 0
         ratio = (np.conj(blaschke(kappas, k)) / blaschke(kappas, k)) * (k + 1j * shift) / (k - 1j * shift)
@@ -143,9 +140,7 @@ def solve_riemann(
         raise IndexMismatchError(f"reduced jump has winding {g_idx}, expected 0")
     theta = unwrap_phase(g)
     log_g = 1j * theta
-    tail_coeff = None
-    if tail_correction:
-        tail_coeff = 0.5 * float(theta[-1] * k[-1] + theta[0] * k[0])
+    tail_coeff = 0.5 * float(theta[-1] * k[-1] + theta[0] * k[0])
     pv = pv_cauchy_grid(theta, k, tail_coeff=tail_coeff)
     phi_plus = np.exp(pv / (2 * np.pi) + 0.5j * theta)
     f0 = W * phi_plus

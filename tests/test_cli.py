@@ -239,6 +239,31 @@ def test_threads_flag_is_gone(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "subcommand, flag, value",
+    [
+        ("forward", "--dk", "0"),  # was a ZeroDivisionError traceback
+        ("forward", "--dk", "nan"),  # was a ValueError traceback
+        ("forward", "--kmax", "inf"),  # was an OverflowError traceback
+        ("forward", "--kmax", "-200"),
+        ("invert", "--xmax", "nan"),
+        ("invert", "--dx", "0"),
+        ("roundtrip", "--tol", "-1e-3"),
+        ("extract", "--stripping-tol", "inf"),
+    ],
+)
+def test_bad_grid_or_tolerance_flag_exits_2(tmp_path, sech2_csv, capsys, subcommand, flag, value):
+    inputs = {
+        "forward": ["--potential", str(sech2_csv)],
+        "roundtrip": ["--potential", str(sech2_csv)],
+        "invert": ["--data", str(identity_dataset(tmp_path))],
+        "extract": ["--f-data", str(sech2_csv)],
+    }
+    argv = [subcommand, *inputs[subcommand], f"{flag}={value}", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"{flag} must be positive and finite" in capsys.readouterr().err
+
+
 def test_scattering_json_without_s_re_exits_with_stage_code(tmp_path, capsys):
     path = identity_dataset(tmp_path)
     doc = json.loads(path.read_text())

@@ -4,7 +4,7 @@ import pytest
 from conftest import sech2_jost_exact, well_kappa_oracle
 from halfline.errors import DataError, SolverError
 from halfline import forward as fw
-from halfline.model import MomentumGrid, Potential, RadialGrid
+from halfline.model import MomentumGrid, Potential, RadialGrid, ScatteringData
 from halfline.numkit import integrate, quadrature_weights, winding_number
 from halfline.potentials import (
     sech2_potential,
@@ -15,41 +15,42 @@ from halfline.potentials import (
 
 
 # ---------------------------------------------------------------------------
-# solve_jost
+# jost_field
 
 
 def test_jost_free_is_plane_wave(q_zero):
-    f_x, fp0 = fw.solve_jost(q_zero, 1.0 + 0.0j)
-    np.testing.assert_allclose(f_x, np.exp(1j * q_zero.grid.nodes), atol=1e-14)
-    assert fp0 == pytest.approx(1j, abs=1e-14)
+    f_xk, fp0 = fw.jost_field(q_zero, [1.0])
+    np.testing.assert_allclose(f_xk[:, 0], np.exp(1j * q_zero.grid.nodes), atol=1e-14)
+    assert fp0[0] == pytest.approx(1j, abs=1e-14)
 
 
 def test_jost_sech2_closed_form(q_sech2):
-    f_x, fp0 = fw.solve_jost(q_sech2, 1.0 + 0.0j)
+    f_xk, fp0 = fw.jost_field(q_sech2, [1.0])
+    f_x = f_xk[:, 0]
     ref = sech2_jost_exact(q_sech2.grid.nodes, 1.0)
     assert np.max(np.abs(f_x - ref)) < 1e-4
     assert abs(f_x[0] - (0.5 - 0.5j)) < 1e-4
     # f'(0,k) of the closed form at k = 1: i(k^2+1)/(k+i) = i(1-i)
-    assert abs(fp0 - 1j * 2.0 / (1.0 + 1j)) < 1e-4
+    assert abs(fp0[0] - 1j * 2.0 / (1.0 + 1j)) < 1e-4
 
 
 def test_jost_square_well_matching_oracle():
     # q vanishes beyond the well exactly, so a short fine grid meets the
     # 1e-6 two-region matching tolerance
     q = square_well_potential(RadialGrid.make(2.0, 5e-4))
-    f_x, fp0 = fw.solve_jost(q, 2.0 + 0.0j)
+    f_xk, fp0 = fw.jost_field(q, [2.0])
     f_ref, fp_ref = square_well_jost_oracle(2.0)
-    assert abs(f_x[0] - f_ref) < 1e-6
-    assert abs(fp0 - fp_ref) < 1e-6
+    assert abs(f_xk[0, 0] - f_ref) < 1e-6
+    assert abs(fp0[0] - fp_ref) < 1e-6
 
 
 def test_jost_rejects_lower_half_plane(q_sech2):
     with pytest.raises(DataError):
-        fw.solve_jost(q_sech2, 1.0 - 0.5j)
+        fw.jost_field(q_sech2, [1.0 - 0.5j])
 
 
 # ---------------------------------------------------------------------------
-# jost_boundary / jost_field
+# jost_boundary
 
 
 def test_boundary_free(q_zero):
@@ -82,10 +83,23 @@ def test_boundary_large_k_tail(q_well):
 
 def test_jost_field_tail(q_sech2):
     kg = MomentumGrid.make(20.0, 0.5)
-    field = fw.jost_field(q_sech2, kg)
+    f_xk, _ = fw.jost_field(q_sech2, kg.nodes)
     x = q_sech2.grid.nodes
-    dev = np.abs(field.f_xk[:, -1] - np.exp(1j * kg.k_max * x))
+    dev = np.abs(f_xk[:, -1] - np.exp(1j * kg.k_max * x))
     assert np.max(dev) < 2.0 / kg.k_max
+
+
+def test_jost_field_boundary_equals_jost_boundary(q_well):
+    # one march per column: the field's x = 0 row and derivatives are the
+    # boundary values themselves, for real and imaginary momenta alike
+    kg = MomentumGrid.make(20.0, 0.5)
+    f0, fp0 = fw.jost_boundary(q_well, kg)
+    f_xk, fp = fw.jost_field(q_well, kg.nodes)
+    pos = kg.nodes >= 0
+    np.testing.assert_array_equal(f_xk[0, pos], f0[pos])
+    np.testing.assert_array_equal(fp[pos], fp0[pos])
+    f_imag, _ = fw.jost_field(q_well, 1j * np.array([0.5, 1.5]))
+    np.testing.assert_array_equal(f_imag[0].real, fw._f0_imag_axis(q_well, np.array([0.5, 1.5])))
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +190,18 @@ def test_bound_states_batched_equal_one_by_one(make_q):
 
 
 def test_norming_batched_equal_one_by_one():
-    # reference: one solve_jost and one two-point march per state
+    # reference: one single-momentum jost_field and one two-point march
+    # per state
     q = _deep_well()
     kappas = fw.find_bound_states(q).kappas
     vals, report = fw.norming_constants(q, kappas)
     for kap, s, rep in zip(kappas, vals, report):
         h = 1e-4 * kap
-        f_x, fprime0 = fw.solve_jost(q, 1j * kap)
+        f_xk, fprime0 = fw.jost_field(q, [1j * kap])
         gp, gm = fw._f0_imag_axis(q, np.array([kap + h, kap - h]))
-        s_ref = (-2j * kap / (-1j * (gp - gm) / (2 * h) * fprime0)).real
+        s_ref = (-2j * kap / (-1j * (gp - gm) / (2 * h) * complex(fprime0[0]))).real
         assert s == s_ref
-        assert rep["s_norm"] == 1.0 / float(integrate(np.real(f_x) ** 2, q.grid))
+        assert rep["s_norm"] == 1.0 / float(integrate(np.real(f_xk[:, 0]) ** 2, q.grid))
 
 
 def _count_marches(monkeypatch):
@@ -251,8 +266,6 @@ def test_phase_shift_resonance_quarter_turn(fw_sech2):
     d = fw_sech2.delta
     assert d[kg.zero_index] == pytest.approx(np.pi / 2, abs=1e-3)
     # and the analytic-sample route gives the same quarter turn
-    from halfline.model import ScatteringData
-
     S = (kg.nodes + 1j) / (kg.nodes - 1j)
     S[kg.zero_index] = -1.0
     sd = ScatteringData(kgrid=kg, s_values=S, s_at_zero_sign=-1)
@@ -411,6 +424,17 @@ def test_kernel_fourier_consistency(sech2_kernel):
     f = 1.0 + np.exp(1j * np.outer(ks, y)) @ (w * K.row(0))
     ref = ks / (ks + 1j)
     assert np.max(np.abs(f - ref)) < 1e-4
+
+
+def test_forward_refuses_data_that_fail_the_characterization(monkeypatch, q_zero, kgrid_coarse):
+    # |S| = 2 breaks unitarity; forward checks its own output with the
+    # characterization at 1e-8 and names the failed condition
+    def doubled(q, kgrid, f0):
+        return ScatteringData(kgrid=kgrid, s_values=np.full(kgrid.n, 2.0 + 0.0j))
+
+    monkeypatch.setattr(fw, "_scattering_data", doubled)
+    with pytest.raises(SolverError, match="symmetry_unitarity"):
+        fw.forward(q_zero, kgrid_coarse)
 
 
 def test_forward_result_bundle(fw_well):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfline.characterize import ConditionThresholds, check_discrete, check_symmetry_unitarity
 from halfline.errors import DataError, GridError
+from halfline.forward import FORWARD_THRESHOLDS
 from halfline.model import (
     BoundState,
     MarchenkoInput,
@@ -13,9 +15,15 @@ from halfline.model import (
     ScatteringData,
     UniformGrid,
     l11_moment,
-    validate_scattering_data,
 )
 from halfline.potentials import sech2_potential, square_well_potential, zero_potential
+
+
+def violations(sd: ScatteringData, tol: float = 1e-8) -> list[str]:
+    """Names of the structural checks (the two forward runs on its own
+    output) that sd fails with unitarity and symmetry tolerance tol."""
+    t = ConditionThresholds(unitarity_tol=tol, symmetry_tol=tol)
+    return [c.name for c in (check_symmetry_unitarity(sd, t), check_discrete(sd, t)) if not c.passed]
 
 
 def test_radial_grid_basics():
@@ -44,6 +52,23 @@ def test_uniform_grid_negative_origin():
     assert g.hi == pytest.approx(40.0)
 
 
+def test_grids_share_the_uniform_base():
+    # one __post_init__: every grid kind refuses non-uniform and non-finite
+    # nodes alike; the subclasses keep their own make formulas and names
+    r, m = RadialGrid.make(10.0, 0.1), MomentumGrid.make(5.0, 0.5)
+    assert isinstance(r, UniformGrid) and isinstance(m, UniformGrid)
+    np.testing.assert_array_equal(r.nodes, 0.1 * np.arange(101))
+    np.testing.assert_array_equal(m.nodes, 0.5 * np.arange(-10, 11))
+    assert (r.x_max, r.n) == (r.hi, 101)
+    assert (m.k_max, m.dk, m.n) == (m.hi, m.dx, 21)
+    assert MomentumGrid(np.array([-1.5, -0.5, 0.5, 1.5])).zero_index is None
+    for cls in (UniformGrid, RadialGrid, MomentumGrid):
+        with pytest.raises(GridError):
+            cls(np.array([-1.0, 0.0, 0.5, 1.0]))
+        with pytest.raises(GridError):
+            cls(np.array([0.0, np.nan, 1.0]))
+
+
 def test_arrays_are_frozen():
     q = zero_potential(RadialGrid.make(1.0, 0.1))
     with pytest.raises(ValueError):
@@ -56,7 +81,7 @@ def test_bound_state_positivity_reported_not_thrown():
     kg = MomentumGrid.make(10.0, 0.5)
     s = np.ones(kg.n, dtype=complex)
     sd = ScatteringData(kgrid=kg, s_values=s, bound_states=(BoundState(1.0, -2.0),))
-    assert any("s <= 0" in v for v in validate_scattering_data(sd))
+    assert violations(sd) == ["discrete_data"]
     with pytest.raises(DataError):
         BoundState(kappa=np.nan, s=1.0)
 
@@ -94,14 +119,14 @@ def test_marchenko_input_rejects_nonfinite():
 def test_validate_identity_data():
     kg = MomentumGrid.make(50.0, 0.05)
     sd = ScatteringData(kgrid=kg, s_values=np.ones(kg.n, dtype=complex))
-    assert validate_scattering_data(sd, tol=1e-10) == []
+    assert violations(sd, tol=1e-10) == []
 
 
 def test_validate_unitarity_violation():
     kg = MomentumGrid.make(50.0, 0.05)
     sd = ScatteringData(kgrid=kg, s_values=2.0 * np.ones(kg.n, dtype=complex))
-    bad = validate_scattering_data(sd)
-    assert any("unitarity" in b for b in bad)
+    assert violations(sd) == ["symmetry_unitarity"]
+    assert "|S|-1: 1.00e+00" in check_symmetry_unitarity(sd).note
 
 
 def test_validate_blaschke_data_clean():
@@ -111,7 +136,7 @@ def test_validate_blaschke_data_clean():
     s = (kg.nodes + 1j) / (kg.nodes - 1j)
     s[kg.zero_index] = -1.0
     sd = ScatteringData(kgrid=kg, s_values=s, s_at_zero_sign=-1)
-    assert validate_scattering_data(sd, tol=1e-12) == []
+    assert violations(sd, tol=1e-12) == []
 
 
 def test_l11_moment_zero():
@@ -165,9 +190,10 @@ def test_validate_passes_on_synthetic_unitary_data(amp, scale, kap, s):
     sd = ScatteringData(
         kgrid=kg, s_values=sv, bound_states=(BoundState(kap, s),), s_at_zero_sign=1
     )
-    assert validate_scattering_data(sd, tol=1e-10) == []
+    assert violations(sd, tol=1e-10) == []
 
 
 def test_forward_data_pass_validation(fw_sech2, fw_well, fw_zero):
+    assert (FORWARD_THRESHOLDS.unitarity_tol, FORWARD_THRESHOLDS.symmetry_tol) == (1e-8, 1e-8)
     for r in (fw_sech2, fw_well, fw_zero):
-        assert validate_scattering_data(r.sd, tol=1e-8) == []
+        assert violations(r.sd, tol=1e-8) == []

@@ -149,27 +149,33 @@ def test_fourier_transforms_are_inverse_pair():
 def test_volterra_zero_kernel():
     nodes = np.arange(0.0, 10.0 + 1e-9, 0.01)
     g = np.exp(-nodes)
-    h = nk.solve_volterra_backward(lambda p, t: np.zeros_like(t), g, nodes)
+    h = nk.solve_volterra_backward(np.zeros(nodes.size), g, 0.01)
     np.testing.assert_allclose(h, -g, atol=1e-14)
 
 
 def test_volterra_separable_oracle():
     # kernel A(0, t-p) = -e^{-(t-p)} from the one-soliton-type transformation
     # kernel reproduces F(p) = 2 e^{-p}
-    nodes = np.arange(0.0, 40.0 + 1e-9, 0.01)
-    kern = lambda p, t: -np.exp(-(t - p))
-    F = nk.solve_volterra_backward(kern, -np.exp(-nodes), nodes, rule="simpson")
+    dx = 0.01
+    nodes = np.arange(0.0, 40.0 + 1e-9, dx)
+    a = -np.exp(-dx * np.arange(nodes.size))
+    F = nk.solve_volterra_backward(a, -np.exp(-nodes), dx, rule="simpson")
     assert np.max(np.abs(F - 2 * np.exp(-nodes))) < 1e-6
 
 
 def test_volterra_second_order_convergence():
-    kern = lambda p, t: -np.exp(-(t - p))
     errs = []
     for dx in (0.02, 0.01):
         nodes = np.arange(0.0, 40.0 + 1e-9, dx)
-        F = nk.solve_volterra_backward(kern, -np.exp(-nodes), nodes, rule="trapezoid")
+        a = -np.exp(-dx * np.arange(nodes.size))
+        F = nk.solve_volterra_backward(a, -np.exp(-nodes), dx, rule="trapezoid")
         errs.append(np.max(np.abs(F - 2 * np.exp(-nodes))))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
+
+
+def test_volterra_refuses_unequal_lengths():
+    with pytest.raises(GridError):
+        nk.solve_volterra_backward(np.zeros(5), np.zeros(6), 0.1)
 
 
 # ---------------------------------------------------------------------------
