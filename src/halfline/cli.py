@@ -1,15 +1,20 @@
 """Command-line front end.
 
-Subcommands compose the library modules over diff-able text artifacts:
+Subcommands compose the library modules over diff-able text artifacts.
+Each accepts `--out DIR` (default halfline_out) and only the flags it
+reads:
 
-    forward    potential CSV -> scattering.json, phase_shift.csv, jost.csv
-    invert     scattering JSON -> potential.csv, kernel_diagonal.csv,
-               inversion_diagnostics.json
-    extract    F samples CSV -> scattering.json
-    riemann    scattering JSON -> jost_boundary.csv, factorization_report.json
-    validate   scattering JSON -> report.json (exit 0 iff all conditions pass)
-    roundtrip  potential CSV -> roundtrip_report.json (forward, validate,
-               invert, compare; exit 0 iff errors within tolerance)
+    forward    --potential CSV [--kmax --dk]
+               -> scattering.json, phase_shift.csv, jost.csv
+    invert     --data JSON [--xmax --dx --force]
+               -> potential.csv, kernel_diagonal.csv, inversion_diagnostics.json
+    extract    --f-data CSV [--kmax --dk (default 0.05) --stripping-tol]
+               -> scattering.json
+    riemann    --data JSON -> jost_boundary.csv, factorization_report.json
+    validate   --data JSON -> report.json (exit 0 iff all conditions pass)
+    roundtrip  --potential CSV [--kmax --dk --dx --tol] -> roundtrip_report.json
+               (forward, validate, invert on the potential's own grid, compare;
+               exit 0 iff the characterization passes and the sup error <= tol)
 
 File formats: potentials are CSV with header x,q on a uniform grid;
 scattering data are JSON {k, S_re, S_im, bound_states: [{kappa, s}],
@@ -17,7 +22,8 @@ s_zero_sign}; kernels are x,y,A triples.  Numbers are serialized with
 repr (17 significant digits), so reading an artifact back reproduces the
 in-memory object bit for bit and identical inputs give byte-identical
 outputs.  Exit codes: 2 usage, 3 forward failure, 4 inversion failure,
-5 riemann failure, 6 validation or tolerance failure.
+5 riemann failure, 6 validation or tolerance failure.  A HalflineError
+raised by a subcommand ends in the code of the stage that failed.
 """
 
 from __future__ import annotations
@@ -26,14 +32,13 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import characterize, marchenko as mk, riemann as rm
 from .errors import DataError, HalflineError, StageError
-from .forward import forward as forward_problem  # noqa: shadowed module name at package level
+from .forward import ForwardResult, forward as forward_problem  # noqa: shadowed module name at package level
 from .model import (
     BoundState,
     MarchenkoInput,
@@ -45,7 +50,7 @@ from .model import (
 )
 from .numkit import differentiate, winding_number
 
-__all__ = ["JobSpec", "parse_args", "run", "main"]
+__all__ = ["parse_args", "run", "main"]
 
 EXIT_USAGE = 2
 EXIT_FORWARD = 3
@@ -53,13 +58,12 @@ EXIT_INVERSE = 4
 EXIT_RIEMANN = 5
 EXIT_VALIDATION = 6
 
+# Rows per block of `_write_csv`: bounds the Python floats alive at once.
+_CSV_BLOCK = 8192
+
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def write_potential_csv(path: Path, q: Potential) -> None:
@@ -96,13 +100,13 @@ def read_potential_csv(path: Path) -> Potential:
 
 def write_scattering_json(path: Path, sd: ScatteringData) -> None:
     doc = {
-        "k": [float(v) for v in sd.kgrid.nodes],
-        "S_re": [float(v) for v in sd.s_values.real],
-        "S_im": [float(v) for v in sd.s_values.imag],
+        "k": sd.kgrid.nodes.tolist(),
+        "S_re": sd.s_values.real.tolist(),
+        "S_im": sd.s_values.imag.tolist(),
         "bound_states": [{"kappa": float(b.kappa), "s": float(b.s)} for b in sd.bound_states],
         "s_zero_sign": int(sd.s_at_zero_sign),
     }
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    _write_json(path, doc)
 
 
 def read_scattering_json(path: Path) -> ScatteringData:
@@ -132,255 +136,179 @@ def read_f_csv(path: Path) -> MarchenkoInput:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """One row per sample, each value as repr(float): the bytes csv.writer
+    writes for these rows, streamed block by block."""
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in zip(*columns):
-            w.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(columns[0]), _CSV_BLOCK):
+            rows = zip(*(c[i : i + _CSV_BLOCK].tolist() for c in columns))
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
-def _write_report(path: Path, doc: dict, fmt: str) -> None:
-    if fmt == "json":
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True, default=float) + "\n")
-    else:
-        flat = _flatten(doc)
-        with path.with_suffix(".csv").open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["key", "value"])
-            for k, v in flat:
-                w.writerow([k, v])
-
-
-def _flatten(doc, prefix: str = "") -> list[tuple[str, object]]:
-    out = []
-    if isinstance(doc, dict):
-        for k in sorted(doc):
-            out.extend(_flatten(doc[k], f"{prefix}{k}."))
-    elif isinstance(doc, (list, tuple)):
-        for i, v in enumerate(doc):
-            out.extend(_flatten(v, f"{prefix}{i}."))
-    else:
-        out.append((prefix[:-1], doc))
-    return out
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True, default=float) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# job specification
+# argument parsing
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """Validated CLI invocation: subcommand, inputs, grids, tolerances."""
+class _CheckPositive(argparse.Action):
+    """Stores a grid or tolerance value; exit 2 unless positive and finite."""
 
-    subcommand: str
-    out_dir: Path
-    potential: Path | None = None
-    data: Path | None = None
-    f_data: Path | None = None
-    k_max: float = 200.0
-    dk: float = 0.01
-    x_max: float = 40.0
-    dx: float = 0.05
-    tol: float = 5e-3
-    stripping_tol: float = 1e-3
-    force: bool = False
-    fmt: str = "json"
+    def __call__(self, parser, namespace, value, option_string=None):
+        if not (np.isfinite(value) and value > 0):
+            parser.error(f"{self.option_strings[0]} must be positive and finite, got {value}")
+        setattr(namespace, self.dest, value)
 
 
-def parse_args(argv: list[str] | None = None) -> JobSpec:
-    """Parse and validate CLI arguments into a JobSpec.
+def _input_file(value: str) -> Path:
+    path = Path(value)
+    if not path.is_file():
+        raise argparse.ArgumentTypeError(f"input file not found: {path}")
+    if path.stat().st_size == 0:
+        raise argparse.ArgumentTypeError(f"input file is empty: {path}")
+    return path
 
-    Usage errors (unknown flags, missing or empty files, a grid or tolerance
-    flag that is not positive and finite) exit with status 2.
+
+def _out_dir(value: str) -> Path:
+    path = Path(value)
+    if any(p.exists() and not p.is_dir() for p in (path, *path.parents)):
+        raise argparse.ArgumentTypeError(f"not a directory: {path}")
+    return path
+
+
+def _positive(dest: str, default: float, text: str) -> dict:
+    return dict(dest=dest, type=float, action=_CheckPositive, default=default, help=f"{text} (default %(default)s)")
+
+
+# Every flag, declared once; `_SUBCOMMANDS` attaches each to the
+# subcommands that read it.
+_FLAGS = {
+    "--potential": dict(type=_input_file, required=True, help="potential CSV, header x,q"),
+    "--data": dict(type=_input_file, required=True, help="scattering JSON"),
+    "--f-data": dict(type=_input_file, required=True, help="F samples CSV, header x,F"),
+    "--out": dict(dest="out_dir", type=_out_dir, default="halfline_out", help="output directory"),
+    "--kmax": _positive("k_max", 200.0, "momentum grid half-width"),
+    "--dk": _positive("dk", 0.01, "momentum grid spacing"),
+    "--xmax": _positive("x_max", 40.0, "inversion grid length"),
+    "--dx": _positive("dx", 0.05, "inversion grid spacing"),
+    "--tol": _positive("tol", 5e-3, "round-trip sup-error tolerance"),
+    "--stripping-tol": _positive("stripping_tol", 1e-3, "bound-state stripping tolerance"),
+    "--force": dict(action="store_true", help="skip the characterization gate"),
+}
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse and validate CLI arguments.
+
+    Usage errors (unknown flags, a flag the subcommand does not read,
+    missing or empty input files, an --out that is not a directory, a grid
+    or tolerance flag that is not positive and finite) exit with status 2.
     """
     p = argparse.ArgumentParser(
         prog="halfline",
         description="Forward and inverse scattering on the half-line.",
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp):
-        sp.add_argument("--out", default="halfline_out", help="output directory")
-        sp.add_argument("--kmax", type=float, default=200.0)
-        sp.add_argument("--dk", type=float, default=0.01)
-        sp.add_argument("--xmax", type=float, default=40.0)
-        sp.add_argument("--dx", type=float, default=0.05)
-        sp.add_argument("--tol", type=float, default=5e-3, help="tolerance for pass/fail checks")
-        sp.add_argument("--force", action="store_true", help="skip the characterization gate")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-    sp = sub.add_parser("forward", help="potential -> scattering data")
-    sp.add_argument("--potential", required=True)
-    common(sp)
-    sp = sub.add_parser("invert", help="scattering data -> potential")
-    sp.add_argument("--data", required=True)
-    common(sp)
-    sp = sub.add_parser("extract", help="F(x) samples -> scattering data")
-    sp.add_argument("--f-data", required=True)
-    sp.add_argument("--stripping-tol", type=float, default=1e-3)
-    common(sp)
-    sp = sub.add_parser("riemann", help="scattering data -> Jost function")
-    sp.add_argument("--data", required=True)
-    common(sp)
-    sp = sub.add_parser("validate", help="characterization report for scattering data")
-    sp.add_argument("--data", required=True)
-    common(sp)
-    sp = sub.add_parser("roundtrip", help="potential -> data -> potential comparison")
-    sp.add_argument("--potential", required=True)
-    common(sp)
-
-    ns = p.parse_args(argv)
-    for flag in ("kmax", "dk", "xmax", "dx", "tol", "stripping_tol"):
-        value = getattr(ns, flag, 1.0)
-        if not (np.isfinite(value) and value > 0):
-            p.error(f"--{flag.replace('_', '-')} must be positive and finite, got {value}")
-
-    def checked(path_str: str | None) -> Path | None:
-        if path_str is None:
-            return None
-        path = Path(path_str)
-        if not path.exists():
-            p.error(f"input file not found: {path}")
-        if path.stat().st_size == 0:
-            p.error(f"input file is empty: {path}")
-        return path
-
-    return JobSpec(
-        subcommand=ns.subcommand,
-        out_dir=Path(ns.out),
-        potential=checked(getattr(ns, "potential", None)),
-        data=checked(getattr(ns, "data", None)),
-        f_data=checked(getattr(ns, "f_data", None)),
-        k_max=ns.kmax,
-        dk=ns.dk,
-        x_max=ns.xmax,
-        dx=ns.dx,
-        tol=ns.tol,
-        stripping_tol=getattr(ns, "stripping_tol", 1e-3),
-        force=ns.force,
-        fmt=ns.format,
-    )
+    for name, (handler, flags, _) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=handler.__doc__)
+        for flag in (*flags, "--out"):
+            sp.add_argument(flag, **_FLAGS[flag])
+    # extract's F -> S transform is a direct sum over every momentum
+    sub.choices["extract"].set_defaults(dk=0.05)
+    return p.parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each reads, computes and writes, and raises
+# on failure; `run` turns the error into the exit code
 
 
-def _run_forward(job: JobSpec) -> int:
-    try:
-        q = read_potential_csv(job.potential)
-        kgrid = MomentumGrid.make(job.k_max, job.dk)
-        result = forward_problem(q, kgrid)
-    except HalflineError as exc:
-        print(f"forward failed: {exc}", file=sys.stderr)
-        return EXIT_FORWARD
-    write_scattering_json(job.out_dir / "scattering.json", result.sd)
-    _write_csv(job.out_dir / "phase_shift.csv", ["k", "delta"], [kgrid.nodes, result.delta])
+def _forward(ns: argparse.Namespace) -> tuple[Potential, ForwardResult]:
+    q = read_potential_csv(ns.potential)
+    return q, forward_problem(q, MomentumGrid.make(ns.k_max, ns.dk))
+
+
+def _run_forward(ns: argparse.Namespace) -> int:
+    """potential -> scattering data"""
+    _, result = _forward(ns)
+    sd, jost = result.sd, result.jost
+    k = sd.kgrid.nodes
+    write_scattering_json(ns.out_dir / "scattering.json", sd)
+    _write_csv(ns.out_dir / "phase_shift.csv", ["k", "delta"], [k, result.delta])
     _write_csv(
-        job.out_dir / "jost.csv",
+        ns.out_dir / "jost.csv",
         ["k", "f_re", "f_im", "fprime_re", "fprime_im"],
-        [
-            kgrid.nodes,
-            result.jost.f0.real,
-            result.jost.f0.imag,
-            result.jost.fprime0.real,
-            result.jost.fprime0.imag,
-        ],
+        [k, jost.f0.real, jost.f0.imag, jost.fprime0.real, jost.fprime0.imag],
     )
-    idx, _ = winding_number(result.sd.s_values)
-    print(
-        f"forward: J={result.sd.j_count}, index={idx}, "
-        f"S(0) sign {result.sd.s_at_zero_sign:+d}, wrote {job.out_dir}"
-    )
+    idx, _ = winding_number(sd.s_values)
+    print(f"forward: J={sd.j_count}, index={idx}, S(0) sign {sd.s_at_zero_sign:+d}, wrote {ns.out_dir}")
     return 0
 
 
-def _run_invert(job: JobSpec) -> int:
-    try:
-        sd = read_scattering_json(job.data)
-        cfg = mk.InversionConfig(x_max=job.x_max, dx=job.dx, force=job.force)
-        res = mk.invert_full(sd, cfg)
-    except StageError as exc:
-        print(f"inversion failed in stage {exc.stage}: {exc.cause}", file=sys.stderr)
-        return EXIT_VALIDATION if exc.stage == "characterize" else EXIT_INVERSE
-    except HalflineError as exc:
-        print(f"inversion failed: {exc}", file=sys.stderr)
-        return EXIT_INVERSE
-    write_potential_csv(job.out_dir / "potential.csv", res.potential)
+def _run_invert(ns: argparse.Namespace) -> int:
+    """scattering data -> potential"""
+    sd = read_scattering_json(ns.data)
+    res = mk.invert_full(sd, mk.InversionConfig(x_max=ns.x_max, dx=ns.dx, force=ns.force))
+    write_potential_csv(ns.out_dir / "potential.csv", res.potential)
     xg = res.kernel.xgrid
-    _write_csv(job.out_dir / "kernel_diagonal.csv", ["x", "A"], [xg.nodes, res.kernel.diagonal])
+    _write_csv(ns.out_dir / "kernel_diagonal.csv", ["x", "A"], [xg.nodes, res.kernel.diagonal])
     diag = {
         "neglected_tail_mass": res.neglected_tail_mass,
         "A_origin": float(res.kernel.diagonal[0]),
         "report": res.report.to_dict() if res.report is not None else None,
     }
-    _write_report(job.out_dir / "inversion_diagnostics.json", diag, "json")
-    print(f"invert: q on [0, {xg.x_max}] with dx={xg.dx}, wrote {job.out_dir}")
+    _write_json(ns.out_dir / "inversion_diagnostics.json", diag)
+    print(f"invert: q on [0, {xg.x_max}] with dx={xg.dx}, wrote {ns.out_dir}")
     return 0
 
 
-def _run_extract(job: JobSpec) -> int:
-    try:
-        F = read_f_csv(job.f_data)
-        kgrid = MomentumGrid.make(job.k_max, max(job.dk, 0.05))
-        sd = mk.extract_data_from_F(F, stripping_tol=job.stripping_tol, kgrid=kgrid)
-    except HalflineError as exc:
-        print(f"extraction failed: {exc}", file=sys.stderr)
-        return EXIT_INVERSE
-    write_scattering_json(job.out_dir / "scattering.json", sd)
-    print(f"extract: J={sd.j_count}, wrote {job.out_dir}")
+def _run_extract(ns: argparse.Namespace) -> int:
+    """F(x) samples -> scattering data"""
+    F = read_f_csv(ns.f_data)
+    sd = mk.extract_data_from_F(F, stripping_tol=ns.stripping_tol, kgrid=MomentumGrid.make(ns.k_max, ns.dk))
+    write_scattering_json(ns.out_dir / "scattering.json", sd)
+    print(f"extract: J={sd.j_count}, wrote {ns.out_dir}")
     return 0
 
 
-def _run_riemann(job: JobSpec) -> int:
-    try:
-        sd = read_scattering_json(job.data)
-        sol = rm.solve_riemann(sd)
-        report = rm.verify_factorization(sol, sd)
-    except HalflineError as exc:
-        print(f"riemann failed: {exc}", file=sys.stderr)
-        return EXIT_RIEMANN
-    _write_csv(
-        job.out_dir / "jost_boundary.csv",
-        ["k", "f_re", "f_im"],
-        [sd.kgrid.nodes, sol.f0.real, sol.f0.imag],
-    )
-    _write_report(job.out_dir / "factorization_report.json", report, job.fmt)
+def _run_riemann(ns: argparse.Namespace) -> int:
+    """scattering data -> Jost function"""
+    sd = read_scattering_json(ns.data)
+    sol = rm.solve_riemann(sd)
+    report = rm.verify_factorization(sol, sd)
+    _write_csv(ns.out_dir / "jost_boundary.csv", ["k", "f_re", "f_im"], [sd.kgrid.nodes, sol.f0.real, sol.f0.imag])
+    _write_json(ns.out_dir / "factorization_report.json", report)
     print(
         f"riemann: {sol.case} case, index {sol.index}, "
-        f"boundary residual {report['boundary_residual']:.2e}, wrote {job.out_dir}"
+        f"boundary residual {report['boundary_residual']:.2e}, wrote {ns.out_dir}"
     )
     return 0
 
 
-def _run_validate(job: JobSpec) -> int:
-    try:
-        sd = read_scattering_json(job.data)
-        report = characterize.full_report(sd)
-    except HalflineError as exc:
-        print(f"validation failed to run: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    _write_report(job.out_dir / "report.json", report.to_dict(), job.fmt)
+def _run_validate(ns: argparse.Namespace) -> int:
+    """characterization report for scattering data"""
+    report = characterize.full_report(read_scattering_json(ns.data))
+    _write_json(ns.out_dir / "report.json", report.to_dict())
     status = "pass" if report.passed else "FAIL: " + ", ".join(report.failures())
-    print(f"validate: {status}, wrote {job.out_dir}")
+    print(f"validate: {status}, wrote {ns.out_dir}")
     return 0 if report.passed else EXIT_VALIDATION
 
 
-def _run_roundtrip(job: JobSpec) -> int:
+def _staged(stage: str, fn, *args):
+    """fn(*args), with a HalflineError it raises tagged as `stage`'s."""
     try:
-        q = read_potential_csv(job.potential)
-        kgrid = MomentumGrid.make(job.k_max, job.dk)
-        result = forward_problem(q, kgrid)
+        return fn(*args)
     except HalflineError as exc:
-        print(f"roundtrip failed in forward: {exc}", file=sys.stderr)
-        return EXIT_FORWARD
-    report = characterize.full_report(result.sd)
-    try:
-        cfg = mk.InversionConfig(x_max=q.grid.x_max, dx=job.dx, force=True)
-        res = mk.invert_full(result.sd, cfg)
-    except HalflineError as exc:
-        print(f"roundtrip failed in inversion: {exc}", file=sys.stderr)
-        return EXIT_INVERSE
+        raise StageError(stage, exc) from None
+
+
+def _run_roundtrip(ns: argparse.Namespace) -> int:
+    """potential -> data -> potential comparison"""
+    q, result = _staged("forward", _forward, ns)
+    report = _staged("characterize", characterize.full_report, result.sd)
+    res = mk.invert_full(result.sd, mk.InversionConfig(x_max=q.grid.x_max, dx=ns.dx, force=True))
     # compare on the inversion grid (subsample of the input grid when nested)
     qi = res.potential
     q_ref = np.interp(qi.grid.nodes, q.grid.nodes, q.values)
@@ -390,41 +318,62 @@ def _run_roundtrip(job: JobSpec) -> int:
         "validation": report.to_dict(),
         "sup_error": float(np.max(err)),
         "l1_rel_error": l1_rel,
-        "tolerance": job.tol,
-        "passed": bool(report.passed and np.max(err) <= job.tol),
+        "tolerance": ns.tol,
+        "passed": bool(report.passed and np.max(err) <= ns.tol),
     }
-    _write_report(job.out_dir / "roundtrip_report.json", doc, job.fmt)
+    _write_json(ns.out_dir / "roundtrip_report.json", doc)
     print(
         f"roundtrip: sup={doc['sup_error']:.3e}, relL1={l1_rel:.3e}, "
-        f"{'pass' if doc['passed'] else 'FAIL'}, wrote {job.out_dir}"
+        f"{'pass' if doc['passed'] else 'FAIL'}, wrote {ns.out_dir}"
     )
     return 0 if doc["passed"] else EXIT_VALIDATION
 
 
-def run(job: JobSpec) -> int:
-    """Execute a parsed JobSpec; returns the process exit code."""
-    job.out_dir.mkdir(parents=True, exist_ok=True)
-    handlers = {
-        "forward": _run_forward,
-        "invert": _run_invert,
-        "extract": _run_extract,
-        "riemann": _run_riemann,
-        "validate": _run_validate,
-        "roundtrip": _run_roundtrip,
-    }
-    return handlers[job.subcommand](job)
+# name: (handler, flags it reads besides --out, what its failures report as)
+_SUBCOMMANDS = {
+    "forward": (_run_forward, ["--potential", "--kmax", "--dk"], "forward failed"),
+    "invert": (_run_invert, ["--data", "--xmax", "--dx", "--force"], "inversion failed"),
+    "extract": (_run_extract, ["--f-data", "--kmax", "--dk", "--stripping-tol"], "extraction failed"),
+    "riemann": (_run_riemann, ["--data"], "riemann failed"),
+    "validate": (_run_validate, ["--data"], "validation failed to run"),
+    "roundtrip": (_run_roundtrip, ["--potential", "--kmax", "--dk", "--dx", "--tol"], "roundtrip failed"),
+}
+
+# Exit code of a failure, by the stage a StageError names, else by the
+# subcommand; roundtrip tags its forward and characterize stages, so what
+# remains of its failures is the inversion's.
+_EXIT_CODES = {
+    "forward": EXIT_FORWARD,
+    "invert": EXIT_INVERSE,
+    "extract": EXIT_INVERSE,
+    "riemann": EXIT_RIEMANN,
+    "validate": EXIT_VALIDATION,
+    "characterize": EXIT_VALIDATION,
+    "roundtrip": EXIT_INVERSE,
+}
+
+
+def run(ns: argparse.Namespace) -> int:
+    """Execute a parsed invocation; returns the process exit code."""
+    handler, _, failed = _SUBCOMMANDS[ns.subcommand]
+    code = _EXIT_CODES[ns.subcommand]
+    ns.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        return handler(ns)
+    except StageError as exc:
+        print(f"{failed} in stage {exc.stage}: {exc.cause}", file=sys.stderr)
+        return _EXIT_CODES.get(exc.stage, code)
+    except HalflineError as exc:
+        print(f"{failed}: {exc}", file=sys.stderr)
+        return code
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        job = parse_args(argv)
+        ns = parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return run(job)
-    except HalflineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return run(ns)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfline import cli
+from halfline import characterize, cli
+from halfline.errors import DataError
 from halfline.model import BoundState, MomentumGrid, RadialGrid, ScatteringData
 from halfline.potentials import sech2_potential, square_well_potential
 
@@ -44,6 +46,7 @@ def test_parse_missing_file_exits_2(tmp_path):
         cli.parse_args(["invert", "--data", str(tmp_path / "nope.json")])
     assert err.value.code == 2
     assert cli.main(["invert", "--data", str(tmp_path / "nope.json")]) == 2
+    assert cli.main(["invert", "--data", str(tmp_path)]) == 2  # a directory: was an IsADirectoryError traceback
 
 
 def test_parse_unknown_flag_exits_2():
@@ -91,14 +94,26 @@ def test_forward_artifacts_and_determinism(tmp_path, sech2_csv):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_extract_subcommand(tmp_path):
-    import csv as csv_mod
+def test_write_csv_bytes_match_csv_writer(tmp_path):
+    # the reference is the csv.writer loop the artifacts were first written
+    # with; rows span several write blocks
+    values = np.array([-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 0.1 + 0.2, -1.5])
+    columns = [np.resize(values, 2 * cli._CSV_BLOCK + 3), np.resize(values[::-1], 2 * cli._CSV_BLOCK + 3)]
+    cli._write_csv(tmp_path / "got.csv", ["k", "f"], columns)
+    with (tmp_path / "ref.csv").open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "f"])
+        for row in zip(*columns):
+            w.writerow([repr(float(v)) for v in row])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+
+def test_extract_subcommand(tmp_path):
     x = np.arange(-12.0, 40.0 + 1e-9, 0.01)
     F = 2 * np.exp(-x) + 3 * np.exp(-2 * x)
     path = tmp_path / "f.csv"
     with path.open("w", newline="") as fh:
-        w = csv_mod.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["x", "F"])
         for xi, fi in zip(x, F):
             w.writerow([repr(float(xi)), repr(float(fi))])
@@ -173,8 +188,7 @@ def test_invert_and_roundtrip_subcommands(tmp_path):
     qpath = tmp_path / "well.csv"
     cli.write_potential_csv(qpath, q)
     rc = cli.main(
-        ["roundtrip", "--potential", str(qpath), "--out", str(tmp_path / "rt"),
-         "--xmax", "20", "--dx", "0.05", "--tol", "0.9"]
+        ["roundtrip", "--potential", str(qpath), "--out", str(tmp_path / "rt"), "--dx", "0.05", "--tol", "0.9"]
     )
     assert rc == 0
     doc = json.loads((tmp_path / "rt" / "roundtrip_report.json").read_text())
@@ -242,6 +256,48 @@ def test_threads_flag_is_gone(tmp_path, capsys):
 @pytest.mark.parametrize(
     "subcommand, flag, value",
     [
+        ("riemann", "--kmax", "5"),
+        ("validate", "--dx", "0.1"),
+        ("invert", "--kmax", "5"),
+        ("roundtrip", "--xmax", "3"),
+        ("forward", "--force", None),
+        ("validate", "--format", "csv"),
+    ],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, sech2_csv, capsys, subcommand, flag, value):
+    if subcommand in ("forward", "roundtrip"):
+        source = ["--potential", str(sech2_csv)]
+    else:
+        source = ["--data", str(identity_dataset(tmp_path))]
+    argv = [subcommand, *source, flag, *([value] if value else []), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    data = identity_dataset(tmp_path)
+    before = data.read_bytes()
+    for out in (data, data / "sub"):
+        assert cli.main(["validate", "--data", str(data), "--out", str(out)]) == cli.EXIT_USAGE
+        assert "--out: not a directory" in capsys.readouterr().err
+    assert data.read_bytes() == before
+
+
+def test_roundtrip_characterization_error_exits_6(tmp_path, sech2_csv, capsys, monkeypatch):
+    def refuse(sd):
+        raise DataError("characterization refused the data")
+
+    monkeypatch.setattr(characterize, "full_report", refuse)
+    argv = ["roundtrip", "--potential", str(sech2_csv), "--kmax", "100", "--dk", "0.05", "--out", str(tmp_path / "rt")]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "roundtrip failed in stage characterize: characterization refused the data" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag, value",
+    [
         ("forward", "--dk", "0"),  # was a ZeroDivisionError traceback
         ("forward", "--dk", "nan"),  # was a ValueError traceback
         ("forward", "--kmax", "inf"),  # was an OverflowError traceback
@@ -282,7 +338,8 @@ def test_undecodable_scattering_json_exits_6(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # fuzz: malformed artifacts end in a documented exit code, never a traceback
 
-_FUZZ_GRID = ["--kmax", "200", "--dk", "0.1", "--xmax", "5", "--dx", "0.05"]
+# the grid flags each fuzzed subcommand reads; the others accept none
+_FUZZ_GRID = {"forward": ["--kmax", "200", "--dk", "0.1"], "invert": ["--xmax", "5", "--dx", "0.05"]}
 
 
 @functools.lru_cache(maxsize=1)
@@ -340,5 +397,8 @@ def test_malformed_artifacts_keep_exit_code_contract(tmp_path_factory, artifact)
     path.write_text(text)
     subs = (("forward", "--potential"),) if kind == "csv" else (("validate", "--data"), ("riemann", "--data"), ("invert", "--data"))
     for sub, flag in subs:
-        rc = cli.main([sub, flag, str(path), "--out", str(work / sub)] + _FUZZ_GRID)
+        rc = cli.main([sub, flag, str(path), "--out", str(work / sub)] + _FUZZ_GRID.get(sub, []))
         assert rc in (0, 2, 3, 4, 5, 6), (sub, rc, text[:200])
+        # only a zero-byte artifact is a usage error: a refused flag would
+        # end every example in 2 and test nothing
+        assert rc != 2 or text == "", (sub, text[:200])
