@@ -48,7 +48,7 @@ from .model import (
     ScatteringData,
     UniformGrid,
 )
-from .numkit import differentiate, winding_number
+from .numkit import winding_number
 
 __all__ = ["parse_args", "run", "main"]
 
@@ -125,14 +125,7 @@ def read_scattering_json(path: Path) -> ScatteringData:
 
 def read_f_csv(path: Path) -> MarchenkoInput:
     xs, f = _read_columns(path, ["x", "F"])
-    grid = UniformGrid(xs)
-    return MarchenkoInput(
-        xgrid=grid,
-        f_values=f,
-        fs_values=f,
-        fd_values=np.zeros_like(f),
-        fprime=differentiate(f, grid.dx),
-    )
+    return MarchenkoInput(xgrid=UniformGrid(xs), f_values=f, fs_values=f, fd_values=np.zeros_like(f))
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -202,20 +195,23 @@ _FLAGS = {
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse and validate CLI arguments.
 
-    Usage errors (unknown flags, a flag the subcommand does not read,
-    missing or empty input files, an --out that is not a directory, a grid
-    or tolerance flag that is not positive and finite) exit with status 2.
+    Usage errors (unknown flags, a prefix of a flag, a flag the subcommand
+    does not read, missing or empty input files, an --out that is not a
+    directory, a grid or tolerance flag that is not positive and finite)
+    exit with status 2.
     """
     p = argparse.ArgumentParser(
         prog="halfline",
         description="Forward and inverse scattering on the half-line.",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
     for name, (handler, flags, _) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=handler.__doc__)
+        sp = sub.add_parser(name, help=handler.__doc__, allow_abbrev=False)
         for flag in (*flags, "--out"):
             sp.add_argument(flag, **_FLAGS[flag])
-    # extract's F -> S transform is a direct sum over every momentum
+    # S from F on a finite window resolves k only to ~2 pi / (window length):
+    # 0.05 already oversamples a 50-unit window (data_from_kernel's default)
     sub.choices["extract"].set_defaults(dk=0.05)
     return p.parse_args(argv)
 

@@ -96,17 +96,14 @@ def build_F(
     x_lo: float,
     x_hi: float,
     dx: float,
-    taper_frac: float = 0.2,
     tail_correction: bool = False,
     imag_tol: float = 1e-8,
 ) -> MarchenkoInput:
     """Marchenko input on [x_lo, x_hi]: F_d from the bound states, F_s by the
-    oscillatory Fourier quadrature of 1 - S, F' by finite differences."""
+    oscillatory Fourier quadrature of 1 - S (one chirp-z transform)."""
     grid = UniformGrid.make(x_lo, x_hi, dx)
     h = 1.0 - sd.s_values
-    fs, resid = fourier_kernel_to_space(
-        h, sd.kgrid, grid.nodes, taper_frac=taper_frac, tail_correction=tail_correction
-    )
+    fs, resid = fourier_kernel_to_space(h, sd.kgrid, grid.nodes, tail_correction=tail_correction)
     scale = max(1.0, float(np.max(np.abs(fs))))
     if np.max(resid) > imag_tol * scale:
         raise DataError(
@@ -117,9 +114,7 @@ def build_F(
         fd = np.sum(sd.norming[None, :] * np.exp(-np.outer(grid.nodes, sd.kappas)), axis=1)
     else:
         fd = np.zeros(grid.n)
-    f = fs + fd
-    fprime = differentiate(f, grid.dx)
-    return MarchenkoInput(xgrid=grid, f_values=f, fs_values=fs, fd_values=fd, fprime=fprime)
+    return MarchenkoInput(xgrid=grid, f_values=fs + fd, fs_values=fs, fd_values=fd)
 
 
 def solve_marchenko(
@@ -289,11 +284,7 @@ def f_from_kernel(
         alive = np.nonzero(np.abs(row) > support_tol * peak)[0]
         cut = min(nodes.size - 1, int(alive[-1]) + int(round(1.0 / dx)))
         f[: cut + 1] = solve_volterra_backward(row[: cut + 1], row[: cut + 1], dx, rule=rule)
-    fprime = differentiate(f, dx)
-    grid = UniformGrid(nodes)
-    return MarchenkoInput(
-        xgrid=grid, f_values=f, fs_values=f, fd_values=np.zeros_like(f), fprime=fprime
-    )
+    return MarchenkoInput(xgrid=UniformGrid(nodes), f_values=f, fs_values=f, fd_values=np.zeros_like(f))
 
 
 def _fit_exponential(x: np.ndarray, F: np.ndarray) -> tuple[float, float, float]:
@@ -441,8 +432,8 @@ def data_from_kernel(
 ) -> ScatteringData:
     """Scattering data directly from the transformation kernel.
 
-    f(k) = 1 + int_0^inf A(0,y) e^{iky} dy (Simpson weights), summed by
-    the uniform phase recurrence of the Fourier transforms; bound states
+    f(k) = 1 + int_0^inf A(0,y) e^{iky} dy (Simpson weights), for k >= 0
+    by one chirp-z transform and mirrored by f(-k) = conj f(k); bound states
     are the sign changes of f(i kappa) on the imaginary axis, all refined
     at once by batched bracketed root finding; s_j = ||f_j||^{-2} with
     f_j(x) = e^{-kappa_j x} + int_x^inf A(x,y) e^{-kappa_j y} dy, one

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, GridError
+from .numkit import differentiate
 
 __all__ = [
     "UniformGrid",
@@ -265,18 +266,17 @@ class TransformationKernel:
 
 @dataclass(frozen=True)
 class MarchenkoInput:
-    """Samples of the Marchenko input F = F_s + F_d and its derivative on a
-    uniform grid (which may extend to negative x for data extraction)."""
+    """Samples of the Marchenko input F = F_s + F_d on a uniform grid (which
+    may extend to negative x for data extraction), and its derivative."""
 
     xgrid: UniformGrid
     f_values: np.ndarray
     fs_values: np.ndarray
     fd_values: np.ndarray
-    fprime: np.ndarray
 
     def __post_init__(self):
         arrays = {}
-        for name in ("f_values", "fs_values", "fd_values", "fprime"):
+        for name in ("f_values", "fs_values", "fd_values"):
             a = _frozen(getattr(self, name), dtype=float)
             if a.shape != self.xgrid.nodes.shape:
                 raise DataError(f"{name} must match the grid")
@@ -289,6 +289,11 @@ class MarchenkoInput:
             raise DataError("F must equal F_s + F_d pointwise")
         for name, a in arrays.items():
             object.__setattr__(self, name, a)
+
+    @property
+    def fprime(self) -> np.ndarray:
+        """dF/dx by second-order finite differences."""
+        return differentiate(self.f_values, self.xgrid.dx)
 
 
 @dataclass(frozen=True)

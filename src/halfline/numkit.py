@@ -1,13 +1,14 @@
 """Shared numerical primitives.
 
 Composite trapezoid and Simpson quadrature, finite-difference
-differentiation, truncated oscillatory Fourier integrals with an optional
-endpoint taper and an optional analytic 1/k tail correction,
-backward-marching Volterra solves with a difference kernel, batched
-bracketed root finding (one vectorized call of g per secant step for all
-brackets), winding numbers by nearest-branch phase continuation (a step of
-pi or more refused), and principal-value Cauchy transforms on uniform grids
-(one FFT convolution per transform).
+differentiation, truncated oscillatory Fourier integrals between uniform
+grids (a chirp-z transform each) with an endpoint taper or an analytic 1/k
+tail correction, backward-marching Volterra solves with a difference
+kernel, batched bracketed root finding (one vectorized call of g per secant
+step for all brackets), winding numbers by nearest-branch phase
+continuation (a step of pi or more refused), and principal-value Cauchy
+transforms on uniform grids.  The Fourier sums and the principal value are
+both Toeplitz products, computed by one zero-padded FFT convolution.
 
 Conventions: the Volterra solver uses the sign convention of the Marchenko
 equation, i.e. it returns h satisfying
@@ -33,7 +34,6 @@ __all__ = [
     "fourier_kernel_to_space",
     "fourier_space_to_kernel",
     "solve_volterra_backward",
-    "find_root",
     "find_roots",
     "winding_number",
     "unwrap_phase",
@@ -133,10 +133,13 @@ def differentiate(samples: np.ndarray, dx: float, stencil: int = 3) -> np.ndarra
 # oscillatory Fourier integrals
 
 
-def _taper_window(n: int, frac: float) -> np.ndarray:
-    """Unit window with cosine roll-off over the outer frac of each end."""
+TAPER_FRAC = 0.2  # share of each end of the momentum window under the taper
+
+
+def _taper_window(n: int) -> np.ndarray:
+    """Unit window with cosine roll-off over the outer TAPER_FRAC of each end."""
     w = np.ones(n)
-    m = int(round(frac * n))
+    m = int(round(TAPER_FRAC * n))
     if m < 2:
         return w
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(m) / m))
@@ -168,48 +171,57 @@ def sine_integral(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _toeplitz_fft(a: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
+    """T @ a along the last axis of a (n samples) for the m-row Toeplitz
+    matrix T[i, j] = c[i - j + n - 1]: one zero-padded FFT convolution with
+    the circulant that embeds T, in real arithmetic when a and c are real."""
+    n = a.shape[-1]
+    size = 1 << (n + m - 2).bit_length()  # power of two >= n + m - 1
+    col = np.concatenate([c[n - 1 :], np.zeros(size - n - m + 1, dtype=c.dtype), c[: n - 1]])
+    if np.isrealobj(a) and np.isrealobj(c):
+        return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(col), size)[..., :m]
+    return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(col))[..., :m]
+
+
 def _oscillatory_sum(weighted: np.ndarray, nodes: np.ndarray, points: np.ndarray, sign: float) -> np.ndarray:
     """sum_j weighted_j e^{sign * i * p * nodes_j} for each p in points.
 
-    For uniformly spaced points the phase rows are built by a running
-    product with the unit-modulus step factor instead of a full exp() of
-    the outer product (an order of magnitude faster on large grids).
+    nodes and points are uniform grids (points may be one value), so this is
+    Bluestein's chirp-z transform: with indices u, v centred on the grids,
+    p x = x_c p + p_c (x - x_c) + u v dp dx, and u v = (u^2 + v^2 - (v - u)^2)/2
+    leaves one Toeplitz product with the chirp e^{-i alpha (v - u)^2 / 2},
+    alpha = sign dp dx.  The centring keeps the chirp phases small.
     """
-    out = np.empty(points.size, dtype=complex)
-    uniform = points.size > 2 and np.ptp(np.diff(points)) < 1e-9 * max(1.0, float(np.ptp(points)))
-    chunk = max(1, int(4e6) // max(nodes.size, 1))
-    if uniform:
-        step = np.exp(sign * 1j * (points[1] - points[0]) * nodes)
-        row = np.exp(sign * 1j * points[0] * nodes)
-        for i in range(points.size):
-            out[i] = row @ weighted
-            row = row * step
-        return out
-    for i in range(0, points.size, chunk):
-        pi = points[i : i + chunk]
-        out[i : i + chunk] = np.exp(sign * 1j * np.outer(pi, nodes)) @ weighted
-    return out
+    n, m = nodes.size, points.size
+    dx = (nodes[-1] - nodes[0]) / (n - 1)
+    dp = (points[-1] - points[0]) / max(m - 1, 1)
+    for grid, step in ((nodes, dx), (points, dp)):
+        if np.any(np.abs(np.diff(grid) - step) > 1e-9 * max(abs(step), 1.0)):
+            raise GridError("Fourier sums need uniformly spaced nodes and points")
+    xc, pc = 0.5 * (nodes[0] + nodes[-1]), 0.5 * (points[0] + points[-1])
+    u = np.arange(n) - 0.5 * (n - 1)
+    v = np.arange(m) - 0.5 * (m - 1)
+    alpha = sign * dp * dx
+    a = weighted * np.exp(1j * (sign * pc * (nodes - xc) + 0.5 * alpha * u**2))
+    d = np.arange(1 - n, m) + 0.5 * (n - m)  # v - u on the diagonal i - j
+    conv = _toeplitz_fft(a, np.exp(-0.5j * alpha * d**2), m)
+    return np.exp(1j * (sign * xc * points + 0.5 * alpha * v**2)) * conv
 
 
-def fourier_kernel_to_space(
-    h: np.ndarray,
-    kgrid,
-    x,
-    taper_frac: float = 0.2,
-    tail_correction: bool = False,
-) -> tuple:
+def fourier_kernel_to_space(h: np.ndarray, kgrid, x, tail_correction: bool = False) -> tuple:
     """(1/2pi) * integral of h(k) e^{ikx} dk over the truncated k grid.
 
-    Returns (value, imag_residual).  For conjugate-symmetric h the result is
-    real; the imaginary residual is reported as a diagnostic and the real
-    part returned.  A Hann-style endpoint taper (taper_frac of each end)
-    suppresses truncation ringing.  With tail_correction=True the O(1/k)
-    tail of h beyond k_max is estimated from the endpoint samples and added
-    analytically (and the taper is skipped, since the tail is then modeled
-    explicitly); at a node x = 0 the O(1/k^2) tail part and the jump
-    midpoint are also compensated, so the returned value there is the
-    right-sided limit F(0+), the boundary value the Marchenko equation
-    needs.
+    x is one point or a uniform grid (GridError otherwise); all points come
+    from one chirp-z transform.  Returns (value, imag_residual).  For
+    conjugate-symmetric h the result is real; the imaginary residual is
+    reported as a diagnostic and the real part returned.  A Hann-style
+    endpoint taper (TAPER_FRAC of each end) suppresses truncation ringing.
+    With tail_correction=True the O(1/k) tail of h beyond k_max is
+    estimated from the endpoint samples and added analytically (and the
+    taper is skipped, since the tail is then modeled explicitly); at a node
+    x = 0 the O(1/k^2) tail part and the jump midpoint are also compensated,
+    so the returned value there is the right-sided limit F(0+), the boundary
+    value the Marchenko equation needs.
     """
     h = np.asarray(h, dtype=complex)
     k = np.asarray(kgrid.nodes if hasattr(kgrid, "nodes") else kgrid, dtype=float)
@@ -218,8 +230,8 @@ def fourier_kernel_to_space(
     dk = k[1] - k[0]
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     w = quadrature_weights(k.size, dk)
-    if not tail_correction and taper_frac > 0:
-        w = w * _taper_window(k.size, taper_frac)
+    if not tail_correction:
+        w = w * _taper_window(k.size)
     vals = _oscillatory_sum(w * h, k, xs, +1.0) / (2 * np.pi)
     if tail_correction:
         # h ~ i*gamma/k + c2/k^2 beyond the grid; add the missing tail of
@@ -246,7 +258,9 @@ def fourier_kernel_to_space(
 
 def fourier_space_to_kernel(fs: np.ndarray, xgrid, k) -> np.ndarray:
     """Integral of F_s(x) e^{-ikx} dx over the sample window, i.e. the
-    approximation to 1 - S(k).  F_s must decay at the window ends."""
+    approximation to 1 - S(k).  F_s must decay at the window ends; k is one
+    momentum or a uniform grid (GridError otherwise), all momenta from one
+    chirp-z transform."""
     fs = np.asarray(fs, dtype=float)
     nodes = np.asarray(xgrid.nodes if hasattr(xgrid, "nodes") else xgrid, dtype=float)
     if fs.shape != nodes.shape:
@@ -366,17 +380,6 @@ def find_roots(
     return root
 
 
-def find_root(
-    g: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> float:
-    """Root of a scalar g on [a, b]: find_roots on one bracket."""
-    return float(find_roots(lambda xs: [g(float(x)) for x in xs], a, b, tol, max_iter)[0])
-
-
 class WindingResult(NamedTuple):
     value: int
     residual: float
@@ -460,14 +463,9 @@ def pv_cauchy_grid(phi: np.ndarray, nodes: np.ndarray, tail_coeff: float | None 
     dt = t[1] - t[0]
     w = quadrature_weights(n, dt)
     slope = differentiate(phi, dt, stencil=5)
-    # circulant embedding of the Toeplitz matrix C[i, j] = 1/((j - i) dt),
-    # zero on the diagonal: index m holds C[m, 0], index size - m holds C[0, m]
-    size = 1 << (2 * n - 2).bit_length()  # power of two >= 2n - 1
-    m = np.arange(1, n)
-    col = np.zeros(size)
-    col[1:n] = -1.0 / (m * dt)
-    col[size - n + 1 :] = 1.0 / (m[::-1] * dt)
-    sums = np.fft.irfft(np.fft.rfft(np.stack([w * phi, w]), size) * np.fft.rfft(col), size)[:, :n]
+    # the Toeplitz matrix C[i, j] = 1/((j - i) dt), zero on the diagonal
+    d = np.arange(1 - n, n) * dt
+    sums = _toeplitz_fft(np.stack([w * phi, w]), np.divide(-1.0, d, out=np.zeros_like(d), where=d != 0), n)
     inner = slice(1, n - 1)
     ti = t[inner]
     out = np.empty(n)

@@ -24,7 +24,7 @@ from halfline.model import (
     TransformationKernel,
     UniformGrid,
 )
-from halfline.numkit import differentiate, winding_number
+from halfline.numkit import winding_number
 from halfline.potentials import sech2_potential, square_well_potential
 
 
@@ -37,9 +37,7 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
 def soliton_marchenko_input(dx: float, hi: float = 80.0) -> MarchenkoInput:
     g = UniformGrid.make(0.0, hi, dx)
     f = 2.0 * np.exp(-g.nodes)
-    return MarchenkoInput(
-        xgrid=g, f_values=f, fs_values=f, fd_values=np.zeros_like(f), fprime=differentiate(f, dx)
-    )
+    return MarchenkoInput(xgrid=g, f_values=f, fs_values=f, fd_values=np.zeros_like(f))
 
 
 def invert_from_input(F: MarchenkoInput, x_max: float, rule: str = "simpson"):
@@ -136,7 +134,7 @@ def test_criterion_5_reversibility_suite(fw_sech2, fw_well, fw_zero):
     def kernel_roundtrip(sd, y_max):
         # A -> F -> A seeded by Marchenko rows of the built F (the discrete
         # maps are mutual inverses on matching trapezoid collocations)
-        F = mk.build_F(sd, 0.0, 2 * y_max, 0.05, taper_frac=0.0, tail_correction=True)
+        F = mk.build_F(sd, 0.0, 2 * y_max, 0.05, tail_correction=True)
         xg = RadialGrid.make(y_max, 0.05)
         vals = np.zeros((xg.n, xg.n))
         for i, x in enumerate(xg.nodes):
@@ -167,10 +165,7 @@ def test_criterion_5_reversibility_suite(fw_sech2, fw_well, fw_zero):
     # F -> data on the constructed two-exponential input
     g = UniformGrid.make(-12.0, 40.0, 0.01)
     fvals = 2.0 * np.exp(-g.nodes) + 3.0 * np.exp(-2.0 * g.nodes)
-    Fc = MarchenkoInput(
-        xgrid=g, f_values=fvals, fs_values=fvals, fd_values=np.zeros_like(fvals),
-        fprime=differentiate(fvals, g.dx),
-    )
+    Fc = MarchenkoInput(xgrid=g, f_values=fvals, fs_values=fvals, fd_values=np.zeros_like(fvals))
     sd = mk.extract_data_from_F(Fc)
     strip_ok = sd.j_count == 2 and all(
         abs(b.kappa - k0) <= 1e-4 and abs(b.s - s0) <= 1e-4

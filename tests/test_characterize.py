@@ -5,7 +5,6 @@ from halfline import characterize as ch
 from halfline import forward as fw
 from halfline import marchenko as mk
 from halfline.model import BoundState, MarchenkoInput, MomentumGrid, ScatteringData, UniformGrid
-from halfline.numkit import differentiate
 
 
 def entry_by_name(report, name):
@@ -53,7 +52,7 @@ def test_discrete_ordering(kgrid_coarse):
 def test_integrability_zero():
     g = UniformGrid.make(-20.0, 40.0, 0.01)
     z = np.zeros(g.n)
-    F = MarchenkoInput(xgrid=g, f_values=z, fs_values=z, fd_values=z, fprime=z)
+    F = MarchenkoInput(xgrid=g, f_values=z, fs_values=z, fd_values=z)
     entry = ch.check_integrability(F)
     assert entry.passed and entry.measured == 0.0
 
@@ -62,9 +61,7 @@ def test_integrability_exponential():
     g = UniformGrid.make(-20.0, 40.0, 0.01)
     f = np.where(g.nodes > 0, 2.0 * np.exp(-g.nodes), 0.0)
     f[np.abs(g.nodes) < 1e-12] = 1.0
-    F = MarchenkoInput(
-        xgrid=g, f_values=f, fs_values=f, fd_values=np.zeros_like(f), fprime=differentiate(f, g.dx)
-    )
+    F = MarchenkoInput(xgrid=g, f_values=f, fs_values=f, fd_values=np.zeros_like(f))
     entry = ch.check_integrability(F)
     assert entry.passed
     # I1 = int |F_s| = 2 and I2 = int x |F'| = 2 up to the jump cell
@@ -75,9 +72,7 @@ def test_integrability_slow_decay_fails():
     # F_s ~ 1/(1+|x|) has log-divergent L1 norm: the window growth test fails
     g = UniformGrid.make(-20.0, 40.0, 0.01)
     fs = 1.0 / (1.0 + np.abs(g.nodes))
-    F = MarchenkoInput(
-        xgrid=g, f_values=fs, fs_values=fs, fd_values=np.zeros_like(fs), fprime=differentiate(fs, g.dx)
-    )
+    F = MarchenkoInput(xgrid=g, f_values=fs, fs_values=fs, fd_values=np.zeros_like(fs))
     assert not ch.check_integrability(F).passed
 
 

@@ -262,11 +262,18 @@ def test_threads_flag_is_gone(tmp_path, capsys):
         ("roundtrip", "--xmax", "3"),
         ("forward", "--force", None),
         ("validate", "--format", "csv"),
+        # unique prefixes of --dk, --force and --stripping-tol
+        ("forward", "--d", "0.5"),
+        ("invert", "--f", None),
+        ("extract", "--strip", "0.1"),
     ],
 )
 def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, sech2_csv, capsys, subcommand, flag, value):
     if subcommand in ("forward", "roundtrip"):
         source = ["--potential", str(sech2_csv)]
+    elif subcommand == "extract":
+        (tmp_path / "f.csv").write_text("x,F\n" + "".join(f"{x},{np.exp(-abs(x))!r}\n" for x in range(-40, 41)))
+        source = ["--f-data", str(tmp_path / "f.csv")]
     else:
         source = ["--data", str(identity_dataset(tmp_path))]
     argv = [subcommand, *source, flag, *([value] if value else []), "--out", str(tmp_path / "o")]

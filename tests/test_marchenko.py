@@ -13,16 +13,14 @@ from halfline.model import (
     TransformationKernel,
     UniformGrid,
 )
-from halfline.numkit import differentiate
+from halfline.numkit import fourier_kernel_to_space
 from halfline.potentials import sech2_potential, square_well_potential
 
 
 def make_input(lo, hi, dx, func):
     g = UniformGrid.make(lo, hi, dx)
     f = func(g.nodes)
-    return MarchenkoInput(
-        xgrid=g, f_values=f, fs_values=f, fd_values=np.zeros_like(f), fprime=differentiate(f, dx)
-    )
+    return MarchenkoInput(xgrid=g, f_values=f, fs_values=f, fd_values=np.zeros_like(f))
 
 
 def soliton_input(dx=0.05, hi=80.0):
@@ -68,7 +66,7 @@ def test_build_F_pure_bound_state(kgrid_fourier):
 def test_build_F_residue_oracle(analytic_sech2_sd):
     # 1 - S = -2i/(k-i): single pole at k = i gives F_s = 2 e^{-x} for x > 0
     # and 0 for x < 0; the tapered reconstruction smooths the jump over
-    # ~pi/(taper_frac * k_max), so the pointwise check stays off that band
+    # ~pi/(TAPER_FRAC * k_max), so the pointwise check stays off that band
     F = mk.build_F(analytic_sech2_sd, -6.0, 10.0, 0.01)
     x = F.xgrid.nodes
     ref = np.where(x > 0, 2 * np.exp(-x), 0.0)
@@ -76,7 +74,7 @@ def test_build_F_residue_oracle(analytic_sech2_sd):
     assert np.max(np.abs(F.f_values - ref)[mask]) < 1e-3
     # with the analytic tail correction the transition collapses to the
     # grid scale and the x = 0 node carries the right-sided limit
-    F2 = mk.build_F(analytic_sech2_sd, -6.0, 10.0, 0.01, taper_frac=0.0, tail_correction=True)
+    F2 = mk.build_F(analytic_sech2_sd, -6.0, 10.0, 0.01, tail_correction=True)
     mask2 = np.abs(x) >= 0.02
     assert np.max(np.abs(F2.f_values - ref)[mask2]) < 1e-3
     assert F2.f_values[np.argmin(np.abs(x))] == pytest.approx(2.0, abs=1e-3)
@@ -371,10 +369,9 @@ def test_inversion_products_are_real(analytic_sech2_sd):
     # Fourier stage records the imaginary residual instead
     assert np.isrealobj(res.kernel.values)
     assert np.isrealobj(res.potential.values)
-    fs, resid = __import__("halfline.numkit", fromlist=["fourier_kernel_to_space"]).fourier_kernel_to_space(
-        1.0 - analytic_sech2_sd.s_values, analytic_sech2_sd.kgrid, np.array([0.5, 1.0, 2.0])
-    )
-    assert np.max(resid) < 1e-10
+    for x in (0.5, 1.0, 2.0):
+        _, resid = fourier_kernel_to_space(1.0 - analytic_sech2_sd.s_values, analytic_sech2_sd.kgrid, x)
+        assert resid < 1e-10
 
 
 def test_F_l1_stable_under_kmax_refinement(q_sech2):

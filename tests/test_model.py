@@ -99,7 +99,7 @@ def test_marchenko_input_sum_invariant():
     g = UniformGrid.make(0.0, 1.0, 0.1)
     f = np.ones(g.n)
     with pytest.raises(DataError):
-        MarchenkoInput(xgrid=g, f_values=f, fs_values=f, fd_values=f, fprime=f)
+        MarchenkoInput(xgrid=g, f_values=f, fs_values=f, fd_values=f)
 
 
 def test_marchenko_input_rejects_nonfinite():
@@ -111,9 +111,7 @@ def test_marchenko_input_rejects_nonfinite():
         f = zero.copy()
         f[4] = bad
         with pytest.raises(DataError, match="finite"):
-            MarchenkoInput(xgrid=g, f_values=f, fs_values=f, fd_values=zero, fprime=zero)
-        with pytest.raises(DataError, match="finite"):
-            MarchenkoInput(xgrid=g, f_values=zero, fs_values=zero, fd_values=zero, fprime=f)
+            MarchenkoInput(xgrid=g, f_values=f, fs_values=f, fd_values=zero)
 
 
 def test_validate_identity_data():

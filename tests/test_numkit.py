@@ -137,9 +137,47 @@ def test_fourier_transforms_are_inverse_pair():
     h = -2j / (kg.nodes - 1j)
     x = np.arange(-12.0, 40.0 + 1e-9, 0.005)
     fs, _ = nk.fourier_kernel_to_space(h, kg, x)
-    back = nk.fourier_space_to_kernel(fs, x, np.array([0.5, 1.0, 5.0]))
-    ref = -2j / (np.array([0.5, 1.0, 5.0]) - 1j)
-    assert np.max(np.abs(back - ref)) < 2e-4
+    ks = np.array([0.5, 1.0, 5.0])
+    back = np.array([nk.fourier_space_to_kernel(fs, x, k) for k in ks])
+    assert np.max(np.abs(back - (-2j / (ks - 1j)))) < 2e-4
+
+
+def _oscillatory_direct(weighted, nodes, points, sign):
+    """Reference for the chirp-z _oscillatory_sum: the full phase matrix."""
+    return np.exp(sign * 1j * np.outer(points, nodes)) @ weighted
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "n, m, x0, dx, p0, dp",
+    [
+        (101, 7, 0.3, 0.1, -1.1, 0.5),  # odd n, fewer points than nodes
+        (100, 1000, -1.5, 0.05, 2.0, 0.01),  # even n and m, more points
+        (2000, 1, -3.0, 0.01, 0.7, 0.0),  # a single point
+        (40001, 5001, -200.0, 0.01, -20.0, 0.02),  # the default momentum grid to x
+    ],
+)
+def test_oscillatory_sum_matches_direct_sum(n, m, x0, dx, p0, dp, sign):
+    rng = np.random.default_rng(n + m)
+    nodes = x0 + dx * np.arange(n)
+    points = p0 + dp * np.arange(m)
+    weighted = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = nk._oscillatory_sum(weighted, nodes, points, sign)
+    # every 25th point of the large case: the reference costs n m exponentials
+    every = max(1, m // 200)
+    ref = _oscillatory_direct(weighted, nodes, points[::every], sign)
+    assert np.max(np.abs(got[::every] - ref)) <= 1e-9 * np.sum(np.abs(weighted))
+
+
+def test_fourier_sums_refuse_nonuniform_grids():
+    kg = MomentumGrid.make(10.0, 0.1)
+    with pytest.raises(GridError, match="uniform"):
+        nk.fourier_kernel_to_space(-2j / (kg.nodes - 1j), kg, np.array([0.5, 1.0, 2.0]))
+    x = np.arange(-1.0, 1.0 + 1e-9, 0.1)
+    with pytest.raises(GridError, match="uniform"):
+        nk.fourier_space_to_kernel(np.exp(-(x**2)), x, np.array([0.5, 1.0, 5.0]))
+    with pytest.raises(GridError, match="uniform"):
+        nk.fourier_space_to_kernel(np.exp(-(x**2)), x**3, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +221,11 @@ def test_volterra_refuses_unequal_lengths():
 
 
 def test_find_root_linear():
-    assert nk.find_root(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert nk.find_roots(lambda x: x - 1.0, 0.0, 2.0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_find_root_cosine():
-    assert nk.find_root(np.cos, 1.0, 2.0, tol=1e-12) == pytest.approx(np.pi / 2, abs=1e-10)
+    assert nk.find_roots(np.cos, 1.0, 2.0, tol=1e-12)[0] == pytest.approx(np.pi / 2, abs=1e-10)
 
 
 def test_find_root_transcendental_vs_bisection(well_kappa=None):
@@ -197,24 +235,24 @@ def test_find_root_transcendental_vs_bisection(well_kappa=None):
         om = np.sqrt(4.0 - kappa**2)
         return om / np.tan(om) + kappa
 
-    root = nk.find_root(g, 0.01, 1.99, tol=1e-14)
+    root = nk.find_roots(g, 0.01, 1.99, tol=1e-14)[0]
     assert root == pytest.approx(well_kappa_oracle(), abs=1e-10)
 
 
 def test_find_root_requires_bracket():
     with pytest.raises(DataError):
-        nk.find_root(lambda x: x + 10.0, 0.0, 1.0)
+        nk.find_roots(lambda x: x + 10.0, 0.0, 1.0)
 
 
 def test_find_root_refuses_jump():
     # a sign change without a zero: the bracket collapses onto the jump
     with pytest.raises(SolverError):
-        nk.find_root(lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0)
+        nk.find_roots(lambda x: np.where(x < 0.3, -1.0, 1.0), 0.0, 1.0)
 
 
 def test_find_root_refuses_when_iterations_run_out():
     with pytest.raises(SolverError):
-        nk.find_root(np.cos, 1.0, 2.0, tol=0.0, max_iter=3)
+        nk.find_roots(np.cos, 1.0, 2.0, tol=0.0, max_iter=3)
 
 
 def _well_equation(kappa):
@@ -234,7 +272,7 @@ def test_find_roots_matches_scalar_runs(g, lo, root, hi, tol):
     a = rng.uniform(lo, root - 0.01, 20)
     b = rng.uniform(root + 0.01, hi, 20)
     roots = nk.find_roots(g, a, b, tol)
-    assert np.array_equal(roots, [nk.find_root(g, x, y, tol) for x, y in zip(a, b)])
+    assert np.array_equal(roots, [nk.find_roots(g, x, y, tol)[0] for x, y in zip(a, b)])
     assert np.array_equal(roots, [find_root_scalar(g, float(x), float(y), tol) for x, y in zip(a, b)])
     assert np.all(np.abs(g(roots)) <= max(tol, 1e-14))
 
