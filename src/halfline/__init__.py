@@ -9,7 +9,7 @@ characterization conditions on scattering data, which also check every
 forward result.
 """
 
-from .characterize import ConditionThresholds, full_report
+from .characterize import full_report
 from .forward import ForwardResult, jost_boundary, kernel_from_potential, s_matrix
 from .marchenko import (
     InversionConfig,
@@ -39,7 +39,6 @@ from .riemann import RiemannSolution, solve_riemann, verify_factorization
 __all__ = [
     "BoundState",
     "ConditionEntry",
-    "ConditionThresholds",
     "ForwardResult",
     "InversionConfig",
     "JostField",

@@ -16,16 +16,13 @@ moment, by checking the four necessary-and-sufficient conditions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import PhaseUnwrapError
-from .model import ConditionEntry, MarchenkoInput, ScatteringData, ValidationReport
+from .model import ConditionEntry, MarchenkoInput, ScatteringData, UniformGrid, ValidationReport
 from .numkit import winding_number
 
 __all__ = [
-    "ConditionThresholds",
     "check_symmetry_unitarity",
     "check_discrete",
     "check_integrability",
@@ -33,33 +30,22 @@ __all__ = [
     "full_report",
 ]
 
-
-@dataclass(frozen=True)
-class ConditionThresholds:
-    """Tolerances for the four characterization conditions."""
-
-    unitarity_tol: float = 1e-6
-    symmetry_tol: float = 1e-6
-    tail_tol: float = 0.05
-    integrability_window: float = 0.05
-    index_confidence: float = 0.1
-
-    def __post_init__(self):
-        for name in ("unitarity_tol", "symmetry_tol", "tail_tol", "integrability_window", "index_confidence"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+TAIL_TOL = 0.05  # |S - 1| allowed at the grid ends
+INTEGRABILITY_WINDOW = 0.05  # half-to-full window growth allowed of the L1 integrals
+INDEX_CONFIDENCE = 0.1  # distance of the winding number from an integer allowed
 
 
-def check_symmetry_unitarity(sd: ScatteringData, thresholds: ConditionThresholds | None = None) -> ConditionEntry:
-    """Unitarity |S| = 1, conjugate symmetry S(-k) = conj S(k), and S -> 1
-    at the grid ends."""
-    t = thresholds or ConditionThresholds()
+def check_symmetry_unitarity(sd: ScatteringData, tol: float = 1e-6) -> ConditionEntry:
+    """Unitarity |S| = 1 and conjugate symmetry S(-k) = conj S(k), each to
+    tol, and S -> 1 at the grid ends to TAIL_TOL."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     s = sd.s_values
     uni = float(np.max(np.abs(np.abs(s) - 1.0)))
     sym = float(np.max(np.abs(s[::-1] - np.conj(s))))
     tail = float(max(abs(s[0] - 1.0), abs(s[-1] - 1.0)))
-    measured = max(uni / t.unitarity_tol, sym / t.symmetry_tol, tail / t.tail_tol)
-    passed = uni <= t.unitarity_tol and sym <= t.symmetry_tol and tail <= t.tail_tol
+    measured = max(uni / tol, sym / tol, tail / TAIL_TOL)
+    passed = uni <= tol and sym <= tol and tail <= TAIL_TOL
     return ConditionEntry(
         name="symmetry_unitarity",
         passed=passed,
@@ -69,7 +55,7 @@ def check_symmetry_unitarity(sd: ScatteringData, thresholds: ConditionThresholds
     )
 
 
-def check_discrete(sd: ScatteringData, thresholds: ConditionThresholds | None = None) -> ConditionEntry:
+def check_discrete(sd: ScatteringData) -> ConditionEntry:
     """kappa_j > 0, s_j > 0, kappas strictly increasing."""
     kappas = sd.kappas
     ss = sd.norming
@@ -87,52 +73,49 @@ def check_discrete(sd: ScatteringData, thresholds: ConditionThresholds | None = 
 
 
 def _window_growth(
-    x: np.ndarray,
+    grid: UniformGrid,
     values: np.ndarray,
     half: tuple[float, float],
     full: tuple[float, float],
 ) -> tuple[float, float, float]:
     """Integrals of |values| over the half and full windows; relative growth."""
-    dx = x[1] - x[0]
+    x = grid.nodes
     m_half = (x >= half[0]) & (x <= half[1])
     m_full = (x >= full[0]) & (x <= full[1])
-    i_half = float(np.trapezoid(np.abs(values[m_half]), dx=dx))
-    i_full = float(np.trapezoid(np.abs(values[m_full]), dx=dx))
+    i_half = float(np.trapezoid(np.abs(values[m_half]), dx=grid.dx))
+    i_full = float(np.trapezoid(np.abs(values[m_full]), dx=grid.dx))
     if i_full < 1e-12:
         return i_half, i_full, 0.0
     return i_half, i_full, (i_full - i_half) / max(i_half, 1e-12)
 
 
-def check_integrability(F: MarchenkoInput, thresholds: ConditionThresholds | None = None) -> ConditionEntry:
+def check_integrability(F: MarchenkoInput) -> ConditionEntry:
     """F_s in L1(R) and x F' in L1(R+), by nested-window growth.
 
     I1 integrates |F_s| over the half and full sample windows; I2 does the
     same for x |F'| on [0, x_hi/2] and [0, x_hi].  Pass iff both integrals
-    are finite and the half-to-full growth stays below the configured
-    fraction.
+    are finite and the half-to-full growth stays below INTEGRABILITY_WINDOW.
     """
-    t = thresholds or ConditionThresholds()
     x = F.xgrid.nodes
     lo, hi = F.xgrid.lo, F.xgrid.hi
-    i1_half, i1, g1 = _window_growth(x, F.fs_values, (lo / 2, hi / 2), (lo, hi))
+    i1_half, i1, g1 = _window_growth(F.xgrid, F.fs_values, (lo / 2, hi / 2), (lo, hi))
     xf = np.where(x >= 0, x, 0.0) * F.fprime
-    i2_half, i2, g2 = _window_growth(x, xf, (0.0, hi / 2), (0.0, hi))
+    i2_half, i2, g2 = _window_growth(F.xgrid, xf, (0.0, hi / 2), (0.0, hi))
     finite = np.isfinite(i1) and np.isfinite(i2)
     growth = max(g1, g2)
-    passed = bool(finite and growth <= t.integrability_window)
+    passed = bool(finite and growth <= INTEGRABILITY_WINDOW)
     return ConditionEntry(
         name="integrability",
         passed=passed,
         measured=growth,
-        tolerance=t.integrability_window,
+        tolerance=INTEGRABILITY_WINDOW,
         note=f"I1 = {i1:.4g} (growth {g1:.2%}), I2 = {i2:.4g} (growth {g2:.2%})",
     )
 
 
-def check_index(sd: ScatteringData, thresholds: ConditionThresholds | None = None) -> ConditionEntry:
+def check_index(sd: ScatteringData) -> ConditionEntry:
     """Winding index of S: non-positive integer, equal to -2J or -2J - 1,
     with the parity matching the S(0) sign flag."""
-    t = thresholds or ConditionThresholds()
     try:
         idx, resid = winding_number(sd.s_values)
     except PhaseUnwrapError as exc:
@@ -140,12 +123,12 @@ def check_index(sd: ScatteringData, thresholds: ConditionThresholds | None = Non
             name="index",
             passed=False,
             measured=float("nan"),
-            tolerance=t.index_confidence,
+            tolerance=INDEX_CONFIDENCE,
             note=f"inconclusive: {exc}",
         )
     j = sd.j_count
     expected = -2 * j if sd.s_at_zero_sign == 1 else -2 * j - 1
-    consistent = idx <= 0 and resid <= t.index_confidence and idx == expected
+    consistent = idx <= 0 and resid <= INDEX_CONFIDENCE and idx == expected
     return ConditionEntry(
         name="index",
         passed=bool(consistent),
@@ -156,26 +139,20 @@ def check_index(sd: ScatteringData, thresholds: ConditionThresholds | None = Non
 
 
 def full_report(sd: ScatteringData, x_hi: float = 40.0, dx: float = 0.01) -> ValidationReport:
-    """Aggregate all four conditions, at the default ConditionThresholds,
-    into a ValidationReport.
+    """Aggregate all four conditions, at their default tolerances, into a
+    ValidationReport.
 
     F is built internally on [-20, x_hi] (build_F's default taper) for the
     integrability check.  The verdict passes iff every entry passes.
     """
     from .marchenko import build_F
 
-    t = ConditionThresholds()
-    entries = [
-        check_symmetry_unitarity(sd, t),
-        check_discrete(sd, t),
-    ]
     F = build_F(sd, -20.0, x_hi, dx, imag_tol=1e-6)
-    entries.append(check_integrability(F, t))
-    idx_entry = check_index(sd, t)
-    entries.append(idx_entry)
-    index = int(idx_entry.measured) if np.isfinite(idx_entry.measured) else None
+    entries = (check_symmetry_unitarity(sd), check_discrete(sd), check_integrability(F), check_index(sd))
+    measured_index = entries[-1].measured
+    index = int(measured_index) if np.isfinite(measured_index) else None
     return ValidationReport(
-        entries=tuple(entries),
+        entries=entries,
         index=index,
         j_count=sd.j_count,
         s_zero_sign=sd.s_at_zero_sign,

@@ -18,12 +18,13 @@ reads:
 
 File formats: potentials are CSV with header x,q on a uniform grid;
 scattering data are JSON {k, S_re, S_im, bound_states: [{kappa, s}],
-s_zero_sign}; kernels are x,y,A triples.  Numbers are serialized with
-repr (17 significant digits), so reading an artifact back reproduces the
-in-memory object bit for bit and identical inputs give byte-identical
-outputs.  Exit codes: 2 usage, 3 forward failure, 4 inversion failure,
-5 riemann failure, 6 validation or tolerance failure.  A HalflineError
-raised by a subcommand ends in the code of the stage that failed.
+s_zero_sign}; the kernel diagonal is CSV with header x,A.  Numbers are
+serialized with repr (17 significant digits), so reading an artifact back
+reproduces the in-memory object bit for bit and identical inputs give
+byte-identical outputs.  Exit codes: 2 usage, 3 forward failure,
+4 inversion failure, 5 riemann failure, 6 validation or tolerance failure.
+A HalflineError raised by a subcommand ends in the code of the stage that
+failed.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def read_scattering_json(path: Path) -> ScatteringData:
 
 def read_f_csv(path: Path) -> MarchenkoInput:
     xs, f = _read_columns(path, ["x", "F"])
-    return MarchenkoInput(xgrid=UniformGrid(xs), f_values=f, fs_values=f, fd_values=np.zeros_like(f))
+    return MarchenkoInput(xgrid=UniformGrid(xs), fs_values=f, fd_values=np.zeros_like(f))
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -248,7 +249,7 @@ def _run_invert(ns: argparse.Namespace) -> int:
     sd = read_scattering_json(ns.data)
     res = mk.invert_full(sd, mk.InversionConfig(x_max=ns.x_max, dx=ns.dx, force=ns.force))
     write_potential_csv(ns.out_dir / "potential.csv", res.potential)
-    xg = res.kernel.xgrid
+    xg = res.kernel.grid
     _write_csv(ns.out_dir / "kernel_diagonal.csv", ["x", "A"], [xg.nodes, res.kernel.diagonal])
     diag = {
         "neglected_tail_mass": res.neglected_tail_mass,

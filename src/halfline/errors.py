@@ -16,10 +16,6 @@ class DataError(HalflineError, ValueError):
 class SolverError(HalflineError, RuntimeError):
     """A linear or nonlinear solve failed or did not converge."""
 
-    def __init__(self, message: str, condition: float | None = None):
-        super().__init__(message)
-        self.condition = condition
-
 
 class PhaseUnwrapError(HalflineError, RuntimeError):
     """Phase continuation refused: consecutive samples jump by >= pi."""

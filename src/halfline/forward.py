@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characterize import ConditionThresholds, check_discrete, check_symmetry_unitarity
+from .characterize import check_discrete, check_symmetry_unitarity
 from .errors import DataError, SolverError
 from .model import (
     BoundState,
@@ -52,8 +52,7 @@ RESONANCE_TOL = 1e-3  # |f(0)| below this flags a zero-energy resonance
 KAPPA_MIN = 1e-3  # lower end of the bound-state scan on the imaginary axis
 SCAN_STEP = 0.01  # spacing of the scan; closer pairs of zeros may be missed
 ROOT_TOL = 1e-10  # |f(0, i kappa)| at which a refined bound state is accepted
-# forward's data must meet the characterization at this tolerance
-FORWARD_THRESHOLDS = ConditionThresholds(unitarity_tol=1e-8, symmetry_tol=1e-8)
+FORWARD_TOL = 1e-8  # unitarity and symmetry tolerance forward's data must meet
 
 
 def _kappa_scan(q_max: float, kappa_max: float | None = None) -> np.ndarray:
@@ -360,7 +359,7 @@ def kernel_from_potential(q: Potential) -> TransformationKernel:
         A.reshape(-1)[d :: n + 1][:span] = vals
     if not np.all(np.isfinite(A)):
         raise SolverError("transformation kernel has non-finite entries")
-    return TransformationKernel(xgrid=q.grid, ygrid=q.grid, values=A, diagonal=omega)
+    return TransformationKernel(grid=q.grid, values=A)
 
 
 @dataclass(frozen=True)
@@ -377,7 +376,7 @@ def forward(q: Potential, kgrid: MomentumGrid | None = None) -> ForwardResult:
     shift, on kgrid (by default [-200, 200] with dk = 0.01).
 
     The scattering data must pass the characterization's symmetry/unitarity
-    and discrete-data checks at FORWARD_THRESHOLDS; a failure raises
+    check at FORWARD_TOL and the discrete-data check; a failure raises
     SolverError naming the failed checks.  The transformation kernel comes
     from kernel_from_potential and the Jost field from jost_field.
     """
@@ -385,10 +384,10 @@ def forward(q: Potential, kgrid: MomentumGrid | None = None) -> ForwardResult:
         kgrid = MomentumGrid.make(200.0, 0.01)
     f0, fprime0 = jost_boundary(q, kgrid)
     sd = _scattering_data(q, kgrid, f0)
-    checks = (check_symmetry_unitarity(sd, FORWARD_THRESHOLDS), check_discrete(sd, FORWARD_THRESHOLDS))
+    checks = (check_symmetry_unitarity(sd, FORWARD_TOL), check_discrete(sd))
     bad = [f"{c.name} ({c.note})" for c in checks if not c.passed]
     if bad:
         raise SolverError("forward data failed validation: " + "; ".join(bad))
     delta = phase_shift(sd)
-    jost = JostField(xgrid=q.grid, kgrid=kgrid, f0=f0, fprime0=fprime0)
+    jost = JostField(kgrid=kgrid, f0=f0, fprime0=fprime0)
     return ForwardResult(jost=jost, sd=sd, delta=delta)

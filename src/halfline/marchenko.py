@@ -103,7 +103,7 @@ def build_F(
     oscillatory Fourier quadrature of 1 - S (one chirp-z transform)."""
     grid = UniformGrid.make(x_lo, x_hi, dx)
     h = 1.0 - sd.s_values
-    fs, resid = fourier_kernel_to_space(h, sd.kgrid, grid.nodes, tail_correction=tail_correction)
+    fs, resid = fourier_kernel_to_space(h, sd.kgrid, grid, tail_correction=tail_correction)
     scale = max(1.0, float(np.max(np.abs(fs))))
     if np.max(resid) > imag_tol * scale:
         raise DataError(
@@ -114,7 +114,7 @@ def build_F(
         fd = np.sum(sd.norming[None, :] * np.exp(-np.outer(grid.nodes, sd.kappas)), axis=1)
     else:
         fd = np.zeros(grid.n)
-    return MarchenkoInput(xgrid=grid, f_values=fs + fd, fs_values=fs, fd_values=fd)
+    return MarchenkoInput(xgrid=grid, fs_values=fs, fd_values=fd)
 
 
 def solve_marchenko(
@@ -160,11 +160,9 @@ def solve_marchenko(
     if scale > 0:
         resid = float(np.linalg.norm(mat @ a - rhs)) / scale
         if not np.isfinite(resid) or resid > RESIDUAL_TOL:
-            cond = float(np.linalg.cond(mat))
             raise SolverError(
                 f"Marchenko row at x = {x:.4f}: data violate unique solvability "
-                f"(residual {resid:.2e}, cond {cond:.2e})",
-                condition=cond,
+                f"(residual {resid:.2e}, cond {np.linalg.cond(mat):.2e})"
             )
     return a
 
@@ -172,8 +170,8 @@ def solve_marchenko(
 def recover_potential(kernel: TransformationKernel) -> Potential:
     """Potential from the kernel diagonal: q = -2 dA(x,x)/dx (five-point
     differences)."""
-    q = -2.0 * differentiate(kernel.diagonal, kernel.xgrid.dx, stencil=5)
-    return Potential(grid=kernel.xgrid, values=q)
+    q = -2.0 * differentiate(kernel.diagonal, kernel.grid.dx, stencil=5)
+    return Potential(grid=kernel.grid, values=q)
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,6 @@ class InversionResult:
 
     potential: Potential
     kernel: TransformationKernel
-    marchenko_input: MarchenkoInput
     report: object | None
     neglected_tail_mass: float
 
@@ -237,20 +234,12 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
             values[i, i : i + row.size] = row
     except SolverError as exc:
         raise StageError("solve_marchenko", exc)
-    kernel = TransformationKernel(
-        xgrid=xg, ygrid=xg, values=values, diagonal=values.diagonal().copy()
-    )
+    kernel = TransformationKernel(grid=xg, values=values)
     try:
         q = recover_potential(kernel)
     except Exception as exc:
         raise StageError("recover_potential", exc)
-    return InversionResult(
-        potential=q,
-        kernel=kernel,
-        marchenko_input=F,
-        report=report,
-        neglected_tail_mass=neglected,
-    )
+    return InversionResult(potential=q, kernel=kernel, report=report, neglected_tail_mass=neglected)
 
 
 def invert(sd: ScatteringData, config: InversionConfig | None = None) -> Potential:
@@ -276,15 +265,15 @@ def f_from_kernel(
     is taken as zero, which matches the decayed true values there.
     """
     row = kernel.row(0)
-    nodes = kernel.ygrid.nodes
-    dx = kernel.ygrid.dx
+    nodes = kernel.grid.nodes
+    dx = kernel.grid.dx
     f = np.zeros(nodes.size)
     peak = float(np.max(np.abs(row)))
     if peak > 0.0:
         alive = np.nonzero(np.abs(row) > support_tol * peak)[0]
         cut = min(nodes.size - 1, int(alive[-1]) + int(round(1.0 / dx)))
         f[: cut + 1] = solve_volterra_backward(row[: cut + 1], row[: cut + 1], dx, rule=rule)
-    return MarchenkoInput(xgrid=UniformGrid(nodes), f_values=f, fs_values=f, fd_values=np.zeros_like(f))
+    return MarchenkoInput(xgrid=kernel.grid, fs_values=f, fd_values=np.zeros_like(f))
 
 
 def _fit_exponential(x: np.ndarray, F: np.ndarray) -> tuple[float, float, float]:
@@ -415,7 +404,7 @@ def extract_data_from_F(
                 "closer than the resolvable separation or window too narrow"
             )
     fs = F.f_values - fd
-    svals = 1.0 - fourier_space_to_kernel(fs, F.xgrid, kgrid.nodes)
+    svals = 1.0 - fourier_space_to_kernel(fs, F.xgrid, kgrid)
     if kgrid.zero_index is not None:
         s0 = float(svals[kgrid.zero_index].real)
     else:
@@ -448,12 +437,12 @@ def data_from_kernel(
     """
     if kgrid is None:
         kgrid = MomentumGrid.make(200.0, 0.05)
-    y = kernel.ygrid.nodes
-    dx = kernel.ygrid.dx
+    y = kernel.grid.nodes
+    dx = kernel.grid.dx
     wrow = quadrature_weights(y.size, dx, "simpson") * kernel.row(0)
     pos = np.nonzero(kgrid.nodes >= 0)[0]
     f0 = np.empty(kgrid.n, dtype=complex)
-    f0[pos] = 1.0 + _oscillatory_sum(wrow, y, kgrid.nodes[pos], 1.0)
+    f0[pos] = 1.0 + _oscillatory_sum(wrow, y, dx, kgrid.nodes[pos], kgrid.dx, 1.0)
     neg = np.nonzero(kgrid.nodes < 0)[0]
     f0[neg] = np.conj(f0[kgrid.n - 1 - neg])
 
@@ -461,7 +450,7 @@ def data_from_kernel(
         e = np.multiply.outer(-np.asarray(kaps, dtype=float), y)
         return 1.0 + np.exp(e, out=e) @ wrow
 
-    q_max = 2.0 * float(np.max(np.abs(differentiate(kernel.diagonal, kernel.xgrid.dx))))
+    q_max = 2.0 * float(np.max(np.abs(differentiate(kernel.diagonal, dx))))
     grid = _kappa_scan(q_max, kappa_max)
     gv = f_imag(np.concatenate([[0.0], grid]))
     resonance = abs(gv[0]) < RESONANCE_TOL
@@ -480,11 +469,11 @@ def data_from_kernel(
     A = kernel.values
     decay = np.exp(-np.multiply.outer(y, kappas))
     fj = (
-        np.exp(-np.multiply.outer(kernel.xgrid.nodes, kappas))
+        np.exp(-np.multiply.outer(y, kappas))
         + dx * (A @ decay)
-        - 0.5 * dx * (np.diagonal(A)[:, None] * decay + A[:, -1:] * decay[-1])
+        - 0.5 * dx * (kernel.diagonal[:, None] * decay + A[:, -1:] * decay[-1])
     )
-    norms = integrate(fj.T**2, kernel.xgrid, "simpson")
+    norms = integrate(fj.T**2, kernel.grid, "simpson")
     bound = [BoundState(float(kap), float(1.0 / norm)) for kap, norm in zip(kappas, norms)]
     svals = np.conj(f0) / f0
     sign = -1 if resonance else 1

@@ -2,7 +2,9 @@
 Jost boundary data, transformation kernels, and the validation report.
 
 All types are immutable value objects: arrays are copied on construction and
-marked read-only, so instances can be shared freely.
+marked read-only, so instances can be shared freely.  Each fact has one
+owner: a grid owns its spacing, a kernel's diagonal is a view of its values,
+and F = F_s + F_d is summed once, at construction.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ def _check_uniform(nodes: np.ndarray) -> float:
     d = np.diff(nodes)
     if np.any(d <= 0):
         raise GridError("grid nodes must be strictly increasing")
-    dx = float(nodes[1] - nodes[0])
+    # end to end: nodes[1] - nodes[0] carries the rounding of the two nodes
+    dx = float((nodes[-1] - nodes[0]) / (nodes.size - 1))
     if np.max(np.abs(d - dx)) > _REL_TOL * max(abs(dx), 1.0):
         raise GridError("grid spacing must be uniform")
     return dx
@@ -221,9 +224,8 @@ class ScatteringData:
 @dataclass(frozen=True)
 class JostField:
     """Jost boundary data on a momentum grid: f(k) = f(0,k) and the
-    derivatives f'(0,k) of the Jost solution on xgrid."""
+    derivatives f'(0,k) of the Jost solution."""
 
-    xgrid: RadialGrid
     kgrid: MomentumGrid
     f0: np.ndarray
     fprime0: np.ndarray
@@ -239,56 +241,54 @@ class JostField:
 
 @dataclass(frozen=True)
 class TransformationKernel:
-    """Triangular transformation kernel A(x,y), zero for y < x, with its
-    diagonal A(x,x) stored separately."""
+    """Triangular transformation kernel A(x,y) on grid x grid, zero for
+    y < x.  The diagonal A(x,x), from which q = -2 dA(x,x)/dx, is a
+    read-only view of the values."""
 
-    xgrid: RadialGrid
-    ygrid: RadialGrid
+    grid: RadialGrid
     values: np.ndarray
-    diagonal: np.ndarray
 
     def __post_init__(self):
         vals = _frozen(self.values, dtype=float)
-        diag = _frozen(self.diagonal, dtype=float)
-        if vals.shape != (self.xgrid.n, self.ygrid.n):
-            raise DataError("kernel values must be (n_x, n_y)")
-        if diag.shape != self.xgrid.nodes.shape:
-            raise DataError("kernel diagonal must match the x grid")
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(diag))):
+        if vals.shape != (self.grid.n, self.grid.n):
+            raise DataError("kernel values must be (n, n) on the grid")
+        if not np.all(np.isfinite(vals)):
             raise DataError("kernel samples must be finite")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "diagonal", diag)
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        return self.values.diagonal()
 
     def row(self, i: int) -> np.ndarray:
-        """A(x_i, y) on the y grid (zero for y < x_i)."""
+        """A(x_i, y) on the grid (zero for y < x_i)."""
         return self.values[i]
 
 
 @dataclass(frozen=True)
 class MarchenkoInput:
-    """Samples of the Marchenko input F = F_s + F_d on a uniform grid (which
-    may extend to negative x for data extraction), and its derivative."""
+    """Samples of F_s and F_d on a uniform grid (which may extend to
+    negative x for data extraction); the Marchenko input F = F_s + F_d is
+    summed once here, and its derivative is fprime."""
 
     xgrid: UniformGrid
-    f_values: np.ndarray
     fs_values: np.ndarray
     fd_values: np.ndarray
+    f_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("f_values", "fs_values", "fd_values"):
-            a = _frozen(getattr(self, name), dtype=float)
-            if a.shape != self.xgrid.nodes.shape:
-                raise DataError(f"{name} must match the grid")
-            if not np.all(np.isfinite(a)):
-                raise DataError(f"{name} samples must be finite")
-            arrays[name] = a
-        if np.max(np.abs(arrays["f_values"] - arrays["fs_values"] - arrays["fd_values"])) > 1e-9 * (
-            1.0 + np.max(np.abs(arrays["f_values"]))
-        ):
-            raise DataError("F must equal F_s + F_d pointwise")
-        for name, a in arrays.items():
-            object.__setattr__(self, name, a)
+        fs = _frozen(self.fs_values, dtype=float)
+        fd = _frozen(self.fd_values, dtype=float)
+        if fs.shape != self.xgrid.nodes.shape or fd.shape != self.xgrid.nodes.shape:
+            raise DataError("F_s and F_d samples must match the grid")
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            f = _frozen(fs + fd)
+        # finite iff F_s and F_d both are and their sum does not overflow
+        if not np.all(np.isfinite(f)):
+            raise DataError("f_values samples must be finite")
+        object.__setattr__(self, "fs_values", fs)
+        object.__setattr__(self, "fd_values", fd)
+        object.__setattr__(self, "f_values", f)
 
     @property
     def fprime(self) -> np.ndarray:

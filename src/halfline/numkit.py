@@ -84,22 +84,12 @@ def quadrature_weights(n: int, dx: float, rule: str = "trapezoid") -> np.ndarray
 
 
 def integrate(samples: np.ndarray, grid, rule: str = "trapezoid"):
-    """Composite-rule integral of sampled values over a uniform grid.
-
-    grid may be a node array, a grid object with .nodes/.dx, or a float dx.
-    """
+    """Composite-rule integral of sampled values over a uniform grid, along
+    the last axis of samples."""
     samples = np.asarray(samples)
-    if hasattr(grid, "dx"):
-        n, dx = grid.n, grid.dx
-    elif np.isscalar(grid):
-        n, dx = samples.shape[-1], float(grid)
-    else:
-        nodes = np.asarray(grid, dtype=float)
-        n, dx = nodes.size, float(nodes[1] - nodes[0])
-    if samples.shape[-1] != n:
+    if samples.shape[-1] != grid.n:
         raise GridError("sample count does not match the grid")
-    w = quadrature_weights(n, dx, rule)
-    return samples @ w
+    return samples @ quadrature_weights(grid.n, grid.dx, rule)
 
 
 def differentiate(samples: np.ndarray, dx: float, stencil: int = 3) -> np.ndarray:
@@ -183,21 +173,19 @@ def _toeplitz_fft(a: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(col))[..., :m]
 
 
-def _oscillatory_sum(weighted: np.ndarray, nodes: np.ndarray, points: np.ndarray, sign: float) -> np.ndarray:
+def _oscillatory_sum(
+    weighted: np.ndarray, nodes: np.ndarray, dx: float, points: np.ndarray, dp: float, sign: float
+) -> np.ndarray:
     """sum_j weighted_j e^{sign * i * p * nodes_j} for each p in points.
 
-    nodes and points are uniform grids (points may be one value), so this is
-    Bluestein's chirp-z transform: with indices u, v centred on the grids,
-    p x = x_c p + p_c (x - x_c) + u v dp dx, and u v = (u^2 + v^2 - (v - u)^2)/2
-    leaves one Toeplitz product with the chirp e^{-i alpha (v - u)^2 / 2},
-    alpha = sign dp dx.  The centring keeps the chirp phases small.
+    nodes and points are uniform with spacings dx and dp (the grids' own),
+    so this is Bluestein's chirp-z transform: with indices u, v centred on
+    the grids, p x = x_c p + p_c (x - x_c) + u v dp dx, and
+    u v = (u^2 + v^2 - (v - u)^2)/2 leaves one Toeplitz product with the
+    chirp e^{-i alpha (v - u)^2 / 2}, alpha = sign dp dx.  The centring
+    keeps the chirp phases small.
     """
     n, m = nodes.size, points.size
-    dx = (nodes[-1] - nodes[0]) / (n - 1)
-    dp = (points[-1] - points[0]) / max(m - 1, 1)
-    for grid, step in ((nodes, dx), (points, dp)):
-        if np.any(np.abs(np.diff(grid) - step) > 1e-9 * max(abs(step), 1.0)):
-            raise GridError("Fourier sums need uniformly spaced nodes and points")
     xc, pc = 0.5 * (nodes[0] + nodes[-1]), 0.5 * (points[0] + points[-1])
     u = np.arange(n) - 0.5 * (n - 1)
     v = np.arange(m) - 0.5 * (m - 1)
@@ -208,11 +196,11 @@ def _oscillatory_sum(weighted: np.ndarray, nodes: np.ndarray, points: np.ndarray
     return np.exp(1j * (sign * xc * points + 0.5 * alpha * v**2)) * conv
 
 
-def fourier_kernel_to_space(h: np.ndarray, kgrid, x, tail_correction: bool = False) -> tuple:
+def fourier_kernel_to_space(h: np.ndarray, kgrid, xgrid, tail_correction: bool = False) -> tuple:
     """(1/2pi) * integral of h(k) e^{ikx} dk over the truncated k grid.
 
-    x is one point or a uniform grid (GridError otherwise); all points come
-    from one chirp-z transform.  Returns (value, imag_residual).  For
+    Every node x of xgrid comes from one chirp-z transform.  Returns the
+    arrays (value, imag_residual).  For
     conjugate-symmetric h the result is real; the imaginary residual is
     reported as a diagnostic and the real part returned.  A Hann-style
     endpoint taper (TAPER_FRAC of each end) suppresses truncation ringing.
@@ -224,15 +212,14 @@ def fourier_kernel_to_space(h: np.ndarray, kgrid, x, tail_correction: bool = Fal
     value the Marchenko equation needs.
     """
     h = np.asarray(h, dtype=complex)
-    k = np.asarray(kgrid.nodes if hasattr(kgrid, "nodes") else kgrid, dtype=float)
+    k = kgrid.nodes
     if h.shape != k.shape:
         raise GridError("h samples must match the momentum grid")
-    dk = k[1] - k[0]
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    w = quadrature_weights(k.size, dk)
+    xs = xgrid.nodes
+    w = quadrature_weights(k.size, kgrid.dx)
     if not tail_correction:
         w = w * _taper_window(k.size)
-    vals = _oscillatory_sum(w * h, k, xs, +1.0) / (2 * np.pi)
+    vals = _oscillatory_sum(w * h, k, kgrid.dx, xs, xgrid.dx, +1.0) / (2 * np.pi)
     if tail_correction:
         # h ~ i*gamma/k + c2/k^2 beyond the grid; add the missing tail of
         # both terms in closed form (gamma and c2 from the endpoint samples)
@@ -249,29 +236,18 @@ def fourier_kernel_to_space(h: np.ndarray, kgrid, x, tail_correction: bool = Fal
             # restore the right-sided limit at the jump node: F(0+) equals
             # the reconstructed midpoint plus half the jump, which is -gamma
             vals = np.where(at_zero, vals - gamma / 2.0, vals)
-    resid = np.abs(vals.imag)
-    value = vals.real
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(value[0]), float(resid[0])
-    return value, resid
+    return vals.real, np.abs(vals.imag)
 
 
-def fourier_space_to_kernel(fs: np.ndarray, xgrid, k) -> np.ndarray:
+def fourier_space_to_kernel(fs: np.ndarray, xgrid, kgrid) -> np.ndarray:
     """Integral of F_s(x) e^{-ikx} dx over the sample window, i.e. the
-    approximation to 1 - S(k).  F_s must decay at the window ends; k is one
-    momentum or a uniform grid (GridError otherwise), all momenta from one
-    chirp-z transform."""
+    approximation to 1 - S(k), at every node k of kgrid (one chirp-z
+    transform).  F_s must decay at the window ends."""
     fs = np.asarray(fs, dtype=float)
-    nodes = np.asarray(xgrid.nodes if hasattr(xgrid, "nodes") else xgrid, dtype=float)
-    if fs.shape != nodes.shape:
+    if fs.shape != xgrid.nodes.shape:
         raise GridError("F_s samples must match the grid")
-    dx = nodes[1] - nodes[0]
-    ks = np.atleast_1d(np.asarray(k, dtype=float))
-    w = quadrature_weights(nodes.size, dx)
-    out = _oscillatory_sum(w * fs, nodes, ks, -1.0)
-    if np.isscalar(k) or np.asarray(k).ndim == 0:
-        return complex(out[0])
-    return out
+    w = quadrature_weights(xgrid.n, xgrid.dx)
+    return _oscillatory_sum(w * fs, xgrid.nodes, xgrid.dx, kgrid.nodes, kgrid.dx, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +436,7 @@ def pv_cauchy_grid(phi: np.ndarray, nodes: np.ndarray, tail_coeff: float | None 
     if tail_coeff is not None and abs(t[0] + t[-1]) > 1e-9 * max(abs(t[-1]), 1.0):
         raise GridError("the analytic tail term needs a grid symmetric about 0")
     n = t.size
-    dt = t[1] - t[0]
+    dt = (t[-1] - t[0]) / (n - 1)
     w = quadrature_weights(n, dt)
     slope = differentiate(phi, dt, stencil=5)
     # the Toeplitz matrix C[i, j] = 1/((j - i) dt), zero on the diagonal

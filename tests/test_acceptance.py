@@ -37,7 +37,7 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
 def soliton_marchenko_input(dx: float, hi: float = 80.0) -> MarchenkoInput:
     g = UniformGrid.make(0.0, hi, dx)
     f = 2.0 * np.exp(-g.nodes)
-    return MarchenkoInput(xgrid=g, f_values=f, fs_values=f, fd_values=np.zeros_like(f))
+    return MarchenkoInput(xgrid=g, fs_values=f, fd_values=np.zeros_like(f))
 
 
 def invert_from_input(F: MarchenkoInput, x_max: float, rule: str = "simpson"):
@@ -49,7 +49,7 @@ def invert_from_input(F: MarchenkoInput, x_max: float, rule: str = "simpson"):
     for i, x in enumerate(xg.nodes):
         row = mk.solve_marchenko(F, float(x), y_max=x_max, rule=rule)
         vals[i, i : i + row.size] = row
-    K = TransformationKernel(xgrid=xg, ygrid=xg, values=vals, diagonal=vals.diagonal().copy())
+    K = TransformationKernel(grid=xg, values=vals)
     return mk.recover_potential(K), K
 
 
@@ -140,7 +140,7 @@ def test_criterion_5_reversibility_suite(fw_sech2, fw_well, fw_zero):
         for i, x in enumerate(xg.nodes):
             row = mk.solve_marchenko(F, float(x), y_max=y_max, rule="trapezoid")
             vals[i, i : i + row.size] = row
-        K = TransformationKernel(xgrid=xg, ygrid=xg, values=vals, diagonal=vals.diagonal().copy())
+        K = TransformationKernel(grid=xg, values=vals)
         F_rec = mk.f_from_kernel(K, rule="trapezoid", support_tol=0.0)
         vals2 = np.zeros((xg.n, xg.n))
         for i, x in enumerate(xg.nodes):
@@ -165,7 +165,7 @@ def test_criterion_5_reversibility_suite(fw_sech2, fw_well, fw_zero):
     # F -> data on the constructed two-exponential input
     g = UniformGrid.make(-12.0, 40.0, 0.01)
     fvals = 2.0 * np.exp(-g.nodes) + 3.0 * np.exp(-2.0 * g.nodes)
-    Fc = MarchenkoInput(xgrid=g, f_values=fvals, fs_values=fvals, fd_values=np.zeros_like(fvals))
+    Fc = MarchenkoInput(xgrid=g, fs_values=fvals, fd_values=np.zeros_like(fvals))
     sd = mk.extract_data_from_F(Fc)
     strip_ok = sd.j_count == 2 and all(
         abs(b.kappa - k0) <= 1e-4 and abs(b.s - s0) <= 1e-4

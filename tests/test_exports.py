@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -22,3 +24,41 @@ def test_every_exported_name_resolves(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def _defaults(fn) -> list[str]:
+    return [p.name for p in inspect.signature(fn).parameters.values() if p.default is not p.empty]
+
+
+def _settable_values() -> list[str]:
+    """Every parameter with a default of a public function or method, and
+    every dataclass field with a default, over the exported names (each
+    object once, however many modules re-export it)."""
+    seen, out = set(), []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if inspect.isfunction(obj):
+                out += [f"{attr}({p})" for p in _defaults(obj)]
+            elif inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    out += [
+                        f"{attr}.{f.name}"
+                        for f in dataclasses.fields(obj)
+                        if f.init and (f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING)
+                    ]
+                for meth, fn in vars(obj).items():
+                    fn = getattr(fn, "__func__", fn)  # classmethod / staticmethod
+                    if not meth.startswith("_") and inspect.isfunction(fn):
+                        out += [f"{attr}.{meth}({p})" for p in _defaults(fn)]
+    return out
+
+
+def test_settable_values_count():
+    # each new option must show up here: a change that adds one changes
+    # this number in its own diff
+    assert len(_settable_values()) == 35, _settable_values()

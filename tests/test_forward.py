@@ -352,8 +352,8 @@ def test_kernel_sech2_second_order():
     for dx in (0.02, 0.01):
         q = sech2_potential(RadialGrid.make(20.0, dx))
         K = fw.kernel_from_potential(q)
-        x = K.xgrid.nodes[:, None]
-        y = K.ygrid.nodes[None, :]
+        x = K.grid.nodes[:, None]
+        y = K.grid.nodes[None, :]
         ref = np.where(y >= x, -2 * np.exp(-(x + y)) / (1 + np.exp(-2 * x)), 0.0)
         errs.append(np.max(np.abs(K.values - ref)))
     order = np.log2(errs[0] / errs[1])
@@ -385,8 +385,8 @@ def test_kernel_sech2_origin(sech2_kernel):
 
 def test_kernel_sech2_closed_form(sech2_kernel):
     _, K = sech2_kernel
-    x = K.xgrid.nodes[::25][:, None]
-    y = K.ygrid.nodes[None, ::25]
+    x = K.grid.nodes[::25][:, None]
+    y = K.grid.nodes[None, ::25]
     ref = np.where(y >= x, -2 * np.exp(-(x + y)) / (1 + np.exp(-2 * x)), 0.0)
     assert np.max(np.abs(K.values[::25, ::25] - ref)) < 1e-4
 
@@ -394,7 +394,7 @@ def test_kernel_sech2_closed_form(sech2_kernel):
 def test_kernel_diagonal_identity(sech2_kernel):
     # A(x,x) = (1/2) int_x^inf q dt, testable against direct quadrature
     q, K = sech2_kernel
-    for i in range(0, K.xgrid.n, 250):
+    for i in range(0, K.grid.n, 250):
         tail = float(np.trapezoid(q.values[i:], dx=q.grid.dx))
         assert K.diagonal[i] == pytest.approx(0.5 * tail, abs=1e-8)
 
@@ -404,7 +404,7 @@ def test_kernel_estimate_ratio(sech2_kernel):
     q, K = sech2_kernel
     dx = q.grid.dx
     absq_tail = np.concatenate([((np.abs(q.values[1:]) + np.abs(q.values[:-1])) * dx / 2)[::-1].cumsum()[::-1], [0.0]])
-    n = K.xgrid.n
+    n = K.grid.n
     worst = 0.0
     for i in range(0, n, 100):
         for j in range(i, n, 100):
@@ -418,8 +418,8 @@ def test_kernel_estimate_ratio(sech2_kernel):
 def test_kernel_fourier_consistency(sech2_kernel):
     # 1 + int_0^inf A(0,y) e^{iky} dy reproduces the Jost boundary value
     _, K = sech2_kernel
-    y = K.ygrid.nodes
-    w = quadrature_weights(y.size, K.ygrid.dx)
+    y = K.grid.nodes
+    w = quadrature_weights(y.size, K.grid.dx)
     ks = np.linspace(-10.0, 10.0, 41)
     f = 1.0 + np.exp(1j * np.outer(ks, y)) @ (w * K.row(0))
     ref = ks / (ks + 1j)

@@ -20,7 +20,7 @@ from halfline.potentials import sech2_potential, square_well_potential
 def make_input(lo, hi, dx, func):
     g = UniformGrid.make(lo, hi, dx)
     f = func(g.nodes)
-    return MarchenkoInput(xgrid=g, f_values=f, fs_values=f, fd_values=np.zeros_like(f))
+    return MarchenkoInput(xgrid=g, fs_values=f, fd_values=np.zeros_like(f))
 
 
 def soliton_input(dx=0.05, hi=80.0):
@@ -31,7 +31,7 @@ def soliton_kernel_exact(xg: RadialGrid) -> TransformationKernel:
     X = xg.nodes[:, None]
     Y = xg.nodes[None, :]
     A = np.where(Y >= X, -2 * np.exp(-(X + Y)) / (1 + np.exp(-2 * X)), 0.0)
-    return TransformationKernel(xgrid=xg, ygrid=xg, values=A, diagonal=np.diagonal(A).copy())
+    return TransformationKernel(grid=xg, values=A)
 
 
 @pytest.fixture(scope="module")
@@ -156,9 +156,7 @@ def test_row_grid_refinement_second_order():
 
 def test_recover_zero_kernel():
     xg = RadialGrid.make(10.0, 0.05)
-    K = TransformationKernel(
-        xgrid=xg, ygrid=xg, values=np.zeros((xg.n, xg.n)), diagonal=np.zeros(xg.n)
-    )
+    K = TransformationKernel(grid=xg, values=np.zeros((xg.n, xg.n)))
     q = mk.recover_potential(K)
     assert np.max(np.abs(q.values)) == 0.0
 
@@ -221,9 +219,7 @@ def test_invert_gate_rejects_bad_data(kgrid_fourier):
 
 def test_f_from_kernel_zero():
     xg = RadialGrid.make(10.0, 0.05)
-    K = TransformationKernel(
-        xgrid=xg, ygrid=xg, values=np.zeros((xg.n, xg.n)), diagonal=np.zeros(xg.n)
-    )
+    K = TransformationKernel(grid=xg, values=np.zeros((xg.n, xg.n)))
     F = mk.f_from_kernel(K)
     assert np.max(np.abs(F.f_values)) == 0.0
 
@@ -243,7 +239,7 @@ def test_f_to_kernel_roundtrip():
     for i, x in enumerate(xg.nodes):
         row = mk.solve_marchenko(Fin, float(x), y_max=40.0)
         vals[i, i : i + row.size] = row
-    K = TransformationKernel(xgrid=xg, ygrid=xg, values=vals, diagonal=vals.diagonal().copy())
+    K = TransformationKernel(grid=xg, values=vals)
     Frec = mk.f_from_kernel(K)
     assert np.max(np.abs(Frec.f_values - 2 * np.exp(-xg.nodes))) < 1e-5
 
@@ -303,9 +299,7 @@ def test_extract_refuses_near_degenerate():
 
 def test_data_from_kernel_zero():
     xg = RadialGrid.make(10.0, 0.05)
-    K = TransformationKernel(
-        xgrid=xg, ygrid=xg, values=np.zeros((xg.n, xg.n)), diagonal=np.zeros(xg.n)
-    )
+    K = TransformationKernel(grid=xg, values=np.zeros((xg.n, xg.n)))
     sd = mk.data_from_kernel(K)
     assert sd.j_count == 0
     assert np.max(np.abs(sd.s_values - 1.0)) < 1e-12
@@ -369,9 +363,9 @@ def test_inversion_products_are_real(analytic_sech2_sd):
     # Fourier stage records the imaginary residual instead
     assert np.isrealobj(res.kernel.values)
     assert np.isrealobj(res.potential.values)
-    for x in (0.5, 1.0, 2.0):
-        _, resid = fourier_kernel_to_space(1.0 - analytic_sech2_sd.s_values, analytic_sech2_sd.kgrid, x)
-        assert resid < 1e-10
+    xs = UniformGrid.make(0.5, 2.0, 0.5)
+    _, resid = fourier_kernel_to_space(1.0 - analytic_sech2_sd.s_values, analytic_sech2_sd.kgrid, xs)
+    assert np.max(resid) < 1e-10
 
 
 def test_F_l1_stable_under_kmax_refinement(q_sech2):

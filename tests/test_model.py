@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfline.characterize import ConditionThresholds, check_discrete, check_symmetry_unitarity
+from halfline.characterize import check_discrete, check_symmetry_unitarity
 from halfline.errors import DataError, GridError
-from halfline.forward import FORWARD_THRESHOLDS
+from halfline.forward import FORWARD_TOL, kernel_from_potential
 from halfline.model import (
     BoundState,
+    JostField,
     MarchenkoInput,
     MomentumGrid,
     Potential,
@@ -22,8 +23,7 @@ from halfline.potentials import sech2_potential, square_well_potential, zero_pot
 def violations(sd: ScatteringData, tol: float = 1e-8) -> list[str]:
     """Names of the structural checks (the two forward runs on its own
     output) that sd fails with unitarity and symmetry tolerance tol."""
-    t = ConditionThresholds(unitarity_tol=tol, symmetry_tol=tol)
-    return [c.name for c in (check_symmetry_unitarity(sd, t), check_discrete(sd, t)) if not c.passed]
+    return [c.name for c in (check_symmetry_unitarity(sd, tol), check_discrete(sd)) if not c.passed]
 
 
 def test_radial_grid_basics():
@@ -50,6 +50,11 @@ def test_uniform_grid_negative_origin():
     g = UniformGrid.make(-12.0, 40.0, 0.5)
     assert g.lo == pytest.approx(-12.0)
     assert g.hi == pytest.approx(40.0)
+    # the spacing is read end to end: nodes[1] - nodes[0] of a grid far from
+    # the origin carries the rounding of both nodes (0.009999999999990905)
+    assert MomentumGrid.make(200.0, 0.01).dx == 0.01
+    assert MomentumGrid.make(200.0, 0.02).dx == 0.02
+    assert UniformGrid.make(-20.0, 80.0, 0.02).dx == 0.02
 
 
 def test_grids_share_the_uniform_base():
@@ -70,9 +75,32 @@ def test_grids_share_the_uniform_base():
 
 
 def test_arrays_are_frozen():
-    q = zero_potential(RadialGrid.make(1.0, 0.1))
-    with pytest.raises(ValueError):
-        q.values[0] = 1.0
+    # every array a value type exposes, the derived diagonal and F included,
+    # refuses an item write
+    xg = RadialGrid.make(1.0, 0.1)
+    kg = MomentumGrid.make(2.0, 0.5)
+    q = square_well_potential(xg, width=0.5)
+    sd = ScatteringData(kgrid=kg, s_values=np.ones(kg.n, dtype=complex))
+    jost = JostField(kgrid=kg, f0=np.ones(kg.n), fprime0=1j * kg.nodes)
+    kernel = kernel_from_potential(q)
+    F = MarchenkoInput(xgrid=UniformGrid.make(-1.0, 1.0, 0.1), fs_values=np.ones(21), fd_values=np.ones(21))
+    exposed = {
+        "Potential.values": q.values,
+        "ScatteringData.s_values": sd.s_values,
+        "JostField.f0": jost.f0,
+        "JostField.fprime0": jost.fprime0,
+        "TransformationKernel.values": kernel.values,
+        "TransformationKernel.diagonal": kernel.diagonal,
+        "MarchenkoInput.fs_values": F.fs_values,
+        "MarchenkoInput.fd_values": F.fd_values,
+        "MarchenkoInput.f_values": F.f_values,
+    }
+    for name, a in exposed.items():
+        try:
+            a[0] = 1.0
+        except ValueError:
+            continue
+        pytest.fail(f"{name} accepted an item write")
 
 
 def test_bound_state_positivity_reported_not_thrown():
@@ -95,23 +123,28 @@ def test_bound_states_sorted_and_ties_rejected():
         ScatteringData(kgrid=kg, s_values=s, bound_states=(BoundState(1.0, 1.0), BoundState(1.0, 2.0)))
 
 
-def test_marchenko_input_sum_invariant():
+def test_marchenko_input_sums_f_once():
     g = UniformGrid.make(0.0, 1.0, 0.1)
-    f = np.ones(g.n)
-    with pytest.raises(DataError):
-        MarchenkoInput(xgrid=g, f_values=f, fs_values=f, fd_values=f)
+    fs, fd = np.sin(g.nodes), np.exp(-g.nodes)
+    F = MarchenkoInput(xgrid=g, fs_values=fs, fd_values=fd)
+    np.testing.assert_array_equal(F.f_values, fs + fd)
+    with pytest.raises(DataError, match="match the grid"):
+        MarchenkoInput(xgrid=g, fs_values=fs, fd_values=fd[:-1])
 
 
 def test_marchenko_input_rejects_nonfinite():
-    # a NaN makes the F = F_s + F_d comparison false, so it must be refused
-    # on its own
+    # a non-finite sample in either term, or an overflowing sum, is refused
     g = UniformGrid.make(0.0, 1.0, 0.1)
     zero = np.zeros(g.n)
     for bad in (np.nan, np.inf):
         f = zero.copy()
         f[4] = bad
-        with pytest.raises(DataError, match="finite"):
-            MarchenkoInput(xgrid=g, f_values=f, fs_values=f, fd_values=zero)
+        for fs, fd in ((f, zero), (zero, f)):
+            with pytest.raises(DataError, match="finite"):
+                MarchenkoInput(xgrid=g, fs_values=fs, fd_values=fd)
+    big = np.full(g.n, 1e308)
+    with pytest.raises(DataError, match="finite"):
+        MarchenkoInput(xgrid=g, fs_values=big, fd_values=big)
 
 
 def test_validate_identity_data():
@@ -192,6 +225,6 @@ def test_validate_passes_on_synthetic_unitary_data(amp, scale, kap, s):
 
 
 def test_forward_data_pass_validation(fw_sech2, fw_well, fw_zero):
-    assert (FORWARD_THRESHOLDS.unitarity_tol, FORWARD_THRESHOLDS.symmetry_tol) == (1e-8, 1e-8)
+    assert FORWARD_TOL == 1e-8
     for r in (fw_sech2, fw_well, fw_zero):
         assert violations(r.sd, tol=1e-8) == []

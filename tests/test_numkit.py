@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from halfline.errors import DataError, GridError, PhaseUnwrapError, SolverError
-from halfline.model import MomentumGrid
+from halfline.model import MomentumGrid, UniformGrid
 from halfline import numkit as nk
 
 
@@ -14,21 +14,22 @@ from halfline import numkit as nk
 
 
 def test_integrate_linear():
-    x = np.arange(0.0, 1.0 + 1e-12, 1e-3)
-    assert nk.integrate(x, 1e-3) == pytest.approx(0.5, abs=1e-8)
+    g = UniformGrid.make(0.0, 1.0, 1e-3)
+    assert nk.integrate(g.nodes, g) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_integrate_exponential_simpson():
     # trapezoid carries an 8.3e-6 Euler-Maclaurin boundary term here, so the
     # stated 1e-6 needs the fourth-order rule
-    x = np.arange(0.0, 40.0 + 1e-9, 1e-2)
-    assert nk.integrate(np.exp(-x), 1e-2, "simpson") == pytest.approx(1.0, abs=1e-6)
-    assert nk.integrate(x * np.exp(-x), 1e-2, "simpson") == pytest.approx(1.0, abs=1e-5)
+    g = UniformGrid.make(0.0, 40.0, 1e-2)
+    x = g.nodes
+    assert nk.integrate(np.exp(-x), g, "simpson") == pytest.approx(1.0, abs=1e-6)
+    assert nk.integrate(x * np.exp(-x), g, "simpson") == pytest.approx(1.0, abs=1e-5)
 
 
 def test_integrate_length_mismatch():
     with pytest.raises(GridError):
-        nk.integrate(np.ones(5), np.linspace(0, 1, 6))
+        nk.integrate(np.ones(5), UniformGrid(np.linspace(0, 1, 6)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -41,17 +42,15 @@ def test_integrate_length_mismatch():
 def test_integrate_exactness_properties(a, b, c, d):
     # trapezoid exact for degree <= 1, Simpson for degree <= 3, and both
     # linear in the integrand
-    x = np.linspace(0.0, 2.0, 41)
-    dx = x[1] - x[0]
+    g = UniformGrid(np.linspace(0.0, 2.0, 41))
+    x = g.nodes
     lin = a * x + b
-    assert nk.integrate(lin, dx) == pytest.approx(2 * a + 2 * b, abs=1e-10)
+    assert nk.integrate(lin, g) == pytest.approx(2 * a + 2 * b, abs=1e-10)
     cub = a * x**3 + b * x**2 + c * x + d
     exact = 4 * a + 8 * b / 3 + 2 * c + 2 * d
-    assert nk.integrate(cub, dx, "simpson") == pytest.approx(exact, abs=1e-9)
-    two = nk.integrate(lin + cub, dx, "simpson")
-    assert two == pytest.approx(
-        nk.integrate(lin, dx, "simpson") + nk.integrate(cub, dx, "simpson"), abs=1e-9
-    )
+    assert nk.integrate(cub, g, "simpson") == pytest.approx(exact, abs=1e-9)
+    two = nk.integrate(lin + cub, g, "simpson")
+    assert two == pytest.approx(nk.integrate(lin, g, "simpson") + nk.integrate(cub, g, "simpson"), abs=1e-9)
 
 
 def test_quadrature_weights_positive_sum():
@@ -96,8 +95,8 @@ def test_differentiate_needs_three():
 
 def test_fourier_kernel_to_space_zero():
     kg = MomentumGrid.make(10.0, 0.1)
-    v, r = nk.fourier_kernel_to_space(np.zeros(kg.n, complex), kg, 1.0)
-    assert v == 0.0 and r == 0.0
+    v, r = nk.fourier_kernel_to_space(np.zeros(kg.n, complex), kg, UniformGrid.make(-1.0, 1.0, 0.5))
+    assert np.all(v == 0.0) and np.all(r == 0.0)
 
 
 def test_fourier_kernel_to_space_residue_oracle():
@@ -105,41 +104,41 @@ def test_fourier_kernel_to_space_residue_oracle():
     # 2 e^{-x}, and no poles below the axis gives 0 for x < 0
     kg = MomentumGrid.make(200.0, 0.01)
     h = -2j / (kg.nodes - 1j)
-    v, _ = nk.fourier_kernel_to_space(h, kg, 1.0)
-    assert v == pytest.approx(2 * np.exp(-1.0), abs=1e-3)
-    v, _ = nk.fourier_kernel_to_space(h, kg, -1.0)
-    assert v == pytest.approx(0.0, abs=1e-3)
+    (v_minus, _, v_plus), _ = nk.fourier_kernel_to_space(h, kg, UniformGrid.make(-1.0, 1.0, 1.0))
+    assert v_plus == pytest.approx(2 * np.exp(-1.0), abs=1e-3)
+    assert v_minus == pytest.approx(0.0, abs=1e-3)
 
 
 def test_fourier_kernel_tail_correction():
     kg = MomentumGrid.make(200.0, 0.01)
     h = -2j / (kg.nodes - 1j)
-    v, _ = nk.fourier_kernel_to_space(h, kg, 1.0, tail_correction=True)
+    (v0, v), _ = nk.fourier_kernel_to_space(h, kg, UniformGrid.make(0.0, 1.0, 1.0), tail_correction=True)
     assert v == pytest.approx(2 * np.exp(-1.0), abs=5e-5)
     # the x = 0 node returns the right-sided limit F(0+) = 2
-    v0, _ = nk.fourier_kernel_to_space(h, kg, 0.0, tail_correction=True)
     assert v0 == pytest.approx(2.0, abs=1e-3)
 
 
 def test_fourier_space_to_kernel_oracle():
     # F_s = 2 e^{-x} for x > 0 (half-value at the jump node) transforms to
     # 2/(1 + ik): 1 - i at k = 1 and 2 at k = 0
-    x = np.arange(-12.0, 40.0 + 1e-9, 0.01)
+    xg = UniformGrid.make(-12.0, 40.0, 0.01)
+    x = xg.nodes
     fs = np.where(x > 0, 2 * np.exp(-x), 0.0)
     fs[np.abs(x) < 1e-12] = 1.0
-    assert abs(nk.fourier_space_to_kernel(fs, x, 1.0) - (1 - 1j)) < 1e-4
-    assert abs(nk.fourier_space_to_kernel(fs, x, 0.0) - 2.0) < 1e-4
-    assert nk.fourier_space_to_kernel(np.zeros_like(x), x, 0.7) == 0.0
+    at_0, at_1 = nk.fourier_space_to_kernel(fs, xg, UniformGrid.make(0.0, 1.0, 1.0))
+    assert abs(at_1 - (1 - 1j)) < 1e-4
+    assert abs(at_0 - 2.0) < 1e-4
+    assert np.all(nk.fourier_space_to_kernel(np.zeros_like(x), xg, UniformGrid.make(0.7, 1.4, 0.7)) == 0.0)
 
 
 def test_fourier_transforms_are_inverse_pair():
     kg = MomentumGrid.make(200.0, 0.01)
     h = -2j / (kg.nodes - 1j)
-    x = np.arange(-12.0, 40.0 + 1e-9, 0.005)
-    fs, _ = nk.fourier_kernel_to_space(h, kg, x)
-    ks = np.array([0.5, 1.0, 5.0])
-    back = np.array([nk.fourier_space_to_kernel(fs, x, k) for k in ks])
-    assert np.max(np.abs(back - (-2j / (ks - 1j)))) < 2e-4
+    xg = UniformGrid.make(-12.0, 40.0, 0.005)
+    fs, _ = nk.fourier_kernel_to_space(h, kg, xg)
+    ks = UniformGrid.make(0.5, 5.0, 0.5)
+    back = nk.fourier_space_to_kernel(fs, xg, ks)
+    assert np.max(np.abs(back - (-2j / (ks.nodes - 1j)))) < 2e-4
 
 
 def _oscillatory_direct(weighted, nodes, points, sign):
@@ -162,7 +161,7 @@ def test_oscillatory_sum_matches_direct_sum(n, m, x0, dx, p0, dp, sign):
     nodes = x0 + dx * np.arange(n)
     points = p0 + dp * np.arange(m)
     weighted = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = nk._oscillatory_sum(weighted, nodes, points, sign)
+    got = nk._oscillatory_sum(weighted, nodes, dx, points, dp, sign)
     # every 25th point of the large case: the reference costs n m exponentials
     every = max(1, m // 200)
     ref = _oscillatory_direct(weighted, nodes, points[::every], sign)
@@ -170,14 +169,16 @@ def test_oscillatory_sum_matches_direct_sum(n, m, x0, dx, p0, dp, sign):
 
 
 def test_fourier_sums_refuse_nonuniform_grids():
+    # the sums take grid objects, so non-uniform nodes are refused before
+    # they can reach the chirp-z transform
     kg = MomentumGrid.make(10.0, 0.1)
     with pytest.raises(GridError, match="uniform"):
-        nk.fourier_kernel_to_space(-2j / (kg.nodes - 1j), kg, np.array([0.5, 1.0, 2.0]))
-    x = np.arange(-1.0, 1.0 + 1e-9, 0.1)
+        nk.fourier_kernel_to_space(-2j / (kg.nodes - 1j), kg, UniformGrid(np.array([0.5, 1.0, 2.0])))
+    xg = UniformGrid.make(-1.0, 1.0, 0.1)
     with pytest.raises(GridError, match="uniform"):
-        nk.fourier_space_to_kernel(np.exp(-(x**2)), x, np.array([0.5, 1.0, 5.0]))
+        nk.fourier_space_to_kernel(np.exp(-(xg.nodes**2)), xg, UniformGrid(np.array([0.5, 1.0, 5.0])))
     with pytest.raises(GridError, match="uniform"):
-        nk.fourier_space_to_kernel(np.exp(-(x**2)), x**3, 1.0)
+        nk.fourier_space_to_kernel(np.exp(-(xg.nodes**2)), UniformGrid(xg.nodes**3), kg)
 
 
 # ---------------------------------------------------------------------------
