@@ -68,6 +68,14 @@ def _kappa_scan(q_max: float, kappa_max: float | None = None) -> np.ndarray:
 # core marcher
 
 
+def _support_end(q_vals: np.ndarray) -> int:
+    """Number of leading nodes a march needs: one past the last nonzero
+    sample of q (its half-weight term is read from the node after it),
+    capped at the array length; 1 for a q that is zero everywhere."""
+    nonzero = np.flatnonzero(q_vals)
+    return min(int(nonzero[-1]) + 2, q_vals.size) if nonzero.size else 1
+
+
 def _march(q_vals: np.ndarray, dx: float, ks: np.ndarray, keep_field: bool = False):
     """Backward-march n(x,k) = f(x,k) e^{-ikx} for a vector of momenta.
 
@@ -75,11 +83,17 @@ def _march(q_vals: np.ndarray, dx: float, ks: np.ndarray, keep_field: bool = Fal
     w0 = int_0^inf e^{2iky} q n dy, v0 = int_0^inf q n dy are the running
     integrals needed for f'(0,k) = ik - (w0 + v0)/2.  field (if kept) holds
     n at every node, shape (n_x, n_k).
+
+    The march starts at node _support_end(q_vals) - 1, one node past the
+    last nonzero sample: beyond it the march would keep n = 1 and the
+    running integrals at 0 exactly, so the result is the same as marching
+    from x_max, and field holds n = 1 on those rows.
     """
     ks = np.asarray(ks, dtype=complex)
     if np.any(ks.imag < -1e-12):
         raise DataError("momenta must satisfy Im k >= 0")
     nx = q_vals.size
+    ne = _support_end(q_vals)
     nk = ks.size
     zero = np.abs(ks) < 1e-12
     kz = np.where(zero, 1.0, ks)  # avoid 0-division; zero columns use Y sums
@@ -92,11 +106,11 @@ def _march(q_vals: np.ndarray, dx: float, ks: np.ndarray, keep_field: bool = Fal
     y = np.zeros(nk, dtype=complex)  # int_x t q n dt (k = 0 columns)
     field = np.empty((nx, nk), dtype=complex) if keep_field else None
     if keep_field:
-        field[-1] = n_cur
+        field[ne - 1 :] = n_cur
     half = 0.5 * dx
-    xs = dx * np.arange(nx)
+    xs = dx * np.arange(ne)
     has_zero = bool(np.any(zero))
-    for i in range(nx - 2, -1, -1):
+    for i in range(ne - 2, -1, -1):
         qn1 = q_vals[i + 1] * n_cur
         hqn1 = half * qn1
         w = e2 * (w + hqn1)
@@ -145,7 +159,9 @@ def jost_field(q: Potential, ks) -> tuple[np.ndarray, np.ndarray]:
 
     f'(0,k) = ik - int_0^inf cos(ky) q(y) f(y,k) dy, evaluated from the
     marcher's running integrals at no extra cost.  For boundary values
-    alone use jost_boundary, which allocates no field.
+    alone use jost_boundary, which allocates no field.  Beyond the node
+    after q's last nonzero sample f(x,k) = e^{ikx} exactly; the march stops
+    there (see _march).
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     _, w0, v0, field = _march(q.values, q.grid.dx, ks, keep_field=True)
@@ -319,45 +335,54 @@ def kernel_from_potential(q: Potential) -> TransformationKernel:
     Odd-parity (x,y) nodes fall at cell centers of the characteristic grid
     and are filled by 4-point averaging.  Raises SolverError if a pivot
     1 - (dx^2/4) q is not positive or A is not finite.
+
+    Where q is 0 from x_{e+1} on (x_e its last nonzero sample), K = 0 for
+    xi > x_e, so A = 0 for x + y >= 2 x_{e+2}.  The march then runs on the
+    leading min(n, 2e + 4) nodes only, from row e + 1 down, and A is 0
+    outside that block.  This is exact, not a cut-off: every entry equals
+    the full march's bit for bit.
     """
-    qv = q.values
     dx = q.grid.dx
     n = q.grid.n
-    m = (n - 1) // 2 + 1  # eta range [0, x_max/2] suffices for y <= x_max
+    e = _support_end(q.values) - 2  # last nonzero sample of q
+    nb = min(n, 2 * e + 4)  # A = 0 outside the leading nb x nb block
+    qv = q.values[:nb]
+    m = (nb - 1) // 2 + 1  # eta range [0, x_max/2] suffices for y <= x_max
     # omega(xi) = 1/2 int_xi^inf q  (reversed cumulative trapezoid)
     seg = 0.5 * dx * (qv[1:] + qv[:-1])
-    omega = np.zeros(n)
+    omega = np.zeros(nb)
     omega[:-1] = 0.5 * np.cumsum(seg[::-1])[::-1]
-    # row i reads (dx^2/4) q(xi_i - eta_j) at c[n-1-i+j]: q reversed, zero-padded
-    c = np.zeros(n + m)
-    c[:n] = 0.25 * dx * dx * qv[::-1]
+    # row i reads (dx^2/4) q(xi_i - eta_j) at c[nb-1-i+j]: q reversed, zero-padded
+    c = np.zeros(nb + m)
+    c[:nb] = 0.25 * dx * dx * qv[::-1]
     if np.any(1.0 - c <= 0.0):
         raise SolverError("kernel march pivot 1 - (dx^2/4) q is not positive; refine the grid")
-    # a_j = (1 + c[s+j-1]) / (1 - c[s+j]) with s = n-1-i: one prefix product G serves all rows
-    G = np.ones(n + m)
+    # a_j = (1 + c[s+j-1]) / (1 - c[s+j]) with s = nb-1-i: one prefix product G serves all rows
+    G = np.ones(nb + m)
     np.cumprod((1.0 + c[:-1]) / (1.0 - c[1:]), out=G[1:])
     weight = 1.0 / ((1.0 - c) * G)
-    K = np.zeros((n, m))
+    K = np.zeros((nb, m))
     K[:, 0] = omega
-    for s in range(1, n):
-        prev, row = K[n - s], K[n - 1 - s, 1:]
+    for s in range(max(1, nb - 2 - e), nb):  # rows i > e + 1 stay 0
+        prev, row = K[nb - s], K[nb - 1 - s, 1:]
         b = (1.0 + c[s : s + m - 1]) * prev[1:] - (1.0 - c[s - 1 : s + m - 2]) * prev[:-1]
         np.cumsum(b * weight[s + 1 : s + m], out=row)
-        row += omega[n - 1 - s] / G[s]
+        row += omega[nb - 1 - s] / G[s]
         row *= G[s + 1 : s + m]
     # A(x_i, x_{i+d}) for each offset d: even d reads column d/2 of K, odd d
-    # the mean of a cell's four corners; the diagonal is a strided flat view
+    # the mean of a cell's four corners; each diagonal of the leading
+    # nb x nb block is a strided flat view of A
     KT = np.ascontiguousarray(K.T)
     A = np.zeros((n, n))
-    for d in range(n):
-        r, span = d // 2, n - d
+    for d in range(nb):
+        r, span = d // 2, nb - d
         if d % 2 == 0:
             vals = KT[r, r : r + span]
         else:
             lo, hi = KT[r], KT[min(r + 1, m - 1)]
             vals = 0.25 * (lo[r : r + span] + lo[r + 1 : r + 1 + span] + hi[r : r + span] + hi[r + 1 : r + 1 + span])
         A.reshape(-1)[d :: n + 1][:span] = vals
-    if not np.all(np.isfinite(A)):
+    if not np.all(np.isfinite(A[:nb, :nb])):
         raise SolverError("transformation kernel has non-finite entries")
     return TransformationKernel(grid=q.grid, values=A)
 

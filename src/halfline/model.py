@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, GridError
-from .numkit import differentiate
+from .numkit import _check_uniform, differentiate
 
 __all__ = [
     "UniformGrid",
@@ -37,21 +37,6 @@ def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
-
-
-def _check_uniform(nodes: np.ndarray) -> float:
-    if nodes.ndim != 1 or nodes.size < 2:
-        raise GridError("grid needs at least two nodes")
-    if not np.all(np.isfinite(nodes)):
-        raise GridError("grid nodes must be finite")
-    d = np.diff(nodes)
-    if np.any(d <= 0):
-        raise GridError("grid nodes must be strictly increasing")
-    # end to end: nodes[1] - nodes[0] carries the rounding of the two nodes
-    dx = float((nodes[-1] - nodes[0]) / (nodes.size - 1))
-    if np.max(np.abs(d - dx)) > _REL_TOL * max(abs(dx), 1.0):
-        raise GridError("grid spacing must be uniform")
-    return dx
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,27 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# uniform grids and quadrature
+
+
+_UNIFORM_TOL = 1e-9  # largest spacing deviation, relative to max(dx, 1)
+
+
+def _check_uniform(nodes: np.ndarray) -> float:
+    """Spacing of a uniform node array; GridError unless the nodes are one
+    dimensional, at least two, finite, strictly increasing and uniform."""
+    if nodes.ndim != 1 or nodes.size < 2:
+        raise GridError("grid needs at least two nodes")
+    if not np.all(np.isfinite(nodes)):
+        raise GridError("grid nodes must be finite")
+    d = np.diff(nodes)
+    if np.any(d <= 0):
+        raise GridError("grid nodes must be strictly increasing")
+    # end to end: nodes[1] - nodes[0] carries the rounding of the two nodes
+    dx = float((nodes[-1] - nodes[0]) / (nodes.size - 1))
+    if np.max(np.abs(d - dx)) > _UNIFORM_TOL * max(abs(dx), 1.0):
+        raise GridError("grid spacing must be uniform")
+    return dx
 
 
 def quadrature_weights(n: int, dx: float, rule: str = "trapezoid") -> np.ndarray:
@@ -261,19 +281,32 @@ def solve_volterra_backward(a: np.ndarray, g: np.ndarray, dx: float, rule: str =
     of spacing dx, a[j] = a(j dx), as many samples as g (only t >= p is
     ever read).  The recursion starts at the far end, where the integral
     term is empty.
+
+    Row i integrates over the L = n - i nodes from p_i to the end.  Its
+    weights are quadrature_weights(L, dx, rule), built once: rows of one
+    parity share their far-end weights and their first weight with the
+    longest row of that parity, so each row is a slice of one of two
+    templates; only rows of 2 and 4 nodes (trapezoid, 3/8 rule) differ.
     """
     a = np.asarray(a, dtype=float)
     g = np.asarray(g, dtype=float)
     if a.shape != g.shape:
         raise GridError("kernel and rhs samples must have the same length")
     n = g.size
+    longest = {L % 2: quadrature_weights(L, dx, rule) for L in (n - 1, n) if L >= 2}
+    short = {L: quadrature_weights(L, dx, rule) for L in (2, 4) if L <= n}
     h = np.empty(n)
     h[-1] = -g[-1]
     for i in range(n - 2, -1, -1):
-        krow = a[: n - i]
-        w = quadrature_weights(n - i, dx, rule)
-        acc = float(np.dot(w[1:] * krow[1:], h[i + 1 :]))
-        denom = 1.0 + w[0] * krow[0]
+        L = n - i
+        w = short.get(L)
+        if w is None:
+            t = longest[L % 2]
+            w0, w_far = t[0], t[t.size - L + 1 :]
+        else:
+            w0, w_far = w[0], w[1:]
+        acc = float(np.dot(w_far * a[1:L], h[i + 1 :]))
+        denom = 1.0 + w0 * a[0]
         if abs(denom) < 1e-14:
             raise SolverError(f"Volterra marching broke down at node {i}")
         h[i] = (-g[i] - acc) / denom
@@ -414,7 +447,8 @@ def winding_number(values: np.ndarray) -> WindingResult:
 def pv_cauchy_grid(phi: np.ndarray, nodes: np.ndarray, tail_coeff: float | None = None) -> np.ndarray:
     """v.p. integral of phi(t)/(t - k) dt evaluated at every interior node k.
 
-    The nodes must be uniformly spaced (spacing dk).  Singularity
+    The nodes must be uniformly spaced (spacing dk; GridError otherwise,
+    by the rule the grid types use).  Singularity
     subtraction at node k_i gives
 
         sum_{j != i} w_j (phi_j - phi_i)/((j - i) dk) + w_i phi'(k_i)
@@ -433,10 +467,10 @@ def pv_cauchy_grid(phi: np.ndarray, nodes: np.ndarray, tail_coeff: float | None 
     phi = np.asarray(phi, dtype=float)
     if phi.shape != t.shape:
         raise GridError("phi samples must match the grid")
+    dt = _check_uniform(t)
     if tail_coeff is not None and abs(t[0] + t[-1]) > 1e-9 * max(abs(t[-1]), 1.0):
         raise GridError("the analytic tail term needs a grid symmetric about 0")
     n = t.size
-    dt = (t[-1] - t[0]) / (n - 1)
     w = quadrature_weights(n, dt)
     slope = differentiate(phi, dt, stencil=5)
     # the Toeplitz matrix C[i, j] = 1/((j - i) dt), zero on the diagonal

@@ -103,6 +103,61 @@ def test_jost_field_boundary_equals_jost_boundary(q_well):
 
 
 # ---------------------------------------------------------------------------
+# support trimming: a march stops one node past q's last nonzero sample
+
+
+def test_support_end(q_well, q_sech2, q_zero):
+    e = int(np.flatnonzero(q_well.values)[-1])
+    assert fw._support_end(q_well.values) == e + 2
+    assert fw._support_end(q_sech2.values) == q_sech2.grid.n
+    assert fw._support_end(q_zero.values) == 1
+
+
+def _trimmed_results(q):
+    scan = fw.find_bound_states(q)
+    s, report = fw.norming_constants(q, scan.kappas)
+    return {
+        "boundary": fw.jost_boundary(q, MomentumGrid.make(20.0, 0.05)),
+        "field": fw.jost_field(q, [1.0, 2.5j, 0.0]),
+        "scan": (scan.kappas, scan.resonance_suspected, scan.f_at_zero),
+        "norming": (s, [sorted(r.items()) for r in report]),
+        "kernel": fw.kernel_from_potential(q).values,
+    }
+
+
+# odd and even node counts; the short grid holds the whole support of A
+# (x + y <= 2 + 2 dx for the unit well), so its own edge reads only zeros
+@pytest.mark.parametrize("x_short, x_long", [(2.5, 40.0), (2.49, 39.99)])
+def test_support_trimming_is_exact(monkeypatch, x_short, x_long):
+    short = square_well_potential(RadialGrid.make(x_short, 0.01))
+    grid = RadialGrid.make(x_long, 0.01)
+    padded = Potential(grid=grid, values=np.concatenate([short.values, np.zeros(grid.n - short.grid.n)]))
+    assert np.array_equal(grid.nodes[: short.grid.n], short.grid.nodes)
+    trimmed = _trimmed_results(padded)
+    # the zero padding changes nothing: the marches on both grids stop at the same node
+    ref = _trimmed_results(short)
+    n = short.grid.n
+    for got, want in zip(trimmed["boundary"], ref["boundary"]):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(trimmed["field"][0][:n], ref["field"][0])
+    np.testing.assert_array_equal(trimmed["field"][1], ref["field"][1])
+    assert trimmed["scan"] == ref["scan"]
+    # values only: the report's s_norm integrates f^2 over each whole grid
+    np.testing.assert_array_equal(trimmed["norming"][0], ref["norming"][0])
+    np.testing.assert_array_equal(trimmed["kernel"][:n, :n], ref["kernel"])
+    # and marching every node of the padded grid gives the same numbers
+    monkeypatch.setattr(fw, "_support_end", lambda q_vals: q_vals.size)
+    full = _trimmed_results(padded)
+    for key in ("boundary", "field"):
+        for got, want in zip(trimmed[key], full[key]):
+            np.testing.assert_array_equal(got, want)
+    assert trimmed["scan"] == full["scan"]
+    np.testing.assert_array_equal(trimmed["norming"][0], full["norming"][0])
+    assert trimmed["norming"][1] == full["norming"][1]
+    np.testing.assert_array_equal(trimmed["kernel"], full["kernel"])
+
+
+# ---------------------------------------------------------------------------
 # bound states
 
 

@@ -212,6 +212,29 @@ def test_volterra_second_order_convergence():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
 
+def _volterra_row_by_row(a, g, dx, rule):
+    """Reference march: quadrature_weights built afresh for every row."""
+    n = g.size
+    h = np.empty(n)
+    h[-1] = -g[-1]
+    for i in range(n - 2, -1, -1):
+        w = nk.quadrature_weights(n - i, dx, rule)
+        acc = float(np.dot(w[1:] * a[1 : n - i], h[i + 1 :]))
+        h[i] = (-g[i] - acc) / (1.0 + w[0] * a[0])
+    return h
+
+
+@pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
+def test_volterra_weights_sliced_from_templates(rule):
+    # every row's weights, sliced from the two parity templates, are the
+    # row's own quadrature_weights bit for bit, short rows included
+    rng = np.random.default_rng(3)
+    for n in [*range(2, 13), 1001]:
+        a, g = rng.standard_normal(n), rng.standard_normal(n)
+        want = _volterra_row_by_row(a, g, 0.037, rule)
+        np.testing.assert_array_equal(nk.solve_volterra_backward(a, g, 0.037, rule), want)
+
+
 def test_volterra_refuses_unequal_lengths():
     with pytest.raises(GridError):
         nk.solve_volterra_backward(np.zeros(5), np.zeros(6), 0.1)
@@ -435,6 +458,16 @@ def test_pv_cauchy_grid_matches_pointwise():
         got = nk.pv_cauchy_grid(phi, t, tail_coeff=c)
         ref = _pv_direct(phi, t, tail_coeff=c)
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(phi))
+
+
+def test_pv_cauchy_grid_refuses_nonuniform_nodes():
+    # graded nodes t = sign(u)|u|^1.5/sqrt(10) on [-10, 10]: the subtraction
+    # formula assumes one spacing and returned -1.828 at k ~ 1 against the
+    # principal value -1.572, so the nodes are refused
+    u = np.linspace(-10.0, 10.0, 2001)
+    t = np.sign(u) * np.abs(u) ** 1.5 / np.sqrt(10.0)
+    with pytest.raises(GridError, match="uniform"):
+        nk.pv_cauchy_grid(1.0 / (t**2 + 1.0), t)
 
 
 def test_pv_cauchy_grid_tail_needs_symmetric_grid():
