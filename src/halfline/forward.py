@@ -13,8 +13,10 @@ the transformation kernel A(x,y).
 Numerics: the Volterra equation is solved in the reduced variable
 n(x,k) = f(x,k) e^{-ikx}, whose kernel (e^{2ik(y-x)} - 1)/(2ik) has modulus
 bounded for Im k >= 0, so backward marching from x_max (where n = 1) is
-unconditionally stable for real and imaginary momenta alike.  The kernel
-vanishes on the diagonal y = x, which makes the trapezoid marching explicit.
+unconditionally stable.  The kernel vanishes on the diagonal y = x, which
+makes the trapezoid march explicit, and its k -> 0 limit y - x is its value
+at k = 0, so one recurrence (_march) serves real and imaginary momenta and
+k = 0 alike.
 """
 
 from __future__ import annotations
@@ -79,77 +81,51 @@ def _support_end(q_vals: np.ndarray) -> int:
 def _march(q_vals: np.ndarray, dx: float, ks: np.ndarray, keep_field: bool = False):
     """Backward-march n(x,k) = f(x,k) e^{-ikx} for a vector of momenta.
 
-    Returns (n0, w0, v0, field) where n0 = n(0,k) = f(0,k), and
-    w0 = int_0^inf e^{2iky} q n dy, v0 = int_0^inf q n dy are the running
-    integrals needed for f'(0,k) = ik - (w0 + v0)/2.  field (if kept) holds
-    n at every node, shape (n_x, n_k).
+    Returns (f(0,k), f'(0,k), field); field (if kept) holds n at every node,
+    shape (n_x, n_k).  The trapezoid rule on the reduced Volterra equation
+    is one recurrence for every momentum, k = 0 included:
+
+        V       = v_{i+1} + (dx/2) q_{i+1} n_{i+1}
+        n_i - 1 = e2 (n_{i+1} - 1) + c V
+        v_i     = V + (dx/2) q_i n_i
+
+    with e2 = e^{2ik dx}, c = (e2 - 1)/(2ik) (c = dx at k = 0, its limit;
+    expm1 keeps c accurate for small |k| and finite for large Im k) and
+    v_i = int_{x_i}^inf q n dy, so that f'(0,k) = ik (2 - f(0,k)) - v_0.
 
     The march starts at node _support_end(q_vals) - 1, one node past the
-    last nonzero sample: beyond it the march would keep n = 1 and the
-    running integrals at 0 exactly, so the result is the same as marching
-    from x_max, and field holds n = 1 on those rows.
+    last nonzero sample: beyond it the march would keep n = 1 and v = 0
+    exactly, so the result is the same as marching from x_max, and field
+    holds n = 1 on those rows.
     """
     ks = np.asarray(ks, dtype=complex)
     if np.any(ks.imag < -1e-12):
         raise DataError("momenta must satisfy Im k >= 0")
-    nx = q_vals.size
     ne = _support_end(q_vals)
-    nk = ks.size
-    zero = np.abs(ks) < 1e-12
-    kz = np.where(zero, 1.0, ks)  # avoid 0-division; zero columns use Y sums
-    inv2ik = 1.0 / (2j * kz)
-    e2 = np.exp(2j * ks * dx)  # |e2| <= 1 for Im k >= 0
-
-    n_cur = np.ones(nk, dtype=complex)
-    w = np.zeros(nk, dtype=complex)  # int_x e^{2ik(y-x)} q n dy
-    v = np.zeros(nk, dtype=complex)  # int_x q n dy
-    y = np.zeros(nk, dtype=complex)  # int_x t q n dt (k = 0 columns)
-    field = np.empty((nx, nk), dtype=complex) if keep_field else None
-    if keep_field:
-        field[ne - 1 :] = n_cur
-    half = 0.5 * dx
-    xs = dx * np.arange(ne)
-    has_zero = bool(np.any(zero))
+    em1 = np.expm1(2j * ks * dx)  # e2 - 1, |e2| <= 1 for Im k >= 0
+    c = np.divide(em1, 2j * ks, out=np.full(ks.size, dx, dtype=complex), where=ks != 0)
+    e2 = 1.0 + em1
+    hq = 0.5 * dx * q_vals
+    n_cur = np.ones(ks.size, dtype=complex)
+    v = np.zeros(ks.size, dtype=complex)
+    field = np.ones((q_vals.size, ks.size), dtype=complex) if keep_field else None
     for i in range(ne - 2, -1, -1):
-        qn1 = q_vals[i + 1] * n_cur
-        hqn1 = half * qn1
-        w = e2 * (w + hqn1)
-        v = v + hqn1
-        n_cur = 1.0 + (w - v) * inv2ik
-        if has_zero:
-            y = y + half * xs[i + 1] * qn1
-            n_cur = np.where(zero, 1.0 + y - xs[i] * v, n_cur)
-        qn0 = half * q_vals[i] * n_cur
-        w = w + qn0
-        v = v + qn0
-        if has_zero:
-            y = y + xs[i] * qn0
+        v = v + hq[i + 1] * n_cur
+        n_cur = 1.0 + e2 * (n_cur - 1.0) + c * v
+        v = v + hq[i] * n_cur
         if keep_field:
             field[i] = n_cur
-    w0 = np.where(zero, v, w)
-    return n_cur, w0, v, field
+    return n_cur, 1j * ks * (2.0 - n_cur) - v, field
 
 
 def jost_boundary(q: Potential, kgrid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
     """Boundary values f(k) = f(0,k) and f'(0,k) on a symmetric real grid.
 
-    Only k >= 0 is computed; negative momenta are filled by the reality
-    relation f(-k) = conj f(k).
+    Only the upper half k >= 0 is marched; negative momenta are filled by
+    the reality relation f(-k) = conj f(k).
     """
-    knodes = kgrid.nodes
-    n = knodes.size
-    pos = np.nonzero(knodes >= 0)[0]
-    n0, w0, v0, _ = _march(q.values, q.grid.dx, knodes[pos])
-    fp = 1j * knodes[pos] - 0.5 * (w0 + v0)
-    f0 = np.empty(n, dtype=complex)
-    fprime0 = np.empty(n, dtype=complex)
-    f0[pos] = n0
-    fprime0[pos] = fp
-    neg = np.nonzero(knodes < 0)[0]
-    # node -k sits at the reflected index on a symmetric grid
-    f0[neg] = np.conj(f0[n - 1 - neg])
-    fprime0[neg] = np.conj(fprime0[n - 1 - neg])
-    return f0, fprime0
+    f0, fprime0, _ = _march(q.values, q.grid.dx, kgrid.nodes[kgrid.upper])
+    return kgrid.mirror(f0, np.conj), kgrid.mirror(fprime0, np.conj)
 
 
 def jost_field(q: Potential, ks) -> tuple[np.ndarray, np.ndarray]:
@@ -157,24 +133,20 @@ def jost_field(q: Potential, ks) -> tuple[np.ndarray, np.ndarray]:
     and the boundary derivatives f'(0, k_j), for any momenta with Im k >= 0
     (DataError otherwise).
 
-    f'(0,k) = ik - int_0^inf cos(ky) q(y) f(y,k) dy, evaluated from the
-    marcher's running integrals at no extra cost.  For boundary values
-    alone use jost_boundary, which allocates no field.  Beyond the node
-    after q's last nonzero sample f(x,k) = e^{ikx} exactly; the march stops
-    there (see _march).
+    For boundary values alone use jost_boundary, which allocates no field.
+    Beyond the node after q's last nonzero sample f(x,k) = e^{ikx} exactly;
+    the march stops there (see _march).
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-    _, w0, v0, field = _march(q.values, q.grid.dx, ks, keep_field=True)
-    f_xk = field * np.exp(1j * np.multiply.outer(q.grid.nodes, ks))
-    return f_xk, 1j * ks - 0.5 * (w0 + v0)
+    _, fprime0, field = _march(q.values, q.grid.dx, ks, keep_field=True)
+    return field * np.exp(1j * np.multiply.outer(q.grid.nodes, ks)), fprime0
 
 
 def _f0_imag_axis(q: Potential, kappas: np.ndarray, step: int = 1) -> np.ndarray:
     """f(0, i*kappa) for an array of kappa > 0 (real-valued for real q), on
     the potential grid subsampled by step (step = 2 is the 2*dx grid used
     for Richardson extrapolation)."""
-    n0, _, _, _ = _march(q.values[::step], step * q.grid.dx, 1j * np.asarray(kappas, dtype=float))
-    return n0.real
+    return _march(q.values[::step], step * q.grid.dx, 1j * np.asarray(kappas, dtype=float))[0].real
 
 
 @dataclass(frozen=True)
@@ -203,7 +175,7 @@ def find_bound_states(q: Potential) -> BoundStateScan:
     raises the zero-energy-resonance warning flag.
     """
     grid = _kappa_scan(np.max(np.abs(q.values)))
-    n0, _, _, _ = _march(q.values, q.grid.dx, np.concatenate([[0.0j], 1j * grid]))
+    n0 = _march(q.values, q.grid.dx, np.concatenate([[0.0j], 1j * grid]))[0]
     f00, g = float(n0[0].real), n0[1:].real
     resonance = abs(f00) < RESONANCE_TOL
     exact = np.nonzero(g[:-1] == 0.0)[0]
@@ -261,13 +233,8 @@ def norming_constants(q: Potential, kappas) -> tuple[np.ndarray, list[dict]]:
 
 def s_matrix(q: Potential, kgrid: MomentumGrid) -> ScatteringData:
     """Scattering data of a potential: S(k) = f(-k)/f(k) on the grid, bound
-    states with norming constants, and the S(0) sign flag.
-
-    S is formed as conj(f)/f for k > 0 and reflected, so |S| = 1 to rounding.
-    At the k = 0 node the 0/0 limit is replaced by the sign convention
-    S(0) = +1 when f(0) != 0 and S(0) = -1 when f(0) = 0 (simple zero), with
-    the resonance threshold |f(0,0)| < 1e-3.
-    """
+    states with norming constants, and the S(0) sign flag (see
+    _data_from_jost)."""
     f0, _ = jost_boundary(q, kgrid)
     return _scattering_data(q, kgrid, f0)
 
@@ -275,18 +242,27 @@ def s_matrix(q: Potential, kgrid: MomentumGrid) -> ScatteringData:
 def _scattering_data(q: Potential, kgrid: MomentumGrid, f0: np.ndarray) -> ScatteringData:
     """The body of s_matrix, given the boundary values f0 = jost_boundary(q, kgrid)[0]."""
     scan = find_bound_states(q)
-    svals = np.conj(f0) / f0
-    sign = -1 if scan.resonance_suspected else 1
-    if kgrid.zero_index is not None:
-        svals[kgrid.zero_index] = complex(sign)
-    interior = np.abs(kgrid.nodes) > 10 * kgrid.dk
-    if np.any(np.abs(f0[interior]) < 1e-12):
-        raise SolverError("Jost boundary value vanishes away from k = 0")
+    bound = ()
     if scan.kappas:
         s_vals, _ = norming_constants(q, np.array(scan.kappas))
         bound = tuple(BoundState(k, s) for k, s in zip(scan.kappas, s_vals))
-    else:
-        bound = ()
+    return _data_from_jost(kgrid, f0, bound, scan.resonance_suspected)
+
+
+def _data_from_jost(kgrid: MomentumGrid, f0: np.ndarray, bound: tuple, resonance: bool) -> ScatteringData:
+    """Scattering data from Jost boundary values f0 on kgrid.
+
+    S = f(-k)/f(k) = conj(f)/f, so |S| = 1 to rounding.  At the k = 0 node
+    the 0/0 limit is replaced by the sign convention S(0) = -1 for a
+    zero-energy resonance (f(0) = 0, a simple zero) and S(0) = +1 otherwise.
+    Raises SolverError if f vanishes more than 10 dk away from k = 0.
+    """
+    if np.any(np.abs(f0[np.abs(kgrid.nodes) > 10 * kgrid.dk]) < 1e-12):
+        raise SolverError("Jost boundary value vanishes away from k = 0")
+    svals = np.conj(f0) / f0
+    sign = -1 if resonance else 1
+    if kgrid.zero_index is not None:
+        svals[kgrid.zero_index] = complex(sign)
     return ScatteringData(kgrid=kgrid, s_values=svals, bound_states=bound, s_at_zero_sign=sign)
 
 
@@ -300,14 +276,9 @@ def phase_shift(sd: ScatteringData) -> np.ndarray:
     the full-line unwrap).  Consistency of e^{2 i delta} with S is checked
     on the whole grid.
     """
-    nodes = sd.kgrid.nodes
-    pos = np.nonzero(nodes >= 0)[0]
-    theta = unwrap_phase(sd.s_values[pos][::-1])[::-1]
-    n = nodes.size
-    delta = np.empty(n)
-    delta[pos] = 0.5 * theta
-    neg = np.nonzero(nodes < 0)[0]
-    delta[neg] = -delta[n - 1 - neg]
+    kgrid = sd.kgrid
+    theta = unwrap_phase(sd.s_values[kgrid.upper][::-1])[::-1]
+    delta = kgrid.mirror(0.5 * theta, np.negative)
     resid = np.max(np.abs(np.exp(2j * delta) - sd.s_values))
     if resid > 1e-8:
         raise DataError(f"phase shift does not reproduce S: residual {resid:.2e}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SolverError, StageError, StrippingError
-from .forward import RESONANCE_TOL, _kappa_scan
+from .forward import RESONANCE_TOL, _data_from_jost, _kappa_scan
 from .model import (
     BoundState,
     MarchenkoInput,
@@ -427,7 +427,8 @@ def data_from_kernel(
     at once by batched bracketed root finding; s_j = ||f_j||^{-2} with
     f_j(x) = e^{-kappa_j x} + int_x^inf A(x,y) e^{-kappa_j y} dy, one
     kernel product for all states; and S = conj(f)/f with the S(0) sign set
-    by the resonance test |f(0)| < RESONANCE_TOL.
+    by the resonance test |f(0)| < RESONANCE_TOL (forward._data_from_jost,
+    which also refuses an f that vanishes away from k = 0).
 
     The scan has the forward scan's nodes (forward._kappa_scan) with
     q = -2 dA(x,x)/dx read off the kernel diagonal, up to kappa_max, by
@@ -440,11 +441,7 @@ def data_from_kernel(
     y = kernel.grid.nodes
     dx = kernel.grid.dx
     wrow = quadrature_weights(y.size, dx, "simpson") * kernel.row(0)
-    pos = np.nonzero(kgrid.nodes >= 0)[0]
-    f0 = np.empty(kgrid.n, dtype=complex)
-    f0[pos] = 1.0 + _oscillatory_sum(wrow, y, dx, kgrid.nodes[pos], kgrid.dx, 1.0)
-    neg = np.nonzero(kgrid.nodes < 0)[0]
-    f0[neg] = np.conj(f0[kgrid.n - 1 - neg])
+    f0 = 1.0 + _oscillatory_sum(wrow, y, dx, kgrid.nodes[kgrid.upper], kgrid.dx, 1.0)
 
     def f_imag(kaps: np.ndarray) -> np.ndarray:
         e = np.multiply.outer(-np.asarray(kaps, dtype=float), y)
@@ -474,9 +471,5 @@ def data_from_kernel(
         - 0.5 * dx * (kernel.diagonal[:, None] * decay + A[:, -1:] * decay[-1])
     )
     norms = integrate(fj.T**2, kernel.grid, "simpson")
-    bound = [BoundState(float(kap), float(1.0 / norm)) for kap, norm in zip(kappas, norms)]
-    svals = np.conj(f0) / f0
-    sign = -1 if resonance else 1
-    if kgrid.zero_index is not None:
-        svals[kgrid.zero_index] = complex(sign)
-    return ScatteringData(kgrid=kgrid, s_values=svals, bound_states=tuple(bound), s_at_zero_sign=sign)
+    bound = tuple(BoundState(float(kap), float(1.0 / norm)) for kap, norm in zip(kappas, norms))
+    return _data_from_jost(kgrid, kgrid.mirror(f0, np.conj), bound, resonance)

@@ -100,7 +100,7 @@ class MomentumGrid(UniformGrid):
 
     A node at k = 0 is allowed but flagged (zero_index), since S(0) needs the
     sign convention S(0) = +1 when f(0) != 0 and S(0) = -1 when f(0) = 0
-    rather than a 0/0 division.
+    rather than a 0/0 division.  A node within 1e-9 dk of 0 counts as k = 0.
     """
 
     zero_index: int | None
@@ -124,6 +124,18 @@ class MomentumGrid(UniformGrid):
     @property
     def dk(self) -> float:
         return self.dx
+
+    @property
+    def upper(self) -> slice:
+        """Positions of the upper half k >= 0: the centre node of an odd grid
+        (its k = 0 node, whatever its rounding) and everything above it."""
+        return slice(self.n // 2, None)
+
+    def mirror(self, values: np.ndarray, flip) -> np.ndarray:
+        """Whole-grid array from values on the upper nodes: node -k, at the
+        reflected position, takes flip(value at k), e.g. np.conj for
+        f(-k) = conj f(k) or np.negative for an odd function."""
+        return np.concatenate([flip(values[::-1][: self.n // 2]), values])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import sech2_jost_exact, well_kappa_oracle
 from halfline.errors import DataError, SolverError
 from halfline import forward as fw
+from halfline.marchenko import data_from_kernel
 from halfline.model import MomentumGrid, Potential, RadialGrid, ScatteringData
 from halfline.numkit import integrate, quadrature_weights, winding_number
 from halfline.potentials import (
@@ -25,23 +28,46 @@ def test_jost_free_is_plane_wave(q_zero):
 
 
 def test_jost_sech2_closed_form(q_sech2):
-    f_xk, fp0 = fw.jost_field(q_sech2, [1.0])
-    f_x = f_xk[:, 0]
-    ref = sech2_jost_exact(q_sech2.grid.nodes, 1.0)
-    assert np.max(np.abs(f_x - ref)) < 1e-4
-    assert abs(f_x[0] - (0.5 - 0.5j)) < 1e-4
-    # f'(0,k) of the closed form at k = 1: i(k^2+1)/(k+i) = i(1-i)
-    assert abs(fp0[0] - 1j * 2.0 / (1.0 + 1j)) < 1e-4
+    # k = 0 is the same march: f(x,0) = tanh x and f'(0,0) = 1
+    f_xk, fp0 = fw.jost_field(q_sech2, [1.0, 0.0])
+    for j, k in enumerate([1.0, 0.0]):
+        f_x = f_xk[:, j]
+        ref = sech2_jost_exact(q_sech2.grid.nodes, k)
+        assert np.max(np.abs(f_x - ref)) < 1e-4
+        assert abs(f_x[0] - k / (k + 1j)) < 1e-4
+        # f'(0,k) of the closed form: i(k^2+1)/(k+i), i(1-i) at k = 1
+        assert abs(fp0[j] - 1j * (k * k + 1.0) / (k + 1j)) < 1e-4
 
 
 def test_jost_square_well_matching_oracle():
     # q vanishes beyond the well exactly, so a short fine grid meets the
-    # 1e-6 two-region matching tolerance
+    # 1e-6 two-region matching tolerance; at k = 0 the oracle is cos 2 and
+    # 2 sin 2
     q = square_well_potential(RadialGrid.make(2.0, 5e-4))
-    f_xk, fp0 = fw.jost_field(q, [2.0])
-    f_ref, fp_ref = square_well_jost_oracle(2.0)
-    assert abs(f_xk[0, 0] - f_ref) < 1e-6
-    assert abs(fp0[0] - fp_ref) < 1e-6
+    f_xk, fp0 = fw.jost_field(q, [2.0, 0.0])
+    for j, k in enumerate([2.0, 0.0]):
+        f_ref, fp_ref = square_well_jost_oracle(k)
+        assert abs(f_xk[0, j] - f_ref) < 1e-6
+        assert abs(fp0[j] - fp_ref) < 1e-6
+
+
+def test_jost_continuous_through_zero():
+    # |f(0,k) - f(0,0)| / k tends to |fdot(0)| = 0.87; a k = 0 formula of its
+    # own, or c = (e2 - 1)/(2ik) formed by cancellation, breaks this at k = 1e-9
+    q = square_well_potential(RadialGrid.make(10.0, 0.01))
+    f_xk, _ = fw.jost_field(q, [0.0, 1e-9, 1e-5])
+    f0 = f_xk[0]
+    slope = np.abs(f0[1:] - f0[0]) / np.array([1e-9, 1e-5])
+    assert slope[1] == pytest.approx(0.87, abs=0.01)
+    assert slope[0] == pytest.approx(slope[1], rel=0.01)
+
+
+def test_jost_large_imaginary_momentum_finite():
+    # kappa dx = 800: e^{2ik dx} underflows and c must not overflow
+    q = square_well_potential(RadialGrid.make(10.0, 0.01))
+    f_xk, fp0 = fw.jost_field(q, [8e4j])
+    assert f_xk[0, 0] == pytest.approx(0.9999751253062787, rel=1e-12)
+    assert fp0[0] == pytest.approx(-79997.99002499979, rel=1e-12)
 
 
 def test_jost_rejects_lower_half_plane(q_sech2):
@@ -79,6 +105,27 @@ def test_boundary_large_k_tail(q_well):
     kg = MomentumGrid.make(200.0, 0.05)
     f0, _ = fw.jost_boundary(q_well, kg)
     assert abs(f0[-1] - 1.0) <= 3.0 / kg.k_max
+
+
+def test_rounded_centre_node_is_k_zero():
+    # arange leaves the centre node at -2.8e-16; the grid flags it as k = 0,
+    # and every half-grid reflection must treat it so
+    k = np.arange(-0.3, 0.315, 0.03)
+    kg, kr = MomentumGrid(k), MomentumGrid(np.round(k, 12))
+    assert kg.zero_index == kr.zero_index == 10 and kg.nodes[10] < 0
+    q = square_well_potential(RadialGrid.make(10.0, 0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f0, fp0 = fw.jost_boundary(q, kg)
+        for a, b in zip((f0, fp0), fw.jost_boundary(q, kr)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        sg, sr = fw.s_matrix(q, kg), fw.s_matrix(q, kr)
+        np.testing.assert_allclose(sg.s_values, sr.s_values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fw.phase_shift(sg), fw.phase_shift(sr), rtol=0, atol=1e-12)
+        kernel = fw.kernel_from_potential(q)
+        dg, dr = data_from_kernel(kernel, kg), data_from_kernel(kernel, kr)
+        np.testing.assert_allclose(dg.s_values, dr.s_values, rtol=0, atol=1e-12)
+    assert f0[10] == pytest.approx(np.cos(2.0), abs=1e-3)
 
 
 def test_jost_field_tail(q_sech2):

@@ -46,6 +46,16 @@ def test_momentum_grid_symmetric_and_zero_flag():
         MomentumGrid(np.array([-1.0, 0.0, 2.0]))
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_momentum_grid_mirror(n):
+    # odd grids keep their centre node in the upper half, even grids have none
+    g = MomentumGrid(np.arange(n) - 0.5 * (n - 1))
+    up = g.nodes[g.upper]
+    np.testing.assert_array_equal(up, g.nodes[g.nodes >= 0])
+    np.testing.assert_array_equal(g.mirror(up, np.negative), g.nodes)
+    np.testing.assert_array_equal(g.mirror(up * 1j, np.conj), g.nodes * 1j)
+
+
 def test_uniform_grid_negative_origin():
     g = UniformGrid.make(-12.0, 40.0, 0.5)
     assert g.lo == pytest.approx(-12.0)
