@@ -18,6 +18,7 @@ from .marchenko import (
     extract_data_from_F,
     f_from_kernel,
     invert,
+    solve_kernel,
     solve_marchenko,
 )
 from .model import (
@@ -61,6 +62,7 @@ __all__ = [
     "kernel_from_potential",
     "l11_moment",
     "s_matrix",
+    "solve_kernel",
     "solve_marchenko",
     "solve_riemann",
     "verify_factorization",

@@ -100,10 +100,11 @@ def read_potential_csv(path: Path) -> Potential:
 
 
 def write_scattering_json(path: Path, sd: ScatteringData) -> None:
+    # the arrays are finite: ScatteringData refuses non-finite S
     doc = {
-        "k": sd.kgrid.nodes.tolist(),
-        "S_re": sd.s_values.real.tolist(),
-        "S_im": sd.s_values.imag.tolist(),
+        "k": sd.kgrid.nodes,
+        "S_re": sd.s_values.real,
+        "S_im": sd.s_values.imag,
         "bound_states": [{"kappa": float(b.kappa), "s": float(b.s)} for b in sd.bound_states],
         "s_zero_sign": int(sd.s_at_zero_sign),
     }
@@ -140,7 +141,20 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True, default=float) + "\n")
+    """The bytes of json.dumps(doc, indent=1, sort_keys=True) and a newline,
+    numpy scalars written as floats.  A top-level numpy array, which must be
+    finite (json writes NaN where repr writes nan), is joined from the
+    reprs of its entries directly: with an indent, json runs its
+    pure-Python encoder, several times slower on long lists."""
+    entries = []
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, np.ndarray):
+            body = "[\n  " + ",\n  ".join(map(repr, value.tolist())) + "\n ]" if value.size else "[]"
+        else:
+            body = json.dumps(value, indent=1, sort_keys=True, default=float).replace("\n", "\n ")
+        entries.append(f" {json.dumps(key)}: {body}")
+    path.write_text("{\n" + ",\n".join(entries) + "\n}\n")
 
 
 # ---------------------------------------------------------------------------

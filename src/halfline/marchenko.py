@@ -14,10 +14,12 @@ bound-state exponentials off the x -> -inf asymptotics of F and Fourier
 transforms the remainder back to 1 - S(k); data_from_kernel reconstructs
 the full scattering data from A alone.
 
-Each kernel row is one dense Nystrom solve by solve_marchenko (Simpson
-rule), and invert_full runs them one row after another; F beyond the sample
-window is treated as zero (its tail mass is the reported error scale), and
-rows are truncated where the remaining |F| mass falls below Y_TAIL_TOL.
+solve_marchenko solves one kernel row by a dense Nystrom collocation
+(Simpson rule); solve_kernel gives every row of the same discretization at
+once from one Cholesky factorization per weight parity, O(n^3) in total,
+and invert_full calls it.  F beyond the sample window is treated as zero;
+invert_full also zeroes F beyond the point where the remaining |F| tail mass
+falls below Y_TAIL_TOL, and reports that mass as the error scale.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
     "InversionResult",
     "build_F",
     "solve_marchenko",
+    "solve_kernel",
     "recover_potential",
     "invert",
     "invert_full",
@@ -63,7 +66,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10  # relative residual above which a kernel row is refused
-Y_TAIL_TOL = 1e-8  # |F| tail mass below which a kernel row is truncated
+Y_TAIL_TOL = 1e-8  # |F| tail mass below which F is zeroed before the row solves
 # bound-state stripping in extract_data_from_F: fit and polish windows as
 # fractions of the x < 0 samples, the state cap, the resolvable separation
 STRIP_WINDOW_FRAC = 0.25
@@ -167,6 +170,100 @@ def solve_marchenko(
     return a
 
 
+def solve_kernel(F: MarchenkoInput, x_max: float, rule: str) -> np.ndarray:
+    """Every kernel row on the nodes x_i = i dx of [0, x_max]: the upper
+    triangular array values[i, j] = A(x_i, x_j), row i equal to
+    solve_marchenko(F, x_i, x_max, rule).
+
+    Row x_i's system I + K W, with K = F(x_p + x_q) over p, q >= i, is
+    solved as the symmetric (W^{-1} + K) b = -F(x_i + y), a = b / w.  In
+    reversed node order every row's K is a leading block of one Hankel
+    matrix G, and its weights are the leading weights of the longest row of
+    its parity (one template for the trapezoid rule) except at y = x, where
+    the row's weight is smaller (1/3 against 2/3, 3/8 against 3/8 + 1/3, or
+    1/2 against 1, times dx).  So a row's matrix is its template's leading
+    block plus delta > 0 on the last diagonal entry, and its Cholesky
+    factor is the template factor's leading block with the last pivot
+    raised to sqrt(p^2 + delta): one factorization per parity and two
+    products with the factor's inverse solve every row, O(n^3) in total.
+    Rows of one and two nodes are left to solve_marchenko.
+
+    For admissible data I + F_x is positive definite, so a failed
+    factorization certifies that the data violate unique solvability; it
+    raises SolverError, as does a row whose relative residual exceeds
+    RESIDUAL_TOL.  Samples beyond the F window are taken as zero.
+    """
+    dx = F.xgrid.dx
+    n = int(round(x_max / dx)) + 1
+    base = int(round(-F.xgrid.lo / dx))
+    if base < 0:
+        raise DataError("F window does not reach down to 0")
+    # G[a, b] = v[a + b] = F((2(n - 1) - a - b) dx), a read-only view
+    f = F.f_values[base : base + 2 * n - 1]
+    v = np.zeros(2 * n - 1)
+    v[v.size - f.size :] = f[::-1]
+    G = np.lib.stride_tricks.sliding_window_view(v, n)
+    values = np.zeros((n, n))
+    # reversed order: column c holds the row of m = c + 1 nodes, x = x_{n-1-c}
+    X = values[::-1, ::-1].T
+    for c in range(min(n, 2)):
+        X[: c + 1, c] = solve_marchenko(F, (n - 1 - c) * dx, (n - 1) * dx, rule)[::-1]
+    for M in (n,) if rule == "trapezoid" else (n, n - 1):
+        if M >= 3:
+            cols = np.arange(M - 1, 1, -1 if rule == "trapezoid" else -2)
+            X[:M, cols] = _template_rows(G, quadrature_weights(M, dx, rule)[::-1], cols, dx)
+    return values
+
+
+def _template_rows(G: np.ndarray, t: np.ndarray, cols: np.ndarray, dx: float) -> np.ndarray:
+    """The rows of solve_kernel ending at the given columns of the reversed
+    order, all served by the template with reversed weights t; column j of
+    the result is the reversed row, zero below its last node."""
+    M = t.size
+    j = np.arange(cols.size)
+    # the y = x weight of a row: the template's, except that a row of four
+    # nodes is the 3/8 rule alone, whose end weight is the template's far one
+    w_near = np.where(cols == 3, t[0], t[-1])
+    delta = 1.0 / w_near - 1.0 / t[cols]
+    T = np.array(G[:M, :M])
+    T.flat[:: M + 1] += 1.0 / t
+    try:
+        L = np.linalg.cholesky(T)
+    except np.linalg.LinAlgError:
+        raise SolverError(
+            f"Marchenko rows at x >= {(G.shape[0] - M) * dx:.4f}: data violate unique "
+            "solvability (I + F_x is not positive definite)"
+        ) from None
+    p2 = L.diagonal()[cols] ** 2
+    Z = np.linalg.inv(L)
+    del L
+    # forward solve with the leading block of Z, the last row scaled by
+    # p / sqrt(p^2 + delta), then the backward solve with its transpose
+    below = np.arange(M)[:, None] > cols
+    rhs = -G[:M, cols]
+    rhs[below] = 0.0
+    y = Z @ rhs
+    y[cols, j] *= p2 / (p2 + delta)
+    y[below] = 0.0
+    b = Z.T @ y
+    del Z, y
+    res = T @ b - rhs
+    res[cols, j] += delta * b[cols, j]
+    res[below] = 0.0
+    scale = np.linalg.norm(rhs, axis=0)
+    resid = np.divide(np.linalg.norm(res, axis=0), scale, out=np.zeros(cols.size), where=scale > 0)
+    bad = np.nonzero(~(resid <= RESIDUAL_TOL))[0]
+    if bad.size:
+        k = bad[np.argmax(cols[bad])]  # the failing row nearest x = 0
+        raise SolverError(
+            f"Marchenko row at x = {(G.shape[0] - 1 - cols[k]) * dx:.4f}: data violate unique "
+            f"solvability (residual {resid[k]:.2e})"
+        )
+    b /= t[:, None]
+    b[cols, j] *= t[cols] / w_near
+    return b
+
+
 def recover_potential(kernel: TransformationKernel) -> Potential:
     """Potential from the kernel diagonal: q = -2 dA(x,x)/dx (five-point
     differences)."""
@@ -184,12 +281,31 @@ class InversionResult:
     neglected_tail_mass: float
 
 
+def _tail_cut(F: MarchenkoInput) -> tuple[int, float]:
+    """Index of the first F node from which the tail envelope stays at or
+    below Y_TAIL_TOL (the last node if none), and the envelope there.
+
+    The envelope is the running maximum of the signed tail integral of F
+    from node j to the window end: oscillatory ringing in a Fourier-built F
+    self-cancels there, a one-signed physical tail does not, so it tracks
+    the error of zeroing F beyond the cut.
+    """
+    tail = np.zeros(F.xgrid.n)
+    tail[:-1] = (0.5 * F.xgrid.dx * (F.f_values[1:] + F.f_values[:-1]))[::-1].cumsum()[::-1]
+    tail_env = np.maximum.accumulate(np.abs(tail)[::-1])[::-1]
+    below = np.nonzero(tail_env <= Y_TAIL_TOL)[0]
+    cut = int(below[0]) if below.size else F.xgrid.n - 1
+    return cut, float(tail_env[cut])
+
+
 def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> InversionResult:
     """Scattering data to potential, keeping the intermediate artifacts.
 
     Stages: characterization gate (unless config.force), build_F on
-    [0, 2*x_max], one Marchenko solve per kernel row, diagonal
-    differentiation.  Raises StageError tagged with the failing stage.
+    [0, 2*x_max], every kernel row by solve_kernel (Simpson rule) from F
+    zeroed beyond the cut of _tail_cut, diagonal differentiation.  Raises
+    StageError tagged with the failing stage; the rows' failures are tagged
+    solve_marchenko.
     """
     cfg = config or InversionConfig()
     report = None
@@ -213,25 +329,12 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
         raise StageError("build_F", exc)
 
     xg = RadialGrid.make(cfg.x_max, cfg.dx)
-    n = xg.n
-    dx = cfg.dx
-    # signed tail integral of F from node j to the window end; oscillatory
-    # ringing in a Fourier-built F self-cancels here, a one-signed physical
-    # tail does not, so this tracks the error of zeroing F beyond the cut
-    tail = np.zeros(F.xgrid.n)
-    tail[:-1] = (0.5 * dx * (F.f_values[1:] + F.f_values[:-1]))[::-1].cumsum()[::-1]
-    tail_env = np.maximum.accumulate(np.abs(tail)[::-1])[::-1]
-    below = np.nonzero(tail_env <= Y_TAIL_TOL)[0]
-    p_cut = F.xgrid.nodes[below[0]] if below.size else F.xgrid.hi
-    neglected = float(tail_env[below[0]]) if below.size else float(tail_env[-1])
-
-    values = np.zeros((n, n))
+    cut, neglected = _tail_cut(F)
+    f = F.f_values.copy()
+    f[cut + 1 :] = 0.0
+    F = MarchenkoInput(xgrid=F.xgrid, fs_values=f, fd_values=np.zeros_like(f))
     try:
-        for i, x in enumerate(xg.nodes):
-            y_hi = min(xg.x_max, max(x + 2 * dx, p_cut - x))
-            steps = min(int(round((y_hi - x) / dx)), n - 1 - i)
-            row = solve_marchenko(F, x, x + steps * dx)
-            values[i, i : i + row.size] = row
+        values = solve_kernel(F, xg.x_max, "simpson")
     except SolverError as exc:
         raise StageError("solve_marchenko", exc)
     kernel = TransformationKernel(grid=xg, values=values)

@@ -16,7 +16,7 @@ equation, i.e. it returns h satisfying
     h + (integral operator applied to h) = -g,
 
 so a zero kernel gives h = -g.  The Marchenko rows themselves are solved
-by marchenko.solve_marchenko.
+by marchenko.solve_kernel (all rows) and marchenko.solve_marchenko (one).
 """
 
 from __future__ import annotations

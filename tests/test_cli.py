@@ -85,6 +85,35 @@ def test_scattering_json_roundtrip_bit_exact(tmp_path, fw_well):
     assert sd.s_at_zero_sign == fw_well.sd.s_at_zero_sign
 
 
+@pytest.mark.parametrize("states", [(), ((0.5, 1e-300),), ((0.5, 2.0), (1.5, 1e22))])
+def test_scattering_json_bytes_match_json_dumps(tmp_path, states):
+    # the reference is the json.dumps call the artifact was first written
+    # with; the float lists carry -0.0, subnormal, tiny and huge entries
+    kg = MomentumGrid(np.array([-3.0, -2.0, -1.0, -0.0, 1.0, 2.0, 3.0]))
+    re = np.array([-0.0, 1e-300, 1e22, 0.1 + 0.2, 5e-324, -1.5, 1.0])
+    im = np.array([0.0, -1e22, -0.0, 1e-300, 2.0 / 3.0, 1e16, -5e-324])
+    s = np.empty(kg.n, complex)
+    s.real, s.imag = re, im  # re + 1j * im would turn -0.0 into 0.0
+    sd = ScatteringData(kgrid=kg, s_values=s, bound_states=tuple(BoundState(*b) for b in states), s_at_zero_sign=-1)
+    doc = {
+        "k": kg.nodes.tolist(),
+        "S_re": re.tolist(),
+        "S_im": im.tolist(),
+        "bound_states": [{"kappa": kappa, "s": norm} for kappa, norm in states],
+        "s_zero_sign": -1,
+    }
+    path = tmp_path / "sd.json"
+    cli.write_scattering_json(path, sd)
+    assert path.read_text() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def test_write_json_nested_values_match_json_dumps(tmp_path):
+    doc = {"b": {"z": [1, {"y": None}], "a": []}, "a": np.float64(0.1), "c": {}, "d": True, "e": np.arange(3.0)}
+    cli._write_json(tmp_path / "d.json", doc)
+    ref = dict(doc, e=doc["e"].tolist())
+    assert (tmp_path / "d.json").read_text() == json.dumps(ref, indent=1, sort_keys=True, default=float) + "\n"
+
+
 def test_forward_artifacts_and_determinism(tmp_path, sech2_csv):
     args = ["forward", "--potential", str(sech2_csv), "--kmax", "100", "--dk", "0.05"]
     rc1 = cli.main(args + ["--out", str(tmp_path / "a")])
@@ -245,6 +274,18 @@ def test_nonfinite_f_csv_refused_at_the_input(tmp_path, capsys):
     (tmp_path / "f.csv").write_text("x,F\n" + "".join(f"{x},{'nan' if x == 0 else 1.0}\n" for x in range(-40, 41)))
     assert cli.main(["extract", "--f-data", str(tmp_path / "f.csv"), "--out", str(tmp_path / "o")]) == cli.EXIT_INVERSE
     assert "f_values samples must be finite" in capsys.readouterr().err
+
+
+def test_invert_force_on_indefinite_data_exits_4(tmp_path, capsys):
+    # S = 1 with the state (1, -3) gives F = -3 e^{-x}: I + F_x is
+    # indefinite for x < ln(1.5)/2, and the exact kernel has a pole there
+    kg = MomentumGrid.make(20.0, 0.05)
+    sd = ScatteringData(kgrid=kg, s_values=np.ones(kg.n, complex), bound_states=(BoundState(1.0, -3.0),))
+    cli.write_scattering_json(tmp_path / "sd.json", sd)
+    argv = ["invert", "--data", str(tmp_path / "sd.json"), "--force", "--xmax", "5", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_INVERSE
+    assert "stage solve_marchenko" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "potential.csv").exists()
 
 
 def test_threads_flag_is_gone(tmp_path, capsys):

@@ -151,6 +151,82 @@ def test_row_grid_refinement_second_order():
 
 
 # ---------------------------------------------------------------------------
+# solve_kernel
+
+
+def row_loop(F, x_max, rule):
+    """Reference: one solve_marchenko call per kernel row."""
+    nodes = F.xgrid.dx * np.arange(int(round(x_max / F.xgrid.dx)) + 1)
+    vals = np.zeros((nodes.size, nodes.size))
+    for i, x in enumerate(nodes):
+        vals[i, i:] = mk.solve_marchenko(F, float(x), y_max=x_max, rule=rule)
+    return vals
+
+
+@pytest.mark.parametrize("rule", ["simpson", "trapezoid"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 40, 41])
+def test_solve_kernel_matches_row_loop(rule, n):
+    # n <= 6 gives rows of one to four nodes and both parities, including
+    # the four-node 3/8 row under a six-node template
+    dx = 0.1
+    F = make_input(0.0, 2 * (n - 1) * dx + 1.0, dx, lambda x: 2 * np.exp(-x) + 0.5 * np.exp(-3 * x))
+    got = mk.solve_kernel(F, (n - 1) * dx, rule)
+    assert got.shape == (n, n)
+    np.testing.assert_allclose(got, row_loop(F, (n - 1) * dx, rule), rtol=0, atol=1e-12)
+
+
+def test_solve_kernel_short_window_is_zero_padded():
+    # samples beyond the F window count as zero, as in solve_marchenko
+    F = soliton_input(dx=0.1, hi=3.0)
+    np.testing.assert_allclose(mk.solve_kernel(F, 4.0, "trapezoid"), row_loop(F, 4.0, "trapezoid"), rtol=0, atol=1e-12)
+
+
+def test_solve_kernel_refuses_indefinite_data():
+    # F = -3 e^{-p}: I + F_x has the eigenvalue 1 - 1.5 e^{-2x}, negative
+    # for x < ln(1.5)/2 ~ 0.203, where the exact A = -3 e^{-(x+y)} /
+    # (1 - 1.5 e^{-2x}) passes through a pole.  The systems are invertible
+    # there, so solve_marchenko at x = 0 still returns a row.
+    F = make_input(0.0, 10.0, 0.05, lambda x: -3 * np.exp(-x))
+    assert np.all(np.isfinite(mk.solve_marchenko(F, 0.0, y_max=5.0)))
+    with pytest.raises(SolverError, match="not positive definite"):
+        mk.solve_kernel(F, 5.0, "simpson")
+
+
+def test_solve_kernel_one_node_pivot():
+    F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, -2.0))
+    with pytest.raises(SolverError, match="pivot"):
+        mk.solve_kernel(F, 1.0, "simpson")
+
+
+def test_solve_kernel_residual_check_names_the_row(monkeypatch):
+    # with a zero tolerance every row with a nonzero residual is refused:
+    # the batched check reports the row and its residual
+    monkeypatch.setattr(mk, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(SolverError, match=r"row at x = \d+\.\d{4}: .*residual \d"):
+        mk.solve_kernel(soliton_input(dx=0.1, hi=8.0), 4.0, "simpson")
+
+
+def test_zeroed_F_matches_row_cut():
+    # invert_full zeroes F beyond the tail cut; before, it cut each row to
+    # [x, p_cut - x] (at least three nodes) instead
+    dx, x_max = 0.05, 40.0
+    F = make_input(0.0, 80.0, dx, lambda x: 2 * np.exp(-x) + 0.5 * np.exp(-3 * x))
+    cut, _ = mk._tail_cut(F)
+    p_cut = F.xgrid.nodes[cut]
+    assert 19.0 < p_cut < 19.3
+    xg = RadialGrid.make(x_max, dx)
+    old = np.zeros((xg.n, xg.n))
+    for i, x in enumerate(xg.nodes):
+        y_hi = min(x_max, max(x + 2 * dx, p_cut - x))
+        steps = min(int(round((y_hi - x) / dx)), xg.n - 1 - i)
+        old[i, i : i + steps + 1] = mk.solve_marchenko(F, float(x), x + steps * dx)
+    f = F.f_values.copy()
+    f[cut + 1 :] = 0.0
+    zeroed = MarchenkoInput(xgrid=F.xgrid, fs_values=f, fd_values=np.zeros_like(f))
+    assert np.max(np.abs(mk.solve_kernel(zeroed, x_max, "simpson") - old)) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
 # recover_potential
 
 
@@ -235,11 +311,7 @@ def test_f_to_kernel_roundtrip():
     # two discrete maps are mutual inverses
     Fin = soliton_input(dx=0.05, hi=80.0)
     xg = RadialGrid.make(40.0, 0.05)
-    vals = np.zeros((xg.n, xg.n))
-    for i, x in enumerate(xg.nodes):
-        row = mk.solve_marchenko(Fin, float(x), y_max=40.0)
-        vals[i, i : i + row.size] = row
-    K = TransformationKernel(grid=xg, values=vals)
+    K = TransformationKernel(grid=xg, values=mk.solve_kernel(Fin, 40.0, "simpson"))
     Frec = mk.f_from_kernel(K)
     assert np.max(np.abs(Frec.f_values - 2 * np.exp(-xg.nodes))) < 1e-5
 
