@@ -169,7 +169,9 @@ def find_bound_states(q: Potential) -> BoundStateScan:
     Richardson-extrapolated against the 2*dx subsampled grid, refined the
     same way, removing the O(dx^2) discretization bias (the scan may miss
     nearly degenerate pairs closer than SCAN_STEP; zeros of f are simple but
-    not separated).
+    not separated).  A 2*dx root outside its dx root's scan bracket is
+    looked for in widened brackets and used only if a 4*dx check confirms
+    that its shift is second order (_coarse_roots).
 
     A sign change straddling KAPPA_MIN, or |f(0,0)| below RESONANCE_TOL,
     raises the zero-energy-resonance warning flag.
@@ -182,15 +184,47 @@ def find_bound_states(q: Potential) -> BoundStateScan:
     lo = np.nonzero((g[:-1] != 0.0) & (g[:-1] * g[1:] < 0))[0]
     roots = find_roots(lambda kp: _f0_imag_axis(q, kp), grid[lo], grid[lo + 1], ROOT_TOL)
     if q.grid.n % 2 == 1 and lo.size:
-        gc = _f0_imag_axis(q, np.concatenate([grid[lo], grid[lo + 1]]), step=2)
-        both = gc[: lo.size] * gc[lo.size :] < 0
-        roots_c = find_roots(lambda kp: _f0_imag_axis(q, kp, step=2), grid[lo[both]], grid[lo[both] + 1], ROOT_TOL)
-        roots[both] = (4.0 * roots[both] - roots_c) / 3.0
+        roots_c = _coarse_roots(q, grid, lo, roots)
+        ok = np.isfinite(roots_c)
+        roots[ok] = (4.0 * roots[ok] - roots_c[ok]) / 3.0
     order = np.argsort(np.concatenate([exact, lo]), kind="stable")
     kappas = np.concatenate([grid[exact], roots])[order]
     if not resonance and f00 * (g[0] if g.size else 1.0) < 0:
         resonance = True  # sign change straddling kappa_min
     return BoundStateScan(tuple(float(k) for k in kappas), resonance, f00)
+
+
+def _coarse_roots(q: Potential, grid: np.ndarray, lo: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The 2*dx twins of the dx roots, which lie in the scan brackets
+    [grid[lo], grid[lo + 1]]; nan where there is no twin to extrapolate with.
+
+    A twin is looked for in its dx root's bracket.  Where it left it (on
+    deep wells the O(dx^2) shift spans whole SCAN_STEPs) the bracket is
+    widened by SCAN_STEP on both sides until it meets a sign change of the
+    2*dx g that no other state holds, from one 2*dx march over the whole
+    scan.  All twins are then refined at once.  A twin from a widened
+    bracket counts only if its shift is second order: then the 4*dx root
+    lies at r_c + 4 (r_c - r), so g on the 4*dx grid changes sign between
+    r_c + 3 (r_c - r) and r_c + 5 (r_c - r).  A jump sampled off its
+    midpoint (an O(dx) shift) fails this, as does another state's twin.
+    """
+    gc = _f0_imag_axis(q, np.concatenate([grid[lo], grid[lo + 1]]), step=2)
+    lo_c = np.where(gc[: lo.size] * gc[lo.size :] < 0, lo, -1)
+    miss = lo_c < 0
+    if np.any(miss):
+        gs = _f0_imag_axis(q, grid, step=2)
+        free = np.setdiff1d(np.nonzero(gs[:-1] * gs[1:] < 0)[0], lo_c)
+        if free.size:
+            lo_c[miss] = free[np.argmin(np.abs(free[None, :] - lo[miss, None]), axis=1)]
+    roots_c = np.full(lo.size, np.nan)
+    ok = lo_c >= 0
+    roots_c[ok] = find_roots(lambda kp: _f0_imag_axis(q, kp, step=2), grid[lo_c[ok]], grid[lo_c[ok] + 1], ROOT_TOL)
+    moved = np.nonzero(ok & miss)[0]
+    if moved.size:
+        rc, shift = roots_c[moved], roots_c[moved] - roots[moved]
+        g4 = _f0_imag_axis(q, np.maximum(np.concatenate([rc + 3.0 * shift, rc + 5.0 * shift]), 0.0), step=4)
+        roots_c[moved[g4[: moved.size] * g4[moved.size :] >= 0]] = np.nan
+    return roots_c
 
 
 def norming_constants(q: Potential, kappas) -> tuple[np.ndarray, list[dict]]:
@@ -309,9 +343,10 @@ def kernel_from_potential(q: Potential) -> TransformationKernel:
 
     Where q is 0 from x_{e+1} on (x_e its last nonzero sample), K = 0 for
     xi > x_e, so A = 0 for x + y >= 2 x_{e+2}.  The march then runs on the
-    leading min(n, 2e + 4) nodes only, from row e + 1 down, and A is 0
-    outside that block.  This is exact, not a cut-off: every entry equals
-    the full march's bit for bit.
+    leading nb = min(n, 2e + 4) nodes only, from row e + 1 down, and only
+    that nb x nb block of A is allocated and returned (the kernel's block;
+    A is 0 outside it).  This is exact, not a cut-off: every entry equals
+    the full march's bit for bit.  A q without exact zeros gives nb = n.
     """
     dx = q.grid.dx
     n = q.grid.n
@@ -341,10 +376,10 @@ def kernel_from_potential(q: Potential) -> TransformationKernel:
         row += omega[nb - 1 - s] / G[s]
         row *= G[s + 1 : s + m]
     # A(x_i, x_{i+d}) for each offset d: even d reads column d/2 of K, odd d
-    # the mean of a cell's four corners; each diagonal of the leading
-    # nb x nb block is a strided flat view of A
+    # the mean of a cell's four corners; each diagonal of the nb x nb block
+    # is a strided flat view of it
     KT = np.ascontiguousarray(K.T)
-    A = np.zeros((n, n))
+    A = np.zeros((nb, nb))
     for d in range(nb):
         r, span = d // 2, nb - d
         if d % 2 == 0:
@@ -352,10 +387,10 @@ def kernel_from_potential(q: Potential) -> TransformationKernel:
         else:
             lo, hi = KT[r], KT[min(r + 1, m - 1)]
             vals = 0.25 * (lo[r : r + span] + lo[r + 1 : r + 1 + span] + hi[r : r + span] + hi[r + 1 : r + 1 + span])
-        A.reshape(-1)[d :: n + 1][:span] = vals
-    if not np.all(np.isfinite(A[:nb, :nb])):
+        A.reshape(-1)[d :: nb + 1][:span] = vals
+    if not np.all(np.isfinite(A)):
         raise SolverError("transformation kernel has non-finite entries")
-    return TransformationKernel(grid=q.grid, values=A)
+    return TransformationKernel(grid=q.grid, block=A)
 
 
 @dataclass(frozen=True)

@@ -334,10 +334,10 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
     f[cut + 1 :] = 0.0
     F = MarchenkoInput(xgrid=F.xgrid, fs_values=f, fd_values=np.zeros_like(f))
     try:
-        values = solve_kernel(F, xg.x_max, "simpson")
+        values = solve_kernel(F, xg.x_max, "simpson")  # a fresh full block, not copied
     except SolverError as exc:
         raise StageError("solve_marchenko", exc)
-    kernel = TransformationKernel(grid=xg, values=values)
+    kernel = TransformationKernel(grid=xg, block=values)
     try:
         q = recover_potential(kernel)
     except Exception as exc:
@@ -533,6 +533,10 @@ def data_from_kernel(
     by the resonance test |f(0)| < RESONANCE_TOL (forward._data_from_jost,
     which also refuses an f that vanishes away from k = 0).
 
+    The sums over y run on the kernel's nb x nb block only, with the full
+    grid's Simpson weights cut to nb nodes (A is 0 beyond them); past the
+    block f_j = e^{-kappa_j x}.
+
     The scan has the forward scan's nodes (forward._kappa_scan) with
     q = -2 dA(x,x)/dx read off the kernel diagonal, up to kappa_max, by
     default 1.5 sqrt(max|q|) + 0.5.  f(i kappa) -> 1 as kappa -> inf, so a
@@ -543,11 +547,14 @@ def data_from_kernel(
         kgrid = MomentumGrid.make(200.0, 0.05)
     y = kernel.grid.nodes
     dx = kernel.grid.dx
-    wrow = quadrature_weights(y.size, dx, "simpson") * kernel.row(0)
-    f0 = 1.0 + _oscillatory_sum(wrow, y, dx, kgrid.nodes[kgrid.upper], kgrid.dx, 1.0)
+    A = kernel.block
+    nb = A.shape[0]
+    yb = y[:nb]
+    wrow = quadrature_weights(y.size, dx, "simpson")[:nb] * A[0]
+    f0 = 1.0 + _oscillatory_sum(wrow, yb, dx, kgrid.nodes[kgrid.upper], kgrid.dx, 1.0)
 
     def f_imag(kaps: np.ndarray) -> np.ndarray:
-        e = np.multiply.outer(-np.asarray(kaps, dtype=float), y)
+        e = np.multiply.outer(-np.asarray(kaps, dtype=float), yb)
         return 1.0 + np.exp(e, out=e) @ wrow
 
     q_max = 2.0 * float(np.max(np.abs(differentiate(kernel.diagonal, dx))))
@@ -565,14 +572,13 @@ def data_from_kernel(
     # f_j(x) = e^{-kappa_j x} + int_x^inf A(x,y) e^{-kappa_j y} dy for all
     # states at once: trapezoid over [x_i, x_max] per row; the j < i entries
     # of A are zero, so the row sum starts at the diagonal; halve the two
-    # end nodes
-    A = kernel.values
+    # end nodes (the x_max node is in the block only when nb = n).  Rows
+    # past the block have A = 0, so f_j = e^{-kappa_j x} there.
     decay = np.exp(-np.multiply.outer(y, kappas))
-    fj = (
-        np.exp(-np.multiply.outer(y, kappas))
-        + dx * (A @ decay)
-        - 0.5 * dx * (kernel.diagonal[:, None] * decay + A[:, -1:] * decay[-1])
-    )
+    fj = decay.copy()
+    db = decay[:nb]
+    end = A[:, -1:] * decay[-1] if nb == y.size else 0.0
+    fj[:nb] = db + dx * (A @ db) - 0.5 * dx * (A.diagonal()[:, None] * db + end)
     norms = integrate(fj.T**2, kernel.grid, "simpson")
     bound = tuple(BoundState(float(kap), float(1.0 / norm)) for kap, norm in zip(kappas, norms))
     return _data_from_jost(kgrid, kgrid.mirror(f0, np.conj), bound, resonance)

@@ -1,10 +1,12 @@
 """Domain types for half-line scattering: grids, potentials, scattering data,
 Jost boundary data, transformation kernels, and the validation report.
 
-All types are immutable value objects: arrays are copied on construction and
-marked read-only, so instances can be shared freely.  Each fact has one
-owner: a grid owns its spacing, a kernel's diagonal is a view of its values,
-and F = F_s + F_d is summed once, at construction.
+All types are immutable value objects: arrays are marked read-only, so
+instances can be shared freely.  They are copied on construction, except a
+transformation kernel's block, which the kernel takes over when it is handed
+a fresh array (see TransformationKernel).  Each fact has one owner: a grid
+owns its spacing, a kernel stores only its nonzero block, and
+F = F_s + F_d is summed once, at construction.
 """
 
 from __future__ import annotations
@@ -239,27 +241,56 @@ class JostField:
 @dataclass(frozen=True)
 class TransformationKernel:
     """Triangular transformation kernel A(x,y) on grid x grid, zero for
-    y < x.  The diagonal A(x,x), from which q = -2 dA(x,x)/dx, is a
-    read-only view of the values."""
+    y < x, stored as its leading nb x nb block (nb <= n): A is 0 outside it.
+
+    For a compactly supported q, A vanishes for x + y >= 2 (end of the
+    support), so the block is a small corner of the grid; a kernel without
+    exact zeros is one full n x n block.  The constructor takes ownership of
+    a fresh array: it marks it read-only instead of copying it, and copies
+    only a view or an array that is not writeable.  diagonal, row(i) and
+    values are read-only arrays on the whole grid, zero outside the block.
+    """
 
     grid: RadialGrid
-    values: np.ndarray
+    block: np.ndarray
 
     def __post_init__(self):
-        vals = _frozen(self.values, dtype=float)
-        if vals.shape != (self.grid.n, self.grid.n):
-            raise DataError("kernel values must be (n, n) on the grid")
-        if not np.all(np.isfinite(vals)):
+        blk = np.asarray(self.block, dtype=float)
+        if blk.ndim != 2 or blk.shape[0] != blk.shape[1] or blk.shape[0] > self.grid.n:
+            raise DataError("kernel block must be square and at most (n, n) on the grid")
+        if not np.all(np.isfinite(blk)):
             raise DataError("kernel samples must be finite")
-        object.__setattr__(self, "values", vals)
+        if blk.base is not None or not blk.flags.writeable:
+            blk = blk.copy()
+        blk.flags.writeable = False
+        object.__setattr__(self, "block", blk)
+
+    def _padded(self, head: np.ndarray) -> np.ndarray:
+        """head followed by zeros up to length n, read-only."""
+        out = np.zeros(self.grid.n)
+        out[: head.size] = head
+        out.flags.writeable = False
+        return out
 
     @property
     def diagonal(self) -> np.ndarray:
-        return self.values.diagonal()
+        """A(x,x) on the grid, from which q = -2 dA(x,x)/dx."""
+        return self._padded(self.block.diagonal())
 
     def row(self, i: int) -> np.ndarray:
         """A(x_i, y) on the grid (zero for y < x_i)."""
-        return self.values[i]
+        i = range(self.grid.n)[i]  # negative i counts from the grid's end
+        return self._padded(self.block[i] if i < self.block.shape[0] else np.empty(0))
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense n x n A, read-only; built on each call, for checks and
+        inspection only (the library's consumers read the block)."""
+        n, nb = self.grid.n, self.block.shape[0]
+        out = np.zeros((n, n))
+        out[:nb, :nb] = self.block
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ def invert_from_input(F: MarchenkoInput, x_max: float, rule: str = "simpson"):
     """data-free inversion: Marchenko rows from a given F, then the diagonal
     derivative (the F => A => q part of the pipeline)."""
     xg = RadialGrid.make(x_max, F.xgrid.dx)
-    K = TransformationKernel(grid=xg, values=mk.solve_kernel(F, x_max, rule))
+    K = TransformationKernel(grid=xg, block=mk.solve_kernel(F, x_max, rule))
     return mk.recover_potential(K), K
 
 
@@ -132,7 +132,7 @@ def test_criterion_5_reversibility_suite(fw_sech2, fw_well, fw_zero):
         F = mk.build_F(sd, 0.0, 2 * y_max, 0.05, tail_correction=True)
         xg = RadialGrid.make(y_max, 0.05)
         vals = mk.solve_kernel(F, y_max, "trapezoid")
-        K = TransformationKernel(grid=xg, values=vals)
+        K = TransformationKernel(grid=xg, block=vals)
         F_rec = mk.f_from_kernel(K, rule="trapezoid", support_tol=0.0)
         vals2 = mk.solve_kernel(F_rec, y_max, "trapezoid")
         return float(np.max(np.abs(vals2 - vals)))

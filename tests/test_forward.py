@@ -259,12 +259,21 @@ def _bound_states_one_by_one(q, tol=1e-10):
         elif g[i] * g[i + 1] < 0:
             root = find_root_scalar(lambda kp: float(fw._f0_imag_axis(q, np.array([kp]))[0]), grid[i], grid[i + 1], tol)
             if q.grid.n % 2 == 1:
-                gc = fw._f0_imag_axis(q, np.array([grid[i], grid[i + 1]]), step=2)
-                if gc[0] * gc[1] < 0:
+                # the 2*dx root's scan bracket: the dx one, else the nearest
+                # one outward, SCAN_STEP by SCAN_STEP, with a sign change
+                gs = fw._f0_imag_axis(q, grid, step=2)
+                near = [c for m in range(grid.size) for c in (i - m, i + m) if 0 <= c < grid.size - 1]
+                c = next((c for c in near if gs[c] * gs[c + 1] < 0), None)
+                if c is not None:
                     root_c = find_root_scalar(
-                        lambda kp: float(fw._f0_imag_axis(q, np.array([kp]), step=2)[0]), grid[i], grid[i + 1], tol
+                        lambda kp: float(fw._f0_imag_axis(q, np.array([kp]), step=2)[0]), grid[c], grid[c + 1], tol
                     )
-                    root = (4.0 * root - root_c) / 3.0
+                    # a shifted 2*dx root counts only if the 4*dx root sits
+                    # where second order puts it, at root_c + 4 (root_c - root)
+                    d = root_c - root
+                    g4 = fw._f0_imag_axis(q, np.maximum([root_c + 3 * d, root_c + 5 * d], 0.0), step=4)
+                    if c == i or g4[0] * g4[1] < 0:
+                        root = (4.0 * root - root_c) / 3.0
             kappas.append(float(root))
     return tuple(kappas)
 
@@ -281,14 +290,49 @@ def _deep_well():
         lambda: sech2_potential(RadialGrid.make(20.0, 0.01), depth=6.0),  # kappa = 1
         lambda: sech2_potential(RadialGrid.make(20.0, 0.01), depth=20.0),  # kappa = 1, 3
         _deep_well,
+        # midpoint edge sample: every 2*dx root leaves its dx scan bracket
+        lambda: square_well_potential(RadialGrid.make(10.0, 0.005), depth=64.0),
     ],
-    ids=["square_well", "sech2_depth6", "sech2_depth20", "deep_well"],
+    ids=["square_well", "sech2_depth6", "sech2_depth20", "deep_well", "deep_well_widened"],
 )
 def test_bound_states_batched_equal_one_by_one(make_q):
     q = make_q()
     scan = fw.find_bound_states(q)
     assert len(scan.kappas) >= 1
     assert scan.kappas == _bound_states_one_by_one(q)
+
+
+def _well_kappas_exact(depth: float, width: float = 1.0) -> list[float]:
+    """Every bound state of the square well: the zeros of
+    e^{kappa w} f(0, i kappa) = cos(omega w) + kappa sin(omega w) / omega,
+    omega = sqrt(depth - kappa^2), by a fine scan and bisection."""
+
+    def g(kap):
+        om = np.sqrt(depth - kap * kap)
+        return np.cos(om * width) + kap * np.sin(om * width) / om
+
+    scan = np.linspace(1e-9, np.sqrt(depth) - 1e-9, 20001)
+    gv = g(scan)
+    roots = []
+    for i in np.nonzero(gv[:-1] * gv[1:] < 0)[0]:
+        lo, hi = scan[i], scan[i + 1]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if g(mid) * g(lo) > 0 else (lo, mid)
+        roots.append(0.5 * (lo + hi))
+    return roots
+
+
+def test_bound_states_richardson_reaches_every_state():
+    # depth 64 at dx 0.005: the O(dx^2) shift moves every 2*dx root out of
+    # its dx scan bracket; the widened brackets still extrapolate each
+    # state (the dx roots alone are off by 2.7e-3, 1.0e-4 and 7.1e-5)
+    q = square_well_potential(RadialGrid.make(10.0, 0.005), depth=64.0)
+    kappas = fw.find_bound_states(q).kappas
+    exact = _well_kappas_exact(64.0)
+    assert len(kappas) == len(exact) == 3
+    for got, want in zip(kappas, exact):
+        assert abs(got - want) <= 1e-5 * want
 
 
 def test_norming_batched_equal_one_by_one():
@@ -447,6 +491,22 @@ def test_kernel_march_matches_fixed_point(q):
     np.testing.assert_array_equal(K.diagonal, diag_ref)
 
 
+@pytest.mark.parametrize("depth, dx", [(4.0, 0.01), (64.0, 0.005)])
+def test_kernel_block_is_the_dense_kernel(monkeypatch, depth, dx):
+    # the unit well's last nonzero sample is its edge node e = 1/dx, so A
+    # lives on the leading 2e + 4 nodes; marching every node of the grid
+    # rebuilds the dense n x n kernel, which must agree bit for bit
+    q = square_well_potential(RadialGrid.make(10.0, dx), depth=depth)
+    K = fw.kernel_from_potential(q)
+    nb = 2 * int(round(1.0 / dx)) + 4
+    assert K.block.shape == (nb, nb)
+    monkeypatch.setattr(fw, "_support_end", lambda q_vals: q_vals.size)
+    dense = fw.kernel_from_potential(q)
+    assert dense.block.shape == (q.grid.n, q.grid.n)
+    assert np.array_equal(K.values, dense.block)
+    assert np.array_equal(K.diagonal, dense.diagonal)
+
+
 def test_kernel_sech2_second_order():
     # A(x,y) = -2 e^{-(x+y)} / (1 + e^{-2x}) for y >= x; halving dx must
     # quarter the sup error of the product trapezoid march
@@ -507,13 +567,14 @@ def test_kernel_estimate_ratio(sech2_kernel):
     dx = q.grid.dx
     absq_tail = np.concatenate([((np.abs(q.values[1:]) + np.abs(q.values[:-1])) * dx / 2)[::-1].cumsum()[::-1], [0.0]])
     n = K.grid.n
+    A = K.values
     worst = 0.0
     for i in range(0, n, 100):
         for j in range(i, n, 100):
             z = min(n - 1, (i + j) // 2)
             denom = absq_tail[z]
             if denom > 1e-12:
-                worst = max(worst, abs(K.values[i, j]) / denom)
+                worst = max(worst, abs(A[i, j]) / denom)
     assert worst < 10.0
 
 

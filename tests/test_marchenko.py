@@ -31,7 +31,7 @@ def soliton_kernel_exact(xg: RadialGrid) -> TransformationKernel:
     X = xg.nodes[:, None]
     Y = xg.nodes[None, :]
     A = np.where(Y >= X, -2 * np.exp(-(X + Y)) / (1 + np.exp(-2 * X)), 0.0)
-    return TransformationKernel(grid=xg, values=A)
+    return TransformationKernel(grid=xg, block=A)
 
 
 @pytest.fixture(scope="module")
@@ -227,12 +227,41 @@ def test_zeroed_F_matches_row_cut():
 
 
 # ---------------------------------------------------------------------------
+# kernel consumers on the block
+
+
+@pytest.mark.parametrize(
+    "make_q, full",
+    [
+        (lambda: square_well_potential(RadialGrid.make(10.0, 0.01)), False),
+        (lambda: square_well_potential(RadialGrid.make(10.0, 0.005), depth=64.0), False),
+        # no exact zeros in q: the block is the whole grid
+        (lambda: sech2_potential(RadialGrid.make(20.0, 0.02), depth=6.0), True),
+    ],
+    ids=["well", "deep_well", "sech2"],
+)
+def test_consumers_read_the_block_like_the_dense_kernel(make_q, full):
+    K = fw.kernel_from_potential(make_q())
+    n, nb = K.grid.n, K.block.shape[0]
+    assert (nb == n) == full
+    padded = np.zeros((n, n))
+    padded[:nb, :nb] = K.block
+    D = TransformationKernel(grid=K.grid, block=padded)
+    got, want = mk.data_from_kernel(K), mk.data_from_kernel(D)
+    assert got.j_count == want.j_count >= 1 and got.s_at_zero_sign == want.s_at_zero_sign
+    np.testing.assert_allclose(got.s_values, want.s_values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.kappas, want.kappas, rtol=1e-12)
+    np.testing.assert_allclose(got.norming, want.norming, rtol=1e-12)
+    assert np.array_equal(mk.f_from_kernel(K).f_values, mk.f_from_kernel(D).f_values)
+
+
+# ---------------------------------------------------------------------------
 # recover_potential
 
 
 def test_recover_zero_kernel():
     xg = RadialGrid.make(10.0, 0.05)
-    K = TransformationKernel(grid=xg, values=np.zeros((xg.n, xg.n)))
+    K = TransformationKernel(grid=xg, block=np.zeros((xg.n, xg.n)))
     q = mk.recover_potential(K)
     assert np.max(np.abs(q.values)) == 0.0
 
@@ -295,7 +324,7 @@ def test_invert_gate_rejects_bad_data(kgrid_fourier):
 
 def test_f_from_kernel_zero():
     xg = RadialGrid.make(10.0, 0.05)
-    K = TransformationKernel(grid=xg, values=np.zeros((xg.n, xg.n)))
+    K = TransformationKernel(grid=xg, block=np.zeros((xg.n, xg.n)))
     F = mk.f_from_kernel(K)
     assert np.max(np.abs(F.f_values)) == 0.0
 
@@ -311,7 +340,7 @@ def test_f_to_kernel_roundtrip():
     # two discrete maps are mutual inverses
     Fin = soliton_input(dx=0.05, hi=80.0)
     xg = RadialGrid.make(40.0, 0.05)
-    K = TransformationKernel(grid=xg, values=mk.solve_kernel(Fin, 40.0, "simpson"))
+    K = TransformationKernel(grid=xg, block=mk.solve_kernel(Fin, 40.0, "simpson"))
     Frec = mk.f_from_kernel(K)
     assert np.max(np.abs(Frec.f_values - 2 * np.exp(-xg.nodes))) < 1e-5
 
@@ -371,7 +400,7 @@ def test_extract_refuses_near_degenerate():
 
 def test_data_from_kernel_zero():
     xg = RadialGrid.make(10.0, 0.05)
-    K = TransformationKernel(grid=xg, values=np.zeros((xg.n, xg.n)))
+    K = TransformationKernel(grid=xg, block=np.zeros((xg.n, xg.n)))
     sd = mk.data_from_kernel(K)
     assert sd.j_count == 0
     assert np.max(np.abs(sd.s_values - 1.0)) < 1e-12

@@ -14,6 +14,7 @@ from halfline.model import (
     Potential,
     RadialGrid,
     ScatteringData,
+    TransformationKernel,
     UniformGrid,
     l11_moment,
 )
@@ -111,6 +112,49 @@ def test_arrays_are_frozen():
         except ValueError:
             continue
         pytest.fail(f"{name} accepted an item write")
+
+
+def test_kernel_takes_over_a_fresh_block():
+    xg = RadialGrid.make(1.0, 0.1)
+    fresh = np.triu(np.ones((4, 4)))
+    K = TransformationKernel(grid=xg, block=fresh)
+    assert np.shares_memory(K.block, fresh) and not fresh.flags.writeable
+    # a view, or an array that is not writeable, is copied instead
+    base = np.triu(np.ones((6, 6)))
+    view = base[:4, :4]
+    K = TransformationKernel(grid=xg, block=view)
+    assert not np.shares_memory(K.block, base) and base.flags.writeable
+    np.testing.assert_array_equal(K.block, view)
+    frozen = np.triu(np.ones((4, 4)))
+    frozen.flags.writeable = False
+    assert not np.shares_memory(TransformationKernel(grid=xg, block=frozen).block, frozen)
+
+
+def test_kernel_rejects_bad_blocks():
+    xg = RadialGrid.make(1.0, 0.1)  # n = 11
+    for bad in (np.zeros((3, 4)), np.zeros(4), np.zeros((12, 12))):
+        with pytest.raises(DataError, match="square"):
+            TransformationKernel(grid=xg, block=bad)
+    for value in (np.nan, np.inf):
+        blk = np.zeros((3, 3))
+        blk[1, 2] = value
+        with pytest.raises(DataError, match="finite"):
+            TransformationKernel(grid=xg, block=blk)
+        assert blk.flags.writeable  # a refused array is left as it was
+
+
+def test_kernel_is_zero_outside_its_block():
+    xg = RadialGrid.make(1.0, 0.1)
+    blk = np.triu(np.arange(1.0, 17.0).reshape(4, 4))
+    K = TransformationKernel(grid=xg, block=blk.copy())
+    dense = np.zeros((xg.n, xg.n))
+    dense[:4, :4] = blk
+    np.testing.assert_array_equal(K.values, dense)
+    np.testing.assert_array_equal(K.diagonal, dense.diagonal())
+    for i in (0, 3, 4, xg.n - 1, -1):
+        np.testing.assert_array_equal(K.row(i), dense[i])
+    for a in (K.block, K.values, K.diagonal, K.row(0), K.row(7)):
+        assert not a.flags.writeable
 
 
 def test_bound_state_positivity_reported_not_thrown():
