@@ -198,28 +198,30 @@ def _coarse_roots(q: Potential, grid: np.ndarray, lo: np.ndarray, roots: np.ndar
     """The 2*dx twins of the dx roots, which lie in the scan brackets
     [grid[lo], grid[lo + 1]]; nan where there is no twin to extrapolate with.
 
+    One 2*dx march over the whole scan gives the sign changes of the 2*dx g.
     A twin is looked for in its dx root's bracket.  Where it left it (on
     deep wells the O(dx^2) shift spans whole SCAN_STEPs) the bracket is
-    widened by SCAN_STEP on both sides until it meets a sign change of the
-    2*dx g that no other state holds, from one 2*dx march over the whole
-    scan.  All twins are then refined at once.  A twin from a widened
-    bracket counts only if its shift is second order: then the 4*dx root
-    lies at r_c + 4 (r_c - r), so g on the 4*dx grid changes sign between
+    widened by SCAN_STEP on both sides until it meets a sign change that no
+    state holds as its own; two states widened to the same one get none.
+    All twins are then refined at once.  A twin from a widened bracket counts
+    only if its shift is second order: then the 4*dx root lies at
+    r_c + 4 (r_c - r), so g on the 4*dx grid changes sign between
     r_c + 3 (r_c - r) and r_c + 5 (r_c - r).  A jump sampled off its
     midpoint (an O(dx) shift) fails this, as does another state's twin.
     """
-    gc = _f0_imag_axis(q, np.concatenate([grid[lo], grid[lo + 1]]), step=2)
-    lo_c = np.where(gc[: lo.size] * gc[lo.size :] < 0, lo, -1)
-    miss = lo_c < 0
-    if np.any(miss):
-        gs = _f0_imag_axis(q, grid, step=2)
-        free = np.setdiff1d(np.nonzero(gs[:-1] * gs[1:] < 0)[0], lo_c)
-        if free.size:
-            lo_c[miss] = free[np.argmin(np.abs(free[None, :] - lo[miss, None]), axis=1)]
+    gs = _f0_imag_axis(q, grid, step=2)
+    sign = np.nonzero(gs[:-1] * gs[1:] < 0)[0]
+    own = np.isin(lo, sign)
+    lo_c = np.where(own, lo, -1)
+    free = np.setdiff1d(sign, lo[own])
+    if free.size and not np.all(own):
+        near = free[np.argmin(np.abs(free[None, :] - lo[~own, None]), axis=1)]
+        taken, count = np.unique(near, return_counts=True)
+        lo_c[~own] = np.where(np.isin(near, taken[count > 1]), -1, near)
     roots_c = np.full(lo.size, np.nan)
     ok = lo_c >= 0
     roots_c[ok] = find_roots(lambda kp: _f0_imag_axis(q, kp, step=2), grid[lo_c[ok]], grid[lo_c[ok] + 1], ROOT_TOL)
-    moved = np.nonzero(ok & miss)[0]
+    moved = np.nonzero(ok & ~own)[0]
     if moved.size:
         rc, shift = roots_c[moved], roots_c[moved] - roots[moved]
         g4 = _f0_imag_axis(q, np.maximum(np.concatenate([rc + 3.0 * shift, rc + 5.0 * shift]), 0.0), step=4)

@@ -334,7 +334,7 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
     f[cut + 1 :] = 0.0
     F = MarchenkoInput(xgrid=F.xgrid, fs_values=f, fd_values=np.zeros_like(f))
     try:
-        values = solve_kernel(F, xg.x_max, "simpson")  # a fresh full block, not copied
+        values = solve_kernel(F, xg.x_max, "simpson")
     except SolverError as exc:
         raise StageError("solve_marchenko", exc)
     kernel = TransformationKernel(grid=xg, block=values)

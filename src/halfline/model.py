@@ -1,11 +1,9 @@
 """Domain types for half-line scattering: grids, potentials, scattering data,
 Jost boundary data, transformation kernels, and the validation report.
 
-All types are immutable value objects: arrays are marked read-only, so
-instances can be shared freely.  They are copied on construction, except a
-transformation kernel's block, which the kernel takes over when it is handed
-a fresh array (see TransformationKernel).  Each fact has one owner: a grid
-owns its spacing, a kernel stores only its nonzero block, and
+All types are immutable value objects: arrays are copied on construction and
+marked read-only, so instances can be shared freely.  Each fact has one
+owner: a grid owns its spacing, a kernel stores only its nonzero block, and
 F = F_s + F_d is summed once, at construction.
 """
 
@@ -245,24 +243,20 @@ class TransformationKernel:
 
     For a compactly supported q, A vanishes for x + y >= 2 (end of the
     support), so the block is a small corner of the grid; a kernel without
-    exact zeros is one full n x n block.  The constructor takes ownership of
-    a fresh array: it marks it read-only instead of copying it, and copies
-    only a view or an array that is not writeable.  diagonal, row(i) and
-    values are read-only arrays on the whole grid, zero outside the block.
+    exact zeros is one full n x n block.  The constructor copies and checks
+    the block only.  diagonal, row(i) and values are read-only arrays on the
+    whole grid, zero outside the block.
     """
 
     grid: RadialGrid
     block: np.ndarray
 
     def __post_init__(self):
-        blk = np.asarray(self.block, dtype=float)
+        blk = _frozen(self.block, dtype=float)
         if blk.ndim != 2 or blk.shape[0] != blk.shape[1] or blk.shape[0] > self.grid.n:
             raise DataError("kernel block must be square and at most (n, n) on the grid")
         if not np.all(np.isfinite(blk)):
             raise DataError("kernel samples must be finite")
-        if blk.base is not None or not blk.flags.writeable:
-            blk = blk.copy()
-        blk.flags.writeable = False
         object.__setattr__(self, "block", blk)
 
     def _padded(self, head: np.ndarray) -> np.ndarray:

@@ -335,6 +335,20 @@ def test_bound_states_richardson_reaches_every_state():
         assert abs(got - want) <= 1e-5 * want
 
 
+def test_coarse_roots_share_no_widened_bracket(monkeypatch):
+    # two states whose 2*dx twins left their scan brackets [0.40, 0.41] and
+    # [0.50, 0.51], both nearest to the one 2*dx sign change in [0.45, 0.46];
+    # the 4*dx root sits where a second-order shift of the first puts it
+    grid = np.arange(100) * 0.01
+    shifted = {2: 0.455, 4: 0.655}
+    monkeypatch.setattr(fw, "_f0_imag_axis", lambda q, kp, step=1: np.asarray(kp, dtype=float) - shifted[step])
+    one = fw._coarse_roots(None, grid, np.array([40]), np.array([0.405]))
+    assert abs(one[0] - 0.455) <= 1e-9
+    # shared, the sign change is neither state's twin
+    both = fw._coarse_roots(None, grid, np.array([40, 50]), np.array([0.405, 0.505]))
+    assert np.all(np.isnan(both))
+
+
 def test_norming_batched_equal_one_by_one():
     # reference: one single-momentum jost_field and one two-point march
     # per state
