@@ -16,7 +16,9 @@ bounded for Im k >= 0, so backward marching from x_max (where n = 1) is
 unconditionally stable.  The kernel vanishes on the diagonal y = x, which
 makes the trapezoid march explicit, and its k -> 0 limit y - x is its value
 at k = 0, so one recurrence (_march) serves real and imaginary momenta and
-k = 0 alike.
+k = 0 alike.  It runs in the exponent rate z = 2ik, which is real on the
+imaginary axis: there (the bound-state scan and root finder, the norming
+constants) the march is real arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .model import (
     ScatteringData,
     TransformationKernel,
 )
-from .numkit import find_roots, integrate, unwrap_phase
+from .numkit import _find_roots, integrate, unwrap_phase
 
 __all__ = [
     "ForwardResult",
@@ -83,15 +85,22 @@ def _march(q_vals: np.ndarray, dx: float, ks: np.ndarray, keep_field: bool = Fal
 
     Returns (f(0,k), f'(0,k), field); field (if kept) holds n at every node,
     shape (n_x, n_k).  The trapezoid rule on the reduced Volterra equation
-    is one recurrence for every momentum, k = 0 included:
+    is one recurrence for every momentum, k = 0 included.  In the exponent
+    rate z = 2ik, with u = n - 1 and V_i = v_{i+1} + (dx/2) q_{i+1} n_{i+1},
+    each node is
 
-        V       = v_{i+1} + (dx/2) q_{i+1} n_{i+1}
-        n_i - 1 = e2 (n_{i+1} - 1) + c V
-        v_i     = V + (dx/2) q_i n_i
+        u_i     = e2 u_{i+1} + c V_i
+        V_{i-1} = V_i + dx q_i (u_i + 1)
 
-    with e2 = e^{2ik dx}, c = (e2 - 1)/(2ik) (c = dx at k = 0, its limit;
-    expm1 keeps c accurate for small |k| and finite for large Im k) and
-    v_i = int_{x_i}^inf q n dy, so that f'(0,k) = ik (2 - f(0,k)) - v_0.
+    with e2 = e^{z dx}, c = (e2 - 1)/z (c = dx at z = 0, its limit; expm1
+    keeps c accurate for small |z| and finite for large -z) and
+    v_i = int_{x_i}^inf q n dy.  Node 0 adds only its half weight, so the
+    last V is v_0, and f'(0,k) = (z/2)(2 - f(0,k)) - v_0.  Each node is six
+    in-place passes over preallocated rows.
+
+    The arithmetic follows z: on the imaginary axis k = i kappa, z = -2 kappa
+    is real and the march runs in float64 (and returns float arrays), else
+    in complex128.  Momenta must be finite with Im k >= 0 (DataError).
 
     The march starts at node _support_end(q_vals) - 1, one node past the
     last nonzero sample: beyond it the march would keep n = 1 and v = 0
@@ -99,33 +108,47 @@ def _march(q_vals: np.ndarray, dx: float, ks: np.ndarray, keep_field: bool = Fal
     holds n = 1 on those rows.
     """
     ks = np.asarray(ks, dtype=complex)
-    if np.any(ks.imag < -1e-12):
+    if not np.all(np.isfinite(ks)):
+        raise DataError("momenta must be finite")
+    z = 2j * ks
+    if np.any(z.real > 2e-12):  # Im k < -1e-12
         raise DataError("momenta must satisfy Im k >= 0")
+    if not np.any(z.imag):
+        z = z.real  # k = i kappa: real arithmetic
     ne = _support_end(q_vals)
-    em1 = np.expm1(2j * ks * dx)  # e2 - 1, |e2| <= 1 for Im k >= 0
-    c = np.divide(em1, 2j * ks, out=np.full(ks.size, dx, dtype=complex), where=ks != 0)
+    em1 = np.expm1(z * dx)  # e2 - 1, |e2| <= 1 for Im k >= 0
+    c = np.divide(em1, z, out=np.full_like(z, dx), where=z != 0)
     e2 = 1.0 + em1
-    hq = 0.5 * dx * q_vals
-    n_cur = np.ones(ks.size, dtype=complex)
-    v = np.zeros(ks.size, dtype=complex)
-    field = np.ones((q_vals.size, ks.size), dtype=complex) if keep_field else None
+    w = (dx * q_vals[:ne]).tolist()  # trapezoid weights of q n, half at node 0
+    w[0] *= 0.5
+    u = np.zeros_like(z)
+    # V of the first step, from the start node's half weight (n = 1 there);
+    # a one-node march has no step, and v_0 = 0
+    V = np.full_like(z, 0.5 * dx * q_vals[ne - 1] if ne > 1 else 0.0)
+    t = np.empty_like(z)
+    n = np.empty_like(z)
+    field = np.ones((q_vals.size, z.size), dtype=z.dtype) if keep_field else None
     for i in range(ne - 2, -1, -1):
-        v = v + hq[i + 1] * n_cur
-        n_cur = 1.0 + e2 * (n_cur - 1.0) + c * v
-        v = v + hq[i] * n_cur
         if keep_field:
-            field[i] = n_cur
-    return n_cur, 1j * ks * (2.0 - n_cur) - v, field
+            n = field[i]
+        np.multiply(u, e2, out=u)
+        np.multiply(V, c, out=t)
+        np.add(u, t, out=u)
+        np.add(u, 1.0, out=n)
+        np.multiply(n, w[i], out=t)
+        np.add(V, t, out=V)
+    n0 = u + 1.0
+    return n0, 0.5 * z * (2.0 - n0) - V, field
 
 
 def jost_boundary(q: Potential, kgrid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
     """Boundary values f(k) = f(0,k) and f'(0,k) on a symmetric real grid.
 
     Only the upper half k >= 0 is marched; negative momenta are filled by
-    the reality relation f(-k) = conj f(k).
+    the reality relation f(-k) = conj f(k).  Both arrays are complex.
     """
     f0, fprime0, _ = _march(q.values, q.grid.dx, kgrid.nodes[kgrid.upper])
-    return kgrid.mirror(f0, np.conj), kgrid.mirror(fprime0, np.conj)
+    return kgrid.mirror(f0.astype(complex, copy=False), np.conj), kgrid.mirror(fprime0.astype(complex, copy=False), np.conj)
 
 
 def jost_field(q: Potential, ks) -> tuple[np.ndarray, np.ndarray]:
@@ -135,18 +158,22 @@ def jost_field(q: Potential, ks) -> tuple[np.ndarray, np.ndarray]:
 
     For boundary values alone use jost_boundary, which allocates no field.
     Beyond the node after q's last nonzero sample f(x,k) = e^{ikx} exactly;
-    the march stops there (see _march).
+    the march stops there (see _march).  Purely imaginary momenta are
+    marched in real arithmetic, as by every other imaginary-axis caller, so
+    their columns equal those callers' values bit for bit; both returned
+    arrays are complex all the same.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     _, fprime0, field = _march(q.values, q.grid.dx, ks, keep_field=True)
-    return field * np.exp(1j * np.multiply.outer(q.grid.nodes, ks)), fprime0
+    return field * np.exp(1j * np.multiply.outer(q.grid.nodes, ks)), fprime0.astype(complex, copy=False)
 
 
 def _f0_imag_axis(q: Potential, kappas: np.ndarray, step: int = 1) -> np.ndarray:
-    """f(0, i*kappa) for an array of kappa > 0 (real-valued for real q), on
-    the potential grid subsampled by step (step = 2 is the 2*dx grid used
-    for Richardson extrapolation)."""
-    return _march(q.values[::step], step * q.grid.dx, 1j * np.asarray(kappas, dtype=float))[0].real
+    """f(0, i*kappa) for an array of kappa >= 0 (a float array: the march
+    runs in real arithmetic on the imaginary axis), on the potential grid
+    subsampled by step (step = 2 is the 2*dx grid used for Richardson
+    extrapolation)."""
+    return _march(q.values[::step], step * q.grid.dx, 1j * np.asarray(kappas, dtype=float))[0]
 
 
 @dataclass(frozen=True)
@@ -165,9 +192,9 @@ def find_bound_states(q: Potential) -> BoundStateScan:
     _kappa_scan(max|q|) (one march for the whole scan and kappa = 0) and
     refines all of them at once by batched bracketed root finding to
     |g| <= ROOT_TOL, so every step of the root finder is one march for all
-    states.  On a grid with an odd node count the roots are then
-    Richardson-extrapolated against the 2*dx subsampled grid, refined the
-    same way, removing the O(dx^2) discretization bias (the scan may miss
+    states, and g at the bracket ends is the scan's.  On a grid with an odd
+    node count the roots are then Richardson-extrapolated against the 2*dx
+    subsampled grid, refined the same way, removing the O(dx^2) discretization bias (the scan may miss
     nearly degenerate pairs closer than SCAN_STEP; zeros of f are simple but
     not separated).  A 2*dx root outside its dx root's scan bracket is
     looked for in widened brackets and used only if a 4*dx check confirms
@@ -177,12 +204,12 @@ def find_bound_states(q: Potential) -> BoundStateScan:
     raises the zero-energy-resonance warning flag.
     """
     grid = _kappa_scan(np.max(np.abs(q.values)))
-    n0 = _march(q.values, q.grid.dx, np.concatenate([[0.0j], 1j * grid]))[0]
-    f00, g = float(n0[0].real), n0[1:].real
+    n0 = _f0_imag_axis(q, np.concatenate([[0.0], grid]))
+    f00, g = float(n0[0]), n0[1:]
     resonance = abs(f00) < RESONANCE_TOL
     exact = np.nonzero(g[:-1] == 0.0)[0]
     lo = np.nonzero((g[:-1] != 0.0) & (g[:-1] * g[1:] < 0))[0]
-    roots = find_roots(lambda kp: _f0_imag_axis(q, kp), grid[lo], grid[lo + 1], ROOT_TOL)
+    roots = _find_roots(lambda kp: _f0_imag_axis(q, kp), grid[lo], grid[lo + 1], g[lo], g[lo + 1], ROOT_TOL)
     if q.grid.n % 2 == 1 and lo.size:
         roots_c = _coarse_roots(q, grid, lo, roots)
         ok = np.isfinite(roots_c)
@@ -203,10 +230,11 @@ def _coarse_roots(q: Potential, grid: np.ndarray, lo: np.ndarray, roots: np.ndar
     deep wells the O(dx^2) shift spans whole SCAN_STEPs) the bracket is
     widened by SCAN_STEP on both sides until it meets a sign change that no
     state holds as its own; two states widened to the same one get none.
-    All twins are then refined at once.  A twin from a widened bracket counts
-    only if its shift is second order: then the 4*dx root lies at
-    r_c + 4 (r_c - r), so g on the 4*dx grid changes sign between
-    r_c + 3 (r_c - r) and r_c + 5 (r_c - r).  A jump sampled off its
+    All twins are then refined at once, starting from the 2*dx scan's g at
+    their bracket ends.  A twin from a widened bracket counts only if its
+    shift is second order: then the 4*dx root lies at r_c + 4 (r_c - r), so
+    g on the 4*dx grid changes sign between r_c + 3 (r_c - r) and
+    r_c + 5 (r_c - r).  A jump sampled off its
     midpoint (an O(dx) shift) fails this, as does another state's twin.
     """
     gs = _f0_imag_axis(q, grid, step=2)
@@ -220,7 +248,8 @@ def _coarse_roots(q: Potential, grid: np.ndarray, lo: np.ndarray, roots: np.ndar
         lo_c[~own] = np.where(np.isin(near, taken[count > 1]), -1, near)
     roots_c = np.full(lo.size, np.nan)
     ok = lo_c >= 0
-    roots_c[ok] = find_roots(lambda kp: _f0_imag_axis(q, kp, step=2), grid[lo_c[ok]], grid[lo_c[ok] + 1], ROOT_TOL)
+    lc = lo_c[ok]
+    roots_c[ok] = _find_roots(lambda kp: _f0_imag_axis(q, kp, step=2), grid[lc], grid[lc + 1], gs[lc], gs[lc + 1], ROOT_TOL)
     moved = np.nonzero(ok & ~own)[0]
     if moved.size:
         rc, shift = roots_c[moved], roots_c[moved] - roots[moved]

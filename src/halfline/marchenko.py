@@ -41,9 +41,9 @@ from .model import (
     UniformGrid,
 )
 from .numkit import (
+    _find_roots,
     _oscillatory_sum,
     differentiate,
-    find_roots,
     fourier_kernel_to_space,
     fourier_space_to_kernel,
     integrate,
@@ -527,11 +527,12 @@ def data_from_kernel(
     f(k) = 1 + int_0^inf A(0,y) e^{iky} dy (Simpson weights), for k >= 0
     by one chirp-z transform and mirrored by f(-k) = conj f(k); bound states
     are the sign changes of f(i kappa) on the imaginary axis, all refined
-    at once by batched bracketed root finding; s_j = ||f_j||^{-2} with
-    f_j(x) = e^{-kappa_j x} + int_x^inf A(x,y) e^{-kappa_j y} dy, one
-    kernel product for all states; and S = conj(f)/f with the S(0) sign set
-    by the resonance test |f(0)| < RESONANCE_TOL (forward._data_from_jost,
-    which also refuses an f that vanishes away from k = 0).
+    at once by batched bracketed root finding that starts from the scan's
+    values; s_j = ||f_j||^{-2} with f_j(x) = e^{-kappa_j x} +
+    int_x^inf A(x,y) e^{-kappa_j y} dy, one kernel product for all states;
+    and S = conj(f)/f with the S(0) sign set by the resonance test
+    |f(0)| < RESONANCE_TOL (forward._data_from_jost, which also refuses an
+    f that vanishes away from k = 0).
 
     The sums over y run on the kernel's nb x nb block only, with the full
     grid's Simpson weights cut to nb nodes (A is 0 beyond them); past the
@@ -568,7 +569,7 @@ def data_from_kernel(
             "bound states lie beyond kappa_max"
         )
     lo = np.nonzero(gv[:-1] * gv[1:] < 0)[0]
-    kappas = find_roots(f_imag, grid[lo], grid[lo + 1], 1e-12)
+    kappas = _find_roots(f_imag, grid[lo], grid[lo + 1], gv[lo], gv[lo + 1], 1e-12)
     # f_j(x) = e^{-kappa_j x} + int_x^inf A(x,y) e^{-kappa_j y} dy for all
     # states at once: trapezoid over [x_i, x_max] per row; the j < i entries
     # of A are zero, so the row sum starts at the diagonal; halve the two

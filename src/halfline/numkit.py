@@ -334,15 +334,24 @@ def find_roots(
     is at rounding width.  Raises DataError for a bracket without a sign
     change, and SolverError when max_iter runs out or when a bracket
     collapses while |g| at both its ends is still above 1e-6 max(|g(a)|,
-    |g(b)|): that is a jump of g, not a root.
+    |g(b)|): that is a jump of g, not a root.  A caller that already holds
+    g at the bracket ends (from a scan, say) hands them to _find_roots,
+    which then calls g only at the secant iterates.
     """
+    return _find_roots(g, a, b, None, None, tol, max_iter)
+
+
+def _find_roots(g, a, b, fa, fb, tol: float, max_iter: int = 200) -> np.ndarray:
+    """find_roots with the bracket-end values fa = g(a) and fb = g(b) given;
+    with fa and fb None, both ends are evaluated in one call of g."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    n = a.size
-    if n == 0:
+    if a.size == 0:
         return np.empty(0)
-    fab = np.asarray(g(np.concatenate([a, b])), dtype=float)
-    fa, fb = fab[:n], fab[n:]
+    if fa is None:
+        fa, fb = np.split(np.asarray(g(np.concatenate([a, b])), dtype=float), 2)
+    fa = np.atleast_1d(np.asarray(fa, dtype=float))
+    fb = np.atleast_1d(np.asarray(fb, dtype=float))
     root = np.where(fa == 0.0, a, b)
     active = (fa != 0.0) & (fb != 0.0)
     bad = np.nonzero(active & (fa * fb > 0))[0]

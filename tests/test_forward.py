@@ -75,6 +75,48 @@ def test_jost_rejects_lower_half_plane(q_sech2):
         fw.jost_field(q_sech2, [1.0 - 0.5j])
 
 
+@pytest.mark.parametrize("k", [np.nan, complex(np.nan, 1.0), complex(0.0, np.inf), np.inf])
+def test_jost_rejects_nonfinite_momenta(q_sech2, k):
+    # a NaN or infinite momentum would march to NaN f and f'(0)
+    with pytest.raises(DataError, match="finite"):
+        fw.jost_field(q_sech2, [1.0, k])
+
+
+@pytest.mark.parametrize(
+    "make_q",
+    [
+        lambda: square_well_potential(RadialGrid.make(40.0, 0.01)),
+        lambda: _deep_well(),
+        lambda: sech2_potential(RadialGrid.make(40.0, 0.01)),
+    ],
+    ids=["square_well", "deep_well", "sech2"],
+)
+def test_imaginary_axis_march_is_real(make_q):
+    # k = i kappa makes the exponent rate z = 2ik real: those columns march
+    # in float64 and agree with the same columns of a complex march (one
+    # real momentum added makes the march complex)
+    q = make_q()
+    kap = fw._kappa_scan(np.max(np.abs(q.values)))
+    f0, fp0, field = fw._march(q.values, q.grid.dx, 1j * kap, keep_field=True)
+    assert f0.dtype == fp0.dtype == field.dtype == np.float64
+    f0c, fp0c, fieldc = fw._march(q.values, q.grid.dx, np.concatenate([[1.0], 1j * kap]), keep_field=True)
+    assert fieldc.dtype == np.complex128
+    f0c, fp0c, fieldc = f0c[1:], fp0c[1:], fieldc[:, 1:]
+    scale = np.max(np.abs(fieldc), axis=0)
+    assert np.max(np.abs(field - fieldc) / scale) <= 1e-13
+    assert np.max(np.abs(f0 - f0c) / scale) <= 1e-13
+    assert np.max(np.abs(fp0 - fp0c) / np.maximum(np.abs(fp0c), kap * scale)) <= 1e-13
+
+
+def test_jost_values_are_complex_on_the_imaginary_axis(q_well):
+    # the real-arithmetic march is internal: the public arrays stay complex
+    for ks in ([0.5j, 1.5j], [0.0]):
+        f_xk, fp0 = fw.jost_field(q_well, ks)
+        assert f_xk.dtype == fp0.dtype == np.complex128
+    f0, fp0 = fw.jost_boundary(q_well, MomentumGrid.make(1.0, 0.5))
+    assert f0.dtype == fp0.dtype == np.complex128
+
+
 # ---------------------------------------------------------------------------
 # jost_boundary
 
@@ -364,27 +406,37 @@ def test_norming_batched_equal_one_by_one():
         assert rep["s_norm"] == 1.0 / float(integrate(np.real(f_xk[:, 0]) ** 2, q.grid))
 
 
-def _count_marches(monkeypatch):
-    widths = []
+def _record_marches(monkeypatch):
+    """The momenta of every _march call, in call order."""
+    calls = []
     march = fw._march
 
-    def counting(q_vals, dx, ks, keep_field=False):
-        widths.append(np.size(ks))
+    def recording(q_vals, dx, ks, keep_field=False):
+        calls.append(np.atleast_1d(ks))
         return march(q_vals, dx, ks, keep_field)
 
-    monkeypatch.setattr(fw, "_march", counting)
-    return widths
+    monkeypatch.setattr(fw, "_march", recording)
+    return calls
 
 
 def test_bound_states_and_norming_batch_the_marches(monkeypatch):
     q = _deep_well()
-    widths = _count_marches(monkeypatch)
+    calls = _record_marches(monkeypatch)
     scan = fw.find_bound_states(q)
     assert len(scan.kappas) == 3
-    assert len(widths) <= 12  # one state at a time took 24
-    widths.clear()
+    # the dx and 2dx scans, the secant steps on both grids and the 4dx
+    # check: 9 marches (11 while the root finder re-marched its bracket
+    # ends, 24 one state at a time)
+    assert len(calls) <= 9
+    # g at the bracket ends comes from the scans: after them, no march
+    # revisits a scan node
+    nodes = fw._kappa_scan(np.max(np.abs(q.values)))
+    scans = [c for c in calls if c.size >= nodes.size]
+    later = np.concatenate([c for c in calls if c.size < nodes.size])
+    assert len(scans) == 2 and not np.any(np.isin(later.imag, nodes))
+    calls.clear()
     vals, report = fw.norming_constants(q, scan.kappas)
-    assert widths == [9]  # kappa_j and kappa_j +- h for all three states
+    assert [c.size for c in calls] == [9]  # kappa_j and kappa_j +- h for all three states
     assert np.all(vals > 0) and max(r["rel_diff"] for r in report) < 1e-3
 
 

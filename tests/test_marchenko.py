@@ -446,6 +446,23 @@ def test_data_from_kernel_keeps_deep_states(deep_well_kernel):
     np.testing.assert_allclose(got, scan.kappas, rtol=0.05)
 
 
+def test_data_from_kernel_roots_start_from_the_scan(monkeypatch, deep_well_kernel):
+    # the root finder takes f(i kappa) at the bracket ends from the scan, so
+    # it evaluates f only at secant iterates: one evaluation fewer
+    seen, ends = [], []
+    core = mk._find_roots
+
+    def recording(g, a, b, fa, fb, tol, max_iter=200):
+        ends.append(np.concatenate([a, b]))
+        return core(lambda x: seen.append(np.array(x, dtype=float)) or g(x), a, b, fa, fb, tol, max_iter)
+
+    monkeypatch.setattr(mk, "_find_roots", recording)
+    _, K = deep_well_kernel
+    assert mk.data_from_kernel(K, kgrid=MomentumGrid.make(20.0, 0.05)).j_count == 3
+    assert len(ends) == 1 and ends[0].size == 6
+    assert seen[0].size == 3 and not np.any(np.isin(np.concatenate(seen), ends[0]))
+
+
 def test_data_from_kernel_flags_states_beyond_scan(deep_well_kernel):
     # f(i kappa) < 0 between the two deepest zeros: a scan stopping there
     # would drop them silently
