@@ -14,8 +14,8 @@ from .forward import ForwardResult, jost_boundary, kernel_from_potential, s_matr
 from .marchenko import (
     InversionConfig,
     build_F,
+    data_from_F,
     data_from_kernel,
-    extract_data_from_F,
     f_from_kernel,
     invert,
     solve_kernel,
@@ -53,8 +53,8 @@ __all__ = [
     "UniformGrid",
     "ValidationReport",
     "build_F",
+    "data_from_F",
     "data_from_kernel",
-    "extract_data_from_F",
     "f_from_kernel",
     "full_report",
     "invert",

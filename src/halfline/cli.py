@@ -8,8 +8,9 @@ reads:
                -> scattering.json, phase_shift.csv, jost.csv
     invert     --data JSON [--xmax --dx --force]
                -> potential.csv, kernel_diagonal.csv, inversion_diagnostics.json
-    extract    --f-data CSV [--kmax --dk (default 0.05) --stripping-tol]
-               -> scattering.json
+    extract    --f-data CSV [--kmax --dk (default 0.05)]
+               -> scattering.json (reads x >= 0 only; the x = 0 sample
+               is F(0+); the kernel on [0, X/2] for F on [0, X])
     riemann    --data JSON -> jost_boundary.csv, factorization_report.json
     validate   --data JSON -> report.json (exit 0 iff all conditions pass)
     roundtrip  --potential CSV [--kmax --dk --dx --tol] -> roundtrip_report.json
@@ -202,7 +203,6 @@ _FLAGS = {
     "--xmax": _positive("x_max", 40.0, "inversion grid length"),
     "--dx": _positive("dx", 0.05, "inversion grid spacing"),
     "--tol": _positive("tol", 5e-3, "round-trip sup-error tolerance"),
-    "--stripping-tol": _positive("stripping_tol", 1e-3, "bound-state stripping tolerance"),
     "--force": dict(action="store_true", help="skip the characterization gate"),
 }
 
@@ -278,7 +278,7 @@ def _run_invert(ns: argparse.Namespace) -> int:
 def _run_extract(ns: argparse.Namespace) -> int:
     """F(x) samples -> scattering data"""
     F = read_f_csv(ns.f_data)
-    sd = mk.extract_data_from_F(F, stripping_tol=ns.stripping_tol, kgrid=MomentumGrid.make(ns.k_max, ns.dk))
+    sd = mk.data_from_F(F, MomentumGrid.make(ns.k_max, ns.dk))
     write_scattering_json(ns.out_dir / "scattering.json", sd)
     print(f"extract: J={sd.j_count}, wrote {ns.out_dir}")
     return 0
@@ -344,7 +344,7 @@ def _run_roundtrip(ns: argparse.Namespace) -> int:
 _SUBCOMMANDS = {
     "forward": (_run_forward, ["--potential", "--kmax", "--dk"], "forward failed"),
     "invert": (_run_invert, ["--data", "--xmax", "--dx", "--force"], "inversion failed"),
-    "extract": (_run_extract, ["--f-data", "--kmax", "--dk", "--stripping-tol"], "extraction failed"),
+    "extract": (_run_extract, ["--f-data", "--kmax", "--dk"], "extraction failed"),
     "riemann": (_run_riemann, ["--data"], "riemann failed"),
     "validate": (_run_validate, ["--data"], "validation failed to run"),
     "roundtrip": (_run_roundtrip, ["--potential", "--kmax", "--dk", "--dx", "--tol"], "roundtrip failed"),

@@ -21,10 +21,6 @@ class PhaseUnwrapError(HalflineError, RuntimeError):
     """Phase continuation refused: consecutive samples jump by >= pi."""
 
 
-class StrippingError(HalflineError, RuntimeError):
-    """Bound-state extraction from the asymptotics of F failed."""
-
-
 class IndexMismatchError(HalflineError, RuntimeError):
     """Winding index of S inconsistent with the supplied bound states."""
 

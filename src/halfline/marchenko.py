@@ -8,18 +8,18 @@ with F_s(x) = (1/2pi) int (1 - S(k)) e^{ikx} dk and
 F_d(x) = sum_j s_j e^{-kappa_j x}, and A(x, .) the solution of the Marchenko
 equation A(x,y) + F(x+y) + int_x^inf A(x,s) F(s+y) ds = 0 for y >= x.
 
-Reverse arrows: f_from_kernel recovers F from the x = 0 kernel row by a
-backward Volterra solve of the same equation; extract_data_from_F strips
-bound-state exponentials off the x -> -inf asymptotics of F and Fourier
-transforms the remainder back to 1 - S(k); data_from_kernel reconstructs
-the full scattering data from A alone.
+Reverse arrows, all on the half-line x >= 0: f_from_kernel recovers F from
+the x = 0 kernel row by a backward Volterra solve of the same equation;
+data_from_kernel reconstructs the full scattering data from A alone; and
+data_from_F composes the Marchenko rows with data_from_kernel, so F on
+[0, X] determines the data through the kernel on [0, X/2].
 
 solve_marchenko solves one kernel row by a dense Nystrom collocation
 (Simpson rule); solve_kernel gives every row of the same discretization at
-once from one Cholesky factorization per weight parity, O(n^3) in total,
-and invert_full calls it.  F beyond the sample window is treated as zero;
-invert_full also zeroes F beyond the point where the remaining |F| tail mass
-falls below Y_TAIL_TOL, and reports that mass as the error scale.
+once from one Cholesky factorization per weight parity, O(n^3) in total.
+invert_full and data_from_F reach it through one path, which first zeroes
+F beyond the point where the remaining |F| tail mass falls below
+Y_TAIL_TOL; invert_full reports that mass as the error scale.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SolverError, StageError, StrippingError
+from .errors import DataError, SolverError, StageError
 from .forward import RESONANCE_TOL, _data_from_jost, _kappa_scan
 from .model import (
     BoundState,
@@ -45,7 +45,6 @@ from .numkit import (
     _oscillatory_sum,
     differentiate,
     fourier_kernel_to_space,
-    fourier_space_to_kernel,
     integrate,
     quadrature_weights,
     solve_volterra_backward,
@@ -61,18 +60,12 @@ __all__ = [
     "invert",
     "invert_full",
     "f_from_kernel",
-    "extract_data_from_F",
     "data_from_kernel",
+    "data_from_F",
 ]
 
 RESIDUAL_TOL = 1e-10  # relative residual above which a kernel row is refused
 Y_TAIL_TOL = 1e-8  # |F| tail mass below which F is zeroed before the row solves
-# bound-state stripping in extract_data_from_F: fit and polish windows as
-# fractions of the x < 0 samples, the state cap, the resolvable separation
-STRIP_WINDOW_FRAC = 0.25
-STRIP_REFINE_FRAC = 0.6
-STRIP_MAX_STATES = 12
-STRIP_KAPPA_SEP = 1e-2
 
 
 @dataclass(frozen=True)
@@ -298,6 +291,17 @@ def _tail_cut(F: MarchenkoInput) -> tuple[int, float]:
     return cut, float(tail_env[cut])
 
 
+def _kernel_from_F(F: MarchenkoInput, xg: RadialGrid) -> tuple[TransformationKernel, float]:
+    """The kernel on xg from F sampled from x = 0 at xg's spacing: F zeroed
+    beyond the cut of _tail_cut, then every row by solve_kernel (Simpson
+    rule).  Also returns the tail mass neglected at the cut."""
+    cut, neglected = _tail_cut(F)
+    f = F.f_values.copy()
+    f[cut + 1 :] = 0.0
+    F = MarchenkoInput(xgrid=F.xgrid, fs_values=f, fd_values=np.zeros_like(f))
+    return TransformationKernel(grid=xg, block=solve_kernel(F, xg.x_max, "simpson")), neglected
+
+
 def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> InversionResult:
     """Scattering data to potential, keeping the intermediate artifacts.
 
@@ -328,16 +332,10 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
     except Exception as exc:
         raise StageError("build_F", exc)
 
-    xg = RadialGrid.make(cfg.x_max, cfg.dx)
-    cut, neglected = _tail_cut(F)
-    f = F.f_values.copy()
-    f[cut + 1 :] = 0.0
-    F = MarchenkoInput(xgrid=F.xgrid, fs_values=f, fd_values=np.zeros_like(f))
     try:
-        values = solve_kernel(F, xg.x_max, "simpson")
+        kernel, neglected = _kernel_from_F(F, RadialGrid.make(cfg.x_max, cfg.dx))
     except SolverError as exc:
         raise StageError("solve_marchenko", exc)
-    kernel = TransformationKernel(grid=xg, block=values)
     try:
         q = recover_potential(kernel)
     except Exception as exc:
@@ -379,142 +377,27 @@ def f_from_kernel(
     return MarchenkoInput(xgrid=kernel.grid, fs_values=f, fd_values=np.zeros_like(f))
 
 
-def _fit_exponential(x: np.ndarray, F: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares fit of ln F ~ ln s - kappa x; returns (kappa, s, resid)."""
-    if np.any(F <= 0):
-        raise StrippingError("window values must be positive for a log-linear fit")
-    lnF = np.log(F)
-    A = np.vstack([np.ones_like(x), -x]).T
-    coef, *_ = np.linalg.lstsq(A, lnF, rcond=None)
-    lns, kappa = coef
-    resid = float(np.sqrt(np.mean((A @ coef - lnF) ** 2)))
-    return float(kappa), float(np.exp(lns)), resid
+def data_from_F(F: MarchenkoInput, kgrid: MomentumGrid | None = None) -> ScatteringData:
+    """Scattering data from F on the half-line alone.
 
-
-def _refine_exponentials(
-    x: np.ndarray, F: np.ndarray, kappas: list, ss: list, iters: int = 60
-) -> tuple[list, list]:
-    """Joint Gauss-Newton polish of F ~ sum_j s_j e^{-kappa_j x}."""
-    p = np.array(list(kappas) + list(ss), dtype=float)
-    J = len(kappas)
-    for _ in range(iters):
-        E = np.exp(-np.outer(x, p[:J]))
-        r = E @ p[J:] - F
-        jac = np.hstack([-x[:, None] * E * p[J:][None, :], E])
-        try:
-            step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        p_new = p - step
-        if np.any(p_new[:J] <= 0) or np.any(p_new[J:] <= 0):
-            break
-        done = np.max(np.abs(step)) < 1e-13 * max(1.0, float(np.max(np.abs(p))))
-        p = p_new
-        if done:
-            break
-    return list(p[:J]), list(p[J:])
-
-
-def extract_data_from_F(
-    F: MarchenkoInput,
-    stripping_tol: float = 1e-3,
-    kgrid: MomentumGrid | None = None,
-) -> ScatteringData:
-    """Scattering data from F sampled on a window reaching well into x < 0.
-
-    Bound states dominate F as x -> -inf (s_J e^{-kappa_J x}, largest kappa
-    first).  Repeatedly: log-linear fit on the most negative
-    STRIP_WINDOW_FRAC of the negative-x samples, strip the fitted
-    exponential, polish all recovered pairs by a joint Gauss-Newton fit on
-    the most negative STRIP_REFINE_FRAC of the negative-x samples (the lever
-    arm from the fit window to x = 0 otherwise limits the amplitude
-    accuracy).  Stop when the residual sup over x < 0 drops below
-    stripping_tol or the remainder stops looking like a growing positive
-    exponential (it is then the decaying negative-x part of F_s).  More than
-    STRIP_MAX_STATES states, or two closer than STRIP_KAPPA_SEP, raise
-    StrippingError.  Finally F_s = F - F_d and S(k) = 1 - int F_s e^{-ikx} dx.
+    Only the samples at x >= 0 are read, and the x = 0 sample is taken as
+    the right limit F(0+) (build_F's value with tail_correction=True).  With
+    X the last node, the kernel on [0, X/2] at F's own spacing comes from
+    the Marchenko rows (the path invert_full takes), and the data from
+    data_from_kernel on kgrid.  A grid without a node at x = 0 raises
+    DataError; data that violate unique solvability raise SolverError.
     """
     nodes = F.xgrid.nodes
-    if nodes[0] >= 0:
-        raise DataError("extraction needs samples on x < 0")
-    if kgrid is None:
-        kgrid = MomentumGrid.make(200.0, 0.05)
-    n_neg = int(np.count_nonzero(nodes < 0))
-    ref_hi = int(n_neg * STRIP_REFINE_FRAC)
-    if int(n_neg * STRIP_WINDOW_FRAC) < 8:
-        raise DataError("negative-x window too short for stripping")
-    neg = nodes < 0
-
-    def model(kappas, ss):
-        if not kappas:
-            return np.zeros_like(nodes)
-        return np.sum(np.array(ss)[None, :] * np.exp(-np.outer(nodes, np.array(kappas))), axis=1)
-
-    kappas: list[float] = []
-    ss: list[float] = []
-    residual = F.f_values.copy()
-    sup = float(np.max(np.abs(residual[neg])))
-    while sup >= stripping_tol:
-        if len(kappas) >= STRIP_MAX_STATES:
-            raise StrippingError(f"more than {STRIP_MAX_STATES} exponentials; window too narrow")
-        # walk candidate fit windows from the far end toward x = 0: after a
-        # strip, the far end is dominated by the previous stage's fit noise
-        # and the next state emerges only where it beats that noise
-        accepted = False
-        for start in (0.0, 0.1, 0.25, 0.4, 0.55, 0.7):
-            lo = int(n_neg * start)
-            hi = min(n_neg, lo + max(8, int((n_neg - lo) * STRIP_WINDOW_FRAC)))
-            if hi - lo < 8:
-                break
-            seg = residual[lo:hi]
-            if np.any(seg <= 0):
-                continue
-            try:
-                kappa_c, s_c, _ = _fit_exponential(nodes[lo:hi], seg)
-            except StrippingError:
-                continue
-            if kappa_c <= 0 or s_c <= 0:
-                continue
-            if kappas and kappa_c >= min(kappas) - STRIP_KAPPA_SEP:
-                continue  # contaminant of an already-stripped state
-            trial_k, trial_s = _refine_exponentials(
-                nodes[:ref_hi], F.f_values[:ref_hi], kappas + [kappa_c], ss + [s_c]
-            )
-            trial_resid = F.f_values - model(trial_k, trial_s)
-            trial_sup = float(np.max(np.abs(trial_resid[neg])))
-            if trial_sup < 0.5 * sup:
-                kappas, ss = trial_k, trial_s
-                residual = trial_resid
-                sup = trial_sup
-                accepted = True
-                break
-        if not accepted:
-            break  # remainder is not a growing exponential (the F_s part)
-    if len(kappas) > 1 and np.min(np.abs(np.diff(sorted(kappas)))) < STRIP_KAPPA_SEP:
-        raise StrippingError("recovered kappas closer than the resolvable separation")
-    fd = model(kappas, ss)
-    if kappas:
-        # legitimate leftovers (the x < 0 part of F_s) decay toward x_lo;
-        # a residual that instead grows leftward and is far above rounding
-        # relative to the stripped model marks unresolved structure (states
-        # closer than STRIP_KAPPA_SEP merge into one effective exponential)
-        w = max(8, n_neg // 10)
-        far = float(np.abs(residual[0]))
-        near_zero = float(np.max(np.abs(residual[n_neg - w : n_neg])))
-        if far >= stripping_tol and far > 3 * near_zero and far > 1e-9 * abs(fd[0]):
-            raise StrippingError(
-                f"unexplained growth toward x_lo (residual {far:.3e}); bound states "
-                "closer than the resolvable separation or window too narrow"
-            )
-    fs = F.f_values - fd
-    svals = 1.0 - fourier_space_to_kernel(fs, F.xgrid, kgrid)
-    if kgrid.zero_index is not None:
-        s0 = float(svals[kgrid.zero_index].real)
-    else:
-        s0 = float(1.0 - integrate(fs, F.xgrid))
-    sign = 1 if s0 >= 0 else -1
-    bound = tuple(BoundState(k, s) for k, s in sorted(zip(kappas, ss)))
-    return ScatteringData(kgrid=kgrid, s_values=svals, bound_states=bound, s_at_zero_sign=sign)
+    dx = F.xgrid.dx
+    i0 = int(np.argmin(np.abs(nodes)))
+    if abs(nodes[i0]) > 1e-9 * dx:
+        raise DataError("F needs a node at x = 0")
+    half = UniformGrid(nodes[i0:])
+    f = F.f_values[i0:]
+    F = MarchenkoInput(xgrid=half, fs_values=f, fd_values=np.zeros_like(f))
+    xg = RadialGrid(dx * np.arange((half.n - 1) // 2 + 1))
+    kernel, _ = _kernel_from_F(F, xg)
+    return data_from_kernel(kernel, kgrid)
 
 
 def data_from_kernel(
@@ -529,14 +412,14 @@ def data_from_kernel(
     are the sign changes of f(i kappa) on the imaginary axis, all refined
     at once by batched bracketed root finding that starts from the scan's
     values; s_j = ||f_j||^{-2} with f_j(x) = e^{-kappa_j x} +
-    int_x^inf A(x,y) e^{-kappa_j y} dy, one kernel product for all states;
-    and S = conj(f)/f with the S(0) sign set by the resonance test
-    |f(0)| < RESONANCE_TOL (forward._data_from_jost, which also refuses an
-    f that vanishes away from k = 0).
+    int_x^inf A(x,y) e^{-kappa_j y} dy, each row by its own Simpson rule
+    (_simpson_rows); and S = conj(f)/f with the S(0) sign set by the
+    resonance test |f(0)| < RESONANCE_TOL (forward._data_from_jost, which
+    also refuses an f that vanishes away from k = 0).
 
-    The sums over y run on the kernel's nb x nb block only, with the full
-    grid's Simpson weights cut to nb nodes (A is 0 beyond them); past the
-    block f_j = e^{-kappa_j x}.
+    The sums over y run on the kernel's nb x nb block only, with the
+    weights cut to nb nodes (A is 0 beyond them); past the block
+    f_j = e^{-kappa_j x}.
 
     The scan has the forward scan's nodes (forward._kappa_scan) with
     q = -2 dA(x,x)/dx read off the kernel diagonal, up to kappa_max, by
@@ -552,7 +435,7 @@ def data_from_kernel(
     nb = A.shape[0]
     yb = y[:nb]
     wrow = quadrature_weights(y.size, dx, "simpson")[:nb] * A[0]
-    f0 = 1.0 + _oscillatory_sum(wrow, yb, dx, kgrid.nodes[kgrid.upper], kgrid.dx, 1.0)
+    f0 = 1.0 + _oscillatory_sum(wrow, yb, dx, kgrid.nodes[kgrid.upper], kgrid.dx)
 
     def f_imag(kaps: np.ndarray) -> np.ndarray:
         e = np.multiply.outer(-np.asarray(kaps, dtype=float), yb)
@@ -571,15 +454,43 @@ def data_from_kernel(
     lo = np.nonzero(gv[:-1] * gv[1:] < 0)[0]
     kappas = _find_roots(f_imag, grid[lo], grid[lo + 1], gv[lo], gv[lo + 1], 1e-12)
     # f_j(x) = e^{-kappa_j x} + int_x^inf A(x,y) e^{-kappa_j y} dy for all
-    # states at once: trapezoid over [x_i, x_max] per row; the j < i entries
-    # of A are zero, so the row sum starts at the diagonal; halve the two
-    # end nodes (the x_max node is in the block only when nb = n).  Rows
-    # past the block have A = 0, so f_j = e^{-kappa_j x} there.
+    # states at once; rows past the block have A = 0, so f_j = e^{-kappa_j x}
     decay = np.exp(-np.multiply.outer(y, kappas))
     fj = decay.copy()
-    db = decay[:nb]
-    end = A[:, -1:] * decay[-1] if nb == y.size else 0.0
-    fj[:nb] = db + dx * (A @ db) - 0.5 * dx * (A.diagonal()[:, None] * db + end)
+    fj[:nb] += _simpson_rows(A, decay[:nb], y.size, dx)
     norms = integrate(fj.T**2, kernel.grid, "simpson")
     bound = tuple(BoundState(float(kap), float(1.0 / norm)) for kap, norm in zip(kappas, norms))
     return _data_from_jost(kgrid, kgrid.mirror(f0, np.conj), bound, resonance)
+
+
+# Simpson weights / dx of the rows of four, three, two and one nodes
+_SHORT_ROWS = np.array(
+    [[3 / 8, 9 / 8, 9 / 8, 3 / 8], [0.0, 1 / 3, 4 / 3, 1 / 3], [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0]]
+)
+
+
+def _simpson_rows(A: np.ndarray, V: np.ndarray, n: int, dx: float) -> np.ndarray:
+    """sum_j w_ij A[i, j] V[j, :] for every row i of the upper-triangular
+    nb x nb block A of an n-node kernel, w_i the Simpson weights
+    (quadrature_weights) of row i's own n - i nodes x_i, ..., x_{n-1}.
+
+    As in solve_kernel and solve_volterra_backward, the rows whose lengths
+    share a parity share their weights at y > x with the longest such row,
+    row 0 or row 1: one product per parity.  The y = x weight, dx/3 for
+    five nodes or more, is then set per row, and the rows of at most four
+    nodes take their own weights from _SHORT_ROWS.
+    """
+    nb = A.shape[0]
+    out = np.empty((nb, V.shape[1]))
+    for p in (0, 1):
+        if n - p >= 2:
+            t = quadrature_weights(n - p, dx, "simpson")
+            w = np.zeros(nb)
+            w[p:] = t[: nb - p]  # row i = p mod 2 weighs node j >= i by t[j - p]
+            i = np.arange(p, nb, 2)
+            out[p::2] = A[p::2] @ (w[:, None] * V) + ((t[0] - w[i]) * A[i, i])[:, None] * V[i]
+    s = max(n - 4, 0)
+    if nb > s:
+        W = dx * _SHORT_ROWS[4 - n + s : nb + 4 - n, 4 - n + s : nb + 4 - n]
+        out[s:] = (A[s:, s:] * W) @ V[s:]
+    return out

@@ -289,9 +289,11 @@ class TransformationKernel:
 
 @dataclass(frozen=True)
 class MarchenkoInput:
-    """Samples of F_s and F_d on a uniform grid (which may extend to
-    negative x for data extraction); the Marchenko input F = F_s + F_d is
-    summed once here, and its derivative is fprime."""
+    """Samples of F_s and F_d on a uniform grid; the Marchenko input
+    F = F_s + F_d is summed once here, and its derivative is fprime.  The
+    grid may extend to negative x, where the characterization checks F_s
+    on the whole line; the Marchenko rows and data_from_F read x >= 0 only,
+    and take a sample at x = 0 as the right limit F(0+)."""
 
     xgrid: UniformGrid
     fs_values: np.ndarray

@@ -1,13 +1,14 @@
 """Shared numerical primitives.
 
 Composite trapezoid and Simpson quadrature, finite-difference
-differentiation, truncated oscillatory Fourier integrals between uniform
-grids (a chirp-z transform each) with an endpoint taper or an analytic 1/k
-tail correction, backward-marching Volterra solves with a difference
-kernel, batched bracketed root finding (one vectorized call of g per secant
-step for all brackets), winding numbers by nearest-branch phase
-continuation (a step of pi or more refused), and principal-value Cauchy
-transforms on uniform grids.  The Fourier sums and the principal value are
+differentiation, sums of e^{ipx} between uniform grids (one chirp-z
+transform each: the truncated Fourier integral from momentum to space,
+with an endpoint taper or an analytic 1/k tail correction, and the Jost
+function from a kernel row), backward-marching Volterra solves with a
+difference kernel, batched bracketed root finding (one vectorized call of
+g per secant step for all brackets), winding numbers by nearest-branch
+phase continuation (a step of pi or more refused), and principal-value
+Cauchy transforms on uniform grids.  The Fourier sums and the principal value are
 both Toeplitz products, computed by one zero-padded FFT convolution.
 
 Conventions: the Volterra solver uses the sign convention of the Marchenko
@@ -32,7 +33,6 @@ __all__ = [
     "integrate",
     "differentiate",
     "fourier_kernel_to_space",
-    "fourier_space_to_kernel",
     "solve_volterra_backward",
     "find_roots",
     "winding_number",
@@ -193,27 +193,25 @@ def _toeplitz_fft(a: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(col))[..., :m]
 
 
-def _oscillatory_sum(
-    weighted: np.ndarray, nodes: np.ndarray, dx: float, points: np.ndarray, dp: float, sign: float
-) -> np.ndarray:
-    """sum_j weighted_j e^{sign * i * p * nodes_j} for each p in points.
+def _oscillatory_sum(weighted: np.ndarray, nodes: np.ndarray, dx: float, points: np.ndarray, dp: float) -> np.ndarray:
+    """sum_j weighted_j e^{i p nodes_j} for each p in points.
 
     nodes and points are uniform with spacings dx and dp (the grids' own),
     so this is Bluestein's chirp-z transform: with indices u, v centred on
     the grids, p x = x_c p + p_c (x - x_c) + u v dp dx, and
     u v = (u^2 + v^2 - (v - u)^2)/2 leaves one Toeplitz product with the
-    chirp e^{-i alpha (v - u)^2 / 2}, alpha = sign dp dx.  The centring
+    chirp e^{-i alpha (v - u)^2 / 2}, alpha = dp dx.  The centring
     keeps the chirp phases small.
     """
     n, m = nodes.size, points.size
     xc, pc = 0.5 * (nodes[0] + nodes[-1]), 0.5 * (points[0] + points[-1])
     u = np.arange(n) - 0.5 * (n - 1)
     v = np.arange(m) - 0.5 * (m - 1)
-    alpha = sign * dp * dx
-    a = weighted * np.exp(1j * (sign * pc * (nodes - xc) + 0.5 * alpha * u**2))
+    alpha = dp * dx
+    a = weighted * np.exp(1j * (pc * (nodes - xc) + 0.5 * alpha * u**2))
     d = np.arange(1 - n, m) + 0.5 * (n - m)  # v - u on the diagonal i - j
     conv = _toeplitz_fft(a, np.exp(-0.5j * alpha * d**2), m)
-    return np.exp(1j * (sign * xc * points + 0.5 * alpha * v**2)) * conv
+    return np.exp(1j * (xc * points + 0.5 * alpha * v**2)) * conv
 
 
 def fourier_kernel_to_space(h: np.ndarray, kgrid, xgrid, tail_correction: bool = False) -> tuple:
@@ -239,7 +237,7 @@ def fourier_kernel_to_space(h: np.ndarray, kgrid, xgrid, tail_correction: bool =
     w = quadrature_weights(k.size, kgrid.dx)
     if not tail_correction:
         w = w * _taper_window(k.size)
-    vals = _oscillatory_sum(w * h, k, kgrid.dx, xs, xgrid.dx, +1.0) / (2 * np.pi)
+    vals = _oscillatory_sum(w * h, k, kgrid.dx, xs, xgrid.dx) / (2 * np.pi)
     if tail_correction:
         # h ~ i*gamma/k + c2/k^2 beyond the grid; add the missing tail of
         # both terms in closed form (gamma and c2 from the endpoint samples)
@@ -257,17 +255,6 @@ def fourier_kernel_to_space(h: np.ndarray, kgrid, xgrid, tail_correction: bool =
             # the reconstructed midpoint plus half the jump, which is -gamma
             vals = np.where(at_zero, vals - gamma / 2.0, vals)
     return vals.real, np.abs(vals.imag)
-
-
-def fourier_space_to_kernel(fs: np.ndarray, xgrid, kgrid) -> np.ndarray:
-    """Integral of F_s(x) e^{-ikx} dx over the sample window, i.e. the
-    approximation to 1 - S(k), at every node k of kgrid (one chirp-z
-    transform).  F_s must decay at the window ends."""
-    fs = np.asarray(fs, dtype=float)
-    if fs.shape != xgrid.nodes.shape:
-        raise GridError("F_s samples must match the grid")
-    w = quadrature_weights(xgrid.n, xgrid.dx)
-    return _oscillatory_sum(w * fs, xgrid.nodes, xgrid.dx, kgrid.nodes, kgrid.dx, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from halfline.forward import forward
-from halfline.model import MomentumGrid, RadialGrid
+from halfline.model import BoundState, MomentumGrid, RadialGrid, ScatteringData
 from halfline.potentials import sech2_potential, square_well_potential, zero_potential
 
 
@@ -58,6 +58,14 @@ def fw_zero(q_zero, kgrid_fourier):
 def sech2_jost_exact(x: np.ndarray, k: complex) -> np.ndarray:
     """Closed-form Jost solution for q = -2/cosh^2 x."""
     return np.exp(1j * k * x) * (k + 1j * np.tanh(x)) / (k + 1j)
+
+
+def reflectionless_data(kgrid: MomentumGrid, states) -> ScatteringData:
+    """Admissible data with the bound states (kappa_j, s_j) and the Jost
+    function w = prod_j (k - i kappa_j)/(k + i kappa_j): S = conj(w)/w."""
+    k = kgrid.nodes
+    w = np.prod([(k - 1j * kappa) / (k + 1j * kappa) for kappa, _ in states], axis=0)
+    return ScatteringData(kgrid=kgrid, s_values=np.conj(w) / w, bound_states=tuple(BoundState(*b) for b in states))
 
 
 def well_kappa_oracle(depth: float = 4.0, width: float = 1.0, iters: int = 200) -> float:

@@ -10,7 +10,7 @@ for the dense solves) are stated inline where the numerics require them.
 import numpy as np
 import pytest
 
-from conftest import well_kappa_oracle
+from conftest import reflectionless_data, well_kappa_oracle
 from halfline import characterize as ch
 from halfline import forward as fw
 from halfline import marchenko as mk
@@ -122,7 +122,7 @@ def test_criterion_4_square_well_roundtrip(q_well, fw_well):
     )
 
 
-def test_criterion_5_reversibility_suite(fw_sech2, fw_well, fw_zero):
+def test_criterion_5_reversibility_suite(fw_sech2, fw_well, fw_zero, kgrid_fourier):
     details = []
     ok = True
 
@@ -151,24 +151,22 @@ def test_criterion_5_reversibility_suite(fw_sech2, fw_well, fw_zero):
     afa = kernel_roundtrip(sd_fine, 4.0)
     ok &= afa <= 1e-5
     details.append(f"well: A->F->A={afa:.1e}")
-    # F -> data on the constructed two-exponential input
-    g = UniformGrid.make(-12.0, 40.0, 0.01)
-    fvals = 2.0 * np.exp(-g.nodes) + 3.0 * np.exp(-2.0 * g.nodes)
-    Fc = MarchenkoInput(xgrid=g, fs_values=fvals, fd_values=np.zeros_like(fvals))
-    sd = mk.extract_data_from_F(Fc)
-    strip_ok = sd.j_count == 2 and all(
-        abs(b.kappa - k0) <= 1e-4 and abs(b.s - s0) <= 1e-4
-        for b, (k0, s0) in zip(sd.bound_states, ((1.0, 2.0), (2.0, 3.0)))
-    )
-    ok &= strip_ok
-    details.append(f"stripping recovers {{(1,2),(2,3)}}: {strip_ok}")
-    # S -> F -> S on the corpus: F sampled at dx = 0.0025 (the inverse
-    # transform is second order in the F spacing) and compared on
-    # |k| <= 100 (the outermost band loses half its Fourier mass to the
-    # finite window, irrespective of grids)
-    for name, r in (("sech2", fw_sech2), ("well", fw_well)):
-        F = mk.build_F(r.sd, -12.0, 40.0, 0.0025)
-        sd2 = mk.extract_data_from_F(F)
+    # F -> data on admissible two-state data (S = conj(w)/w with the
+    # reflectionless w = prod (k - i kappa_j)/(k + i kappa_j)): F on
+    # [0, 20] at dx = 0.0125, read through the kernel on [0, 10]
+    states = ((1.0, 2.0), (2.0, 3.0))
+    F = mk.build_F(reflectionless_data(kgrid_fourier, states), 0.0, 20.0, 0.0125, tail_correction=True)
+    sd = mk.data_from_F(F)
+    got = [(b.kappa, b.s) for b in sd.bound_states]
+    err = np.max(np.abs(np.subtract(got, states)), axis=0) if sd.j_count == 2 else np.full(2, np.inf)
+    ok &= bool(np.all(err <= 1e-4))
+    details.append(f"F -> data on {{(1,2),(2,3)}}: J={sd.j_count}, |dkappa|={err[0]:.1e}, |ds|={err[1]:.1e}")
+    # S -> F -> S on the corpus: the half-line F on [0, 2 x_max] at
+    # dx = 0.0125, compared on |k| <= 100, where k dx <= 1.25 keeps the
+    # Simpson sums of e^{iky} accurate
+    for name, r, x_max in (("sech2", fw_sech2, 15.0), ("well", fw_well, 10.0)):
+        F = mk.build_F(r.sd, 0.0, 2 * x_max, 0.0125, tail_correction=True)
+        sd2 = mk.data_from_F(F)
         k2 = sd2.kgrid.nodes
         idx = np.round((k2 - r.sd.kgrid.nodes[0]) / r.sd.kgrid.dk).astype(int)
         band = np.abs(k2) <= 100.0

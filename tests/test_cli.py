@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfline import characterize, cli
+from conftest import reflectionless_data
+from halfline import characterize, cli, marchenko as mk
 from halfline.errors import DataError
 from halfline.model import BoundState, MomentumGrid, RadialGrid, ScatteringData
 from halfline.potentials import sech2_potential, square_well_potential
@@ -137,21 +138,38 @@ def test_write_csv_bytes_match_csv_writer(tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_extract_subcommand(tmp_path):
-    x = np.arange(-12.0, 40.0 + 1e-9, 0.01)
-    F = 2 * np.exp(-x) + 3 * np.exp(-2 * x)
-    path = tmp_path / "f.csv"
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "F"])
-        for xi, fi in zip(x, F):
-            w.writerow([repr(float(xi)), repr(float(fi))])
+def write_f_csv(path, sd, x_hi, dx):
+    """The half-line F of sd on [0, x_hi] as an `extract` input, with the
+    right limit F(0+) at x = 0."""
+    F = mk.build_F(sd, 0.0, x_hi, dx, tail_correction=True)
+    cli._write_csv(path, ["x", "F"], [F.xgrid.nodes, F.f_values])
+    return path
+
+
+def test_extract_subcommand(tmp_path, kgrid_fourier):
+    path = write_f_csv(tmp_path / "f.csv", reflectionless_data(kgrid_fourier, ((1.0, 2.0), (2.0, 3.0))), 20.0, 0.0125)
     rc = cli.main(["extract", "--f-data", str(path), "--out", str(tmp_path / "e")])
     assert rc == 0
     doc = json.loads((tmp_path / "e" / "scattering.json").read_text())
     assert len(doc["bound_states"]) == 2
     assert doc["bound_states"][0]["kappa"] == pytest.approx(1.0, abs=1e-4)
     assert doc["bound_states"][1]["s"] == pytest.approx(3.0, abs=1e-4)
+
+
+def test_extract_well_from_F_at_0_plus(tmp_path, fw_well):
+    # the depth-4 well's F on [0, 20] with F(0+) at x = 0 reproduces the
+    # forward data: S on |k| <= 100, kappa and s relative to forward's
+    path = write_f_csv(tmp_path / "f.csv", fw_well.sd, 20.0, 0.0125)
+    assert cli.main(["extract", "--f-data", str(path), "--out", str(tmp_path / "e")]) == 0
+    sd = cli.read_scattering_json(tmp_path / "e" / "scattering.json")
+    ref = fw_well.sd
+    k = sd.kgrid.nodes
+    idx = np.round((k - ref.kgrid.nodes[0]) / ref.kgrid.dk).astype(int)
+    band = np.abs(k) <= 100.0
+    assert np.max(np.abs(sd.s_values - ref.s_values[idx])[band]) <= 1e-3
+    assert sd.j_count == ref.j_count == 1
+    np.testing.assert_allclose(sd.kappas, ref.kappas, rtol=1e-4)
+    np.testing.assert_allclose(sd.norming, ref.norming, rtol=1e-4)
 
 
 def test_riemann_subcommand(tmp_path, fw_well):
@@ -303,10 +321,12 @@ def test_threads_flag_is_gone(tmp_path, capsys):
         ("roundtrip", "--xmax", "3"),
         ("forward", "--force", None),
         ("validate", "--format", "csv"),
-        # unique prefixes of --dk, --force and --stripping-tol
+        # unique prefixes of --dk and --force, and of extract's removed
+        # --stripping-tol, which is refused too
         ("forward", "--d", "0.5"),
         ("invert", "--f", None),
         ("extract", "--strip", "0.1"),
+        ("extract", "--stripping-tol", "1e-3"),
     ],
 )
 def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, sech2_csv, capsys, subcommand, flag, value):
@@ -353,7 +373,7 @@ def test_roundtrip_characterization_error_exits_6(tmp_path, sech2_csv, capsys, m
         ("invert", "--xmax", "nan"),
         ("invert", "--dx", "0"),
         ("roundtrip", "--tol", "-1e-3"),
-        ("extract", "--stripping-tol", "inf"),
+        ("extract", "--dk", "inf"),
     ],
 )
 def test_bad_grid_or_tolerance_flag_exits_2(tmp_path, sech2_csv, capsys, subcommand, flag, value):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from halfline.errors import DataError, SolverError, StageError, StrippingError
+from conftest import reflectionless_data
+from halfline.errors import DataError, SolverError, StageError
 from halfline import forward as fw
 from halfline import marchenko as mk
 from halfline.model import (
@@ -13,7 +14,7 @@ from halfline.model import (
     TransformationKernel,
     UniformGrid,
 )
-from halfline.numkit import fourier_kernel_to_space
+from halfline.numkit import fourier_kernel_to_space, quadrature_weights
 from halfline.potentials import sech2_potential, square_well_potential
 
 
@@ -346,12 +347,13 @@ def test_f_to_kernel_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# extract_data_from_F
+# data_from_F
 
 
-def test_extract_two_exponentials():
-    F = make_input(-12.0, 40.0, 0.01, lambda x: 2 * np.exp(-x) + 3 * np.exp(-2 * x))
-    sd = mk.extract_data_from_F(F)
+def test_extract_two_exponentials(kgrid_fourier):
+    # admissible two-state data, F on [0, 20] with F(0+) at x = 0
+    sd_in = reflectionless_data(kgrid_fourier, ((1.0, 2.0), (2.0, 3.0)))
+    sd = mk.data_from_F(mk.build_F(sd_in, 0.0, 20.0, 0.0125, tail_correction=True))
     assert sd.j_count == 2
     (b1, b2) = sd.bound_states
     assert b1.kappa == pytest.approx(1.0, abs=1e-4)
@@ -361,37 +363,44 @@ def test_extract_two_exponentials():
 
 
 def test_extract_zero():
-    F = make_input(-12.0, 40.0, 0.01, lambda x: np.zeros_like(x))
-    sd = mk.extract_data_from_F(F)
+    F = make_input(0.0, 40.0, 0.05, lambda x: np.zeros_like(x))
+    sd = mk.data_from_F(F)
     assert sd.j_count == 0
-    assert np.max(np.abs(sd.s_values - 1.0)) < 1e-12
+    assert np.all(sd.s_values == 1.0)
 
 
 def test_extract_one_sided_exponential():
-    def f(x):
-        v = np.where(x > 0, 2 * np.exp(-x), 0.0)
-        v[np.abs(x) < 1e-12] = 1.0
-        return v
-
-    F = make_input(-12.0, 40.0, 0.0025, f)
-    sd = mk.extract_data_from_F(F)
+    # F = 2 e^{-x} with F(0) = F(0+) = 2 is sech^2's F: no bound state and
+    # S = (k + i)/(k - i) with the resonance sign
+    F = make_input(0.0, 30.0, 0.0125, lambda x: 2 * np.exp(-x))
+    sd = mk.data_from_F(F)
     assert sd.j_count == 0
     assert sd.s_at_zero_sign == -1
     k = sd.kgrid.nodes
     ref = (k + 1j) / (k - 1j)
-    assert np.max(np.abs(sd.s_values - ref)) < 1e-3
+    ref[sd.kgrid.zero_index] = -1.0
+    # f(k) sums A(0, y) e^{iky} by Simpson's rule, whose error grows like
+    # (k dx)^4: 3.3e-4 on |k| <= 100 (k dx <= 1.25), 6.7e-3 on the whole
+    # default grid (k dx up to 2.5)
+    band = np.abs(k) <= 100.0
+    assert np.max(np.abs(sd.s_values - ref)[band]) <= 1e-3
 
 
-def test_extract_needs_negative_window():
-    F = soliton_input()
-    with pytest.raises(DataError):
-        mk.extract_data_from_F(F)
+def test_extract_needs_an_x0_node():
+    # the x = 0 sample is F(0+), so a grid without it is refused
+    for lo in (-0.025, 0.05):
+        with pytest.raises(DataError, match="x = 0"):
+            mk.data_from_F(make_input(lo, 40.0, 0.05, lambda x: 2 * np.exp(-np.abs(x))))
 
 
-def test_extract_refuses_near_degenerate():
-    F = make_input(-12.0, 40.0, 0.01, lambda x: 2 * np.exp(-x) + 3 * np.exp(-1.004 * x))
-    with pytest.raises(StrippingError):
-        mk.extract_data_from_F(F, stripping_tol=1e-10)
+def test_extract_reads_only_x_geq_0():
+    # samples at x < 0 do not enter: the data equal those of the x >= 0 part
+    F = make_input(-5.0, 20.0, 0.05, lambda x: 2 * np.exp(-np.abs(x)))
+    half = make_input(0.0, 20.0, 0.05, lambda x: 2 * np.exp(-x))
+    got, want = mk.data_from_F(F), mk.data_from_F(half)
+    # the two grids' nodes differ by rounding only
+    np.testing.assert_allclose(got.s_values, want.s_values, rtol=0, atol=1e-12)
+    assert got.j_count == want.j_count == 0 and got.s_at_zero_sign == want.s_at_zero_sign == -1
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +426,34 @@ def test_data_from_kernel_separable():
     ref = (kg.nodes + 1j) / (kg.nodes - 1j)
     ref[kg.zero_index] = -1.0
     assert np.max(np.abs(sd.s_values - ref)) < 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 12, 13])
+def test_simpson_rows_match_per_row_weights(n):
+    # every row i integrates over its own n - i nodes, whatever the block
+    # size; rows of one to four nodes included
+    rng = np.random.default_rng(n)
+    dx = 0.1
+    for nb in range(1, n + 1):
+        A = np.triu(rng.standard_normal((nb, nb)))
+        V = rng.standard_normal((nb, 3))
+        ref = np.zeros((nb, 3))
+        for i in range(min(nb, n - 1)):
+            w = quadrature_weights(n - i, dx, "simpson")[: nb - i]
+            ref[i] = (w * A[i, i:]) @ V[i:]
+        np.testing.assert_allclose(mk._simpson_rows(A, V, n, dx), ref, rtol=0, atol=1e-14)
+
+
+def test_invert_and_data_from_F_share_the_kernel_path(monkeypatch, analytic_sech2_sd):
+    calls = []
+    core = mk._kernel_from_F
+    monkeypatch.setattr(mk, "_kernel_from_F", lambda F, xg: calls.append(xg.n) or core(F, xg))
+    res = mk.invert_full(analytic_sech2_sd, mk.InversionConfig(x_max=10.0, dx=0.05, force=True))
+    F = mk.build_F(analytic_sech2_sd, 0.0, 20.0, 0.05, tail_correction=True)
+    K, _ = core(F, res.kernel.grid)
+    mk.data_from_F(F)
+    assert calls == [201, 201]
+    assert np.array_equal(K.block, res.kernel.block)
 
 
 def test_data_from_kernel_matches_s_matrix(q_well, fw_well):
