@@ -19,7 +19,6 @@ from .marchenko import (
     f_from_kernel,
     invert,
     solve_kernel,
-    solve_marchenko,
 )
 from .model import (
     BoundState,
@@ -33,7 +32,6 @@ from .model import (
     TransformationKernel,
     UniformGrid,
     ValidationReport,
-    l11_moment,
 )
 from .riemann import RiemannSolution, solve_riemann, verify_factorization
 
@@ -60,10 +58,8 @@ __all__ = [
     "invert",
     "jost_boundary",
     "kernel_from_potential",
-    "l11_moment",
     "s_matrix",
     "solve_kernel",
-    "solve_marchenko",
     "solve_riemann",
     "verify_factorization",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PhaseUnwrapError
+from .errors import DataError, PhaseUnwrapError
 from .model import ConditionEntry, MarchenkoInput, ScatteringData, UniformGrid, ValidationReport
 from .numkit import winding_number
 
@@ -39,7 +39,7 @@ def check_symmetry_unitarity(sd: ScatteringData, tol: float = 1e-6) -> Condition
     """Unitarity |S| = 1 and conjugate symmetry S(-k) = conj S(k), each to
     tol, and S -> 1 at the grid ends to TAIL_TOL."""
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise DataError("tol must be positive")
     s = sd.s_values
     uni = float(np.max(np.abs(np.abs(s) - 1.0)))
     sym = float(np.max(np.abs(s[::-1] - np.conj(s))))

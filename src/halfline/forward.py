@@ -37,7 +37,7 @@ from .model import (
     ScatteringData,
     TransformationKernel,
 )
-from .numkit import _find_roots, integrate, unwrap_phase
+from .numkit import find_roots, integrate, unwrap_phase
 
 __all__ = [
     "ForwardResult",
@@ -59,13 +59,11 @@ ROOT_TOL = 1e-10  # |f(0, i kappa)| at which a refined bound state is accepted
 FORWARD_TOL = 1e-8  # unitarity and symmetry tolerance forward's data must meet
 
 
-def _kappa_scan(q_max: float, kappa_max: float | None = None) -> np.ndarray:
+def _kappa_scan(q_max: float) -> np.ndarray:
     """Bound-state scan nodes KAPPA_MIN, KAPPA_MIN + SCAN_STEP, ... up to
-    kappa_max, by default 1.5 sqrt(q_max) + 0.5 for a potential whose depth
-    is at most q_max (every kappa_j^2 lies below it)."""
-    if kappa_max is None:
-        kappa_max = float(np.sqrt(q_max)) * 1.5 + 0.5
-    return np.arange(KAPPA_MIN, kappa_max + SCAN_STEP, SCAN_STEP)
+    1.5 sqrt(q_max) + 0.5 for a potential whose depth is at most q_max
+    (every kappa_j^2 lies below it)."""
+    return np.arange(KAPPA_MIN, float(np.sqrt(q_max)) * 1.5 + 0.5 + SCAN_STEP, SCAN_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +180,6 @@ class BoundStateScan:
 
     kappas: tuple[float, ...]
     resonance_suspected: bool
-    f_at_zero: float
 
 
 def find_bound_states(q: Potential) -> BoundStateScan:
@@ -194,11 +191,12 @@ def find_bound_states(q: Potential) -> BoundStateScan:
     |g| <= ROOT_TOL, so every step of the root finder is one march for all
     states, and g at the bracket ends is the scan's.  On a grid with an odd
     node count the roots are then Richardson-extrapolated against the 2*dx
-    subsampled grid, refined the same way, removing the O(dx^2) discretization bias (the scan may miss
-    nearly degenerate pairs closer than SCAN_STEP; zeros of f are simple but
-    not separated).  A 2*dx root outside its dx root's scan bracket is
-    looked for in widened brackets and used only if a 4*dx check confirms
-    that its shift is second order (_coarse_roots).
+    subsampled grid, refined the same way, removing the O(dx^2)
+    discretization bias (the scan may miss nearly degenerate pairs closer
+    than SCAN_STEP; zeros of f are simple but not separated).  A 2*dx root
+    outside its dx root's scan bracket is looked for in widened brackets
+    and used only if a 4*dx check confirms that its shift is second order
+    (_coarse_roots).
 
     A sign change straddling KAPPA_MIN, or |f(0,0)| below RESONANCE_TOL,
     raises the zero-energy-resonance warning flag.
@@ -209,7 +207,7 @@ def find_bound_states(q: Potential) -> BoundStateScan:
     resonance = abs(f00) < RESONANCE_TOL
     exact = np.nonzero(g[:-1] == 0.0)[0]
     lo = np.nonzero((g[:-1] != 0.0) & (g[:-1] * g[1:] < 0))[0]
-    roots = _find_roots(lambda kp: _f0_imag_axis(q, kp), grid[lo], grid[lo + 1], g[lo], g[lo + 1], ROOT_TOL)
+    roots = find_roots(lambda kp: _f0_imag_axis(q, kp), grid[lo], grid[lo + 1], g[lo], g[lo + 1], ROOT_TOL)
     if q.grid.n % 2 == 1 and lo.size:
         roots_c = _coarse_roots(q, grid, lo, roots)
         ok = np.isfinite(roots_c)
@@ -218,7 +216,7 @@ def find_bound_states(q: Potential) -> BoundStateScan:
     kappas = np.concatenate([grid[exact], roots])[order]
     if not resonance and f00 * (g[0] if g.size else 1.0) < 0:
         resonance = True  # sign change straddling kappa_min
-    return BoundStateScan(tuple(float(k) for k in kappas), resonance, f00)
+    return BoundStateScan(tuple(float(k) for k in kappas), resonance)
 
 
 def _coarse_roots(q: Potential, grid: np.ndarray, lo: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -249,7 +247,9 @@ def _coarse_roots(q: Potential, grid: np.ndarray, lo: np.ndarray, roots: np.ndar
     roots_c = np.full(lo.size, np.nan)
     ok = lo_c >= 0
     lc = lo_c[ok]
-    roots_c[ok] = _find_roots(lambda kp: _f0_imag_axis(q, kp, step=2), grid[lc], grid[lc + 1], gs[lc], gs[lc + 1], ROOT_TOL)
+    roots_c[ok] = find_roots(
+        lambda kp: _f0_imag_axis(q, kp, step=2), grid[lc], grid[lc + 1], gs[lc], gs[lc + 1], ROOT_TOL
+    )
     moved = np.nonzero(ok & ~own)[0]
     if moved.size:
         rc, shift = roots_c[moved], roots_c[moved] - roots[moved]
@@ -439,8 +439,9 @@ def forward(q: Potential, kgrid: MomentumGrid | None = None) -> ForwardResult:
 
     The scattering data must pass the characterization's symmetry/unitarity
     check at FORWARD_TOL and the discrete-data check; a failure raises
-    SolverError naming the failed checks.  The transformation kernel comes
-    from kernel_from_potential and the Jost field from jost_field.
+    SolverError naming the failed checks.  The result holds neither the
+    transformation kernel nor the Jost field f(x, k): kernel_from_potential
+    and jost_field compute those.
     """
     if kgrid is None:
         kgrid = MomentumGrid.make(200.0, 0.01)

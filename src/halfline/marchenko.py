@@ -14,12 +14,13 @@ data_from_kernel reconstructs the full scattering data from A alone; and
 data_from_F composes the Marchenko rows with data_from_kernel, so F on
 [0, X] determines the data through the kernel on [0, X/2].
 
-solve_marchenko solves one kernel row by a dense Nystrom collocation
-(Simpson rule); solve_kernel gives every row of the same discretization at
-once from one Cholesky factorization per weight parity, O(n^3) in total.
-invert_full and data_from_F reach it through one path, which first zeroes
-F beyond the point where the remaining |F| tail mass falls below
-Y_TAIL_TOL; invert_full reports that mass as the error scale.
+solve_kernel solves every kernel row, each a dense Nystrom collocation
+(Simpson rule), at once: every row's matrix is a leading block of one of a
+few templates, so one Cholesky factorization per template serves them
+all, O(n^3) in total.  invert_full and data_from_F reach it through one
+path, which first zeroes F beyond the point where the remaining |F| tail
+mass falls below Y_TAIL_TOL; invert_full reports that mass as the error
+scale.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from .model import (
     UniformGrid,
 )
 from .numkit import (
-    _find_roots,
     _oscillatory_sum,
     differentiate,
+    find_roots,
     fourier_kernel_to_space,
     integrate,
     quadrature_weights,
@@ -54,7 +55,6 @@ __all__ = [
     "InversionConfig",
     "InversionResult",
     "build_F",
-    "solve_marchenko",
     "solve_kernel",
     "recover_potential",
     "invert",
@@ -113,79 +113,39 @@ def build_F(
     return MarchenkoInput(xgrid=grid, fs_values=fs, fd_values=fd)
 
 
-def solve_marchenko(
-    F: MarchenkoInput,
-    x: float,
-    y_max: float | None = None,
-    rule: str = "simpson",
-) -> np.ndarray:
-    """Row A(x, y) of the transformation kernel on y = x, x+dx, ..., y_max.
-
-    F must be sampled down to 2x and is looked up by index (x, y_max and the
-    F origin must be commensurate with its spacing); samples beyond the F
-    window are taken as zero, so the error scales with the neglected tail
-    mass of F.  y_max defaults to the end of the F window.  Raises
-    SolverError when the row's system is singular: a zero or non-finite
-    one-node pivot, a failed dense solve, or a relative residual above
-    RESIDUAL_TOL (data that violate unique solvability).
-    """
-    dx = F.xgrid.dx
-    if y_max is None:
-        y_max = F.xgrid.hi
-    m = int(round((y_max - x) / dx)) + 1
-    base = int(round((2 * x - F.xgrid.lo) / dx))
-    if base < 0:
-        raise DataError("F window does not reach down to 2x")
-    idx = base + np.arange(2 * (m - 1) + 1)
-    f = F.f_values
-    Fwin = np.where(idx < f.size, f[np.minimum(idx, f.size - 1)], 0.0)
-    rhs = -Fwin[:m]
-    if m == 1:
-        pivot = 1.0 + dx * Fwin[0]
-        if pivot == 0.0 or not np.isfinite(pivot):
-            raise SolverError(f"Marchenko row at x = {x:.4f} is singular: pivot {pivot}")
-        return rhs / pivot
-    w = quadrature_weights(m, dx, rule)
-    kmat = Fwin[np.add.outer(np.arange(m), np.arange(m))]
-    mat = np.eye(m) + kmat * w[None, :]
-    try:
-        a = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"Marchenko row at x = {x:.4f} is singular: {exc}")
-    scale = float(np.linalg.norm(rhs))
-    if scale > 0:
-        resid = float(np.linalg.norm(mat @ a - rhs)) / scale
-        if not np.isfinite(resid) or resid > RESIDUAL_TOL:
-            raise SolverError(
-                f"Marchenko row at x = {x:.4f}: data violate unique solvability "
-                f"(residual {resid:.2e}, cond {np.linalg.cond(mat):.2e})"
-            )
-    return a
-
-
 def solve_kernel(F: MarchenkoInput, x_max: float, rule: str) -> np.ndarray:
     """Every kernel row on the nodes x_i = i dx of [0, x_max]: the upper
-    triangular array values[i, j] = A(x_i, x_j), row i equal to
-    solve_marchenko(F, x_i, x_max, rule).
+    triangular array values[i, j] = A(x_i, x_j).
+
+    Row x_i is the Nystrom collocation of the Marchenko equation on its own
+    nodes y = x_i, ..., x_max, with the weights quadrature_weights gives
+    them under rule ("simpson" or "trapezoid"; DataError otherwise), except
+    that a row of one node takes the weight dx.  F must be sampled from
+    x = 0 at the kernel's spacing; samples beyond the F window are taken as
+    zero, so the error scales with the neglected tail mass of F.
 
     Row x_i's system I + K W, with K = F(x_p + x_q) over p, q >= i, is
     solved as the symmetric (W^{-1} + K) b = -F(x_i + y), a = b / w.  In
     reversed node order every row's K is a leading block of one Hankel
-    matrix G, and its weights are the leading weights of the longest row of
-    its parity (one template for the trapezoid rule) except at y = x, where
-    the row's weight is smaller (1/3 against 2/3, 3/8 against 3/8 + 1/3, or
-    1/2 against 1, times dx).  So a row's matrix is its template's leading
-    block plus delta > 0 on the last diagonal entry, and its Cholesky
-    factor is the template factor's leading block with the last pivot
-    raised to sqrt(p^2 + delta): one factorization per parity and two
-    products with the factor's inverse solve every row, O(n^3) in total.
-    Rows of one and two nodes are left to solve_marchenko.
+    matrix G, and its weights are the leading weights of a template: the
+    longest row of its parity (one template for the trapezoid rule) or,
+    for the rows of one and two nodes, the row itself, with the weights
+    (dx) and (dx/2, dx/2).  A row's weight at y = x may be smaller than
+    its template's (1/3 against 2/3, 3/8 against 3/8 + 1/3, or 1/2 against
+    1, times dx), so a row's matrix is its template's leading block plus
+    delta >= 0 on the last diagonal entry, and its Cholesky factor is the
+    template factor's leading block with the last pivot raised to
+    sqrt(p^2 + delta): one factorization per template and two products
+    with the factor's inverse solve every row, O(n^3) in total.
 
     For admissible data I + F_x is positive definite, so a failed
-    factorization certifies that the data violate unique solvability; it
-    raises SolverError, as does a row whose relative residual exceeds
-    RESIDUAL_TOL.  Samples beyond the F window are taken as zero.
+    factorization (a pivot that is not positive, as in a one-node row with
+    1 + dx F(2 x_max) <= 0) certifies that the data violate unique
+    solvability; it raises SolverError, as does a row whose relative
+    residual exceeds RESIDUAL_TOL.
     """
+    if rule not in ("simpson", "trapezoid"):
+        raise DataError(f"unknown rule {rule!r}")
     dx = F.xgrid.dx
     n = int(round(x_max / dx)) + 1
     base = int(round(-F.xgrid.lo / dx))
@@ -200,7 +160,7 @@ def solve_kernel(F: MarchenkoInput, x_max: float, rule: str) -> np.ndarray:
     # reversed order: column c holds the row of m = c + 1 nodes, x = x_{n-1-c}
     X = values[::-1, ::-1].T
     for c in range(min(n, 2)):
-        X[: c + 1, c] = solve_marchenko(F, (n - 1 - c) * dx, (n - 1) * dx, rule)[::-1]
+        X[: c + 1, [c]] = _template_rows(G, np.full(c + 1, dx / (c + 1)), np.array([c]), dx)
     for M in (n,) if rule == "trapezoid" else (n, n - 1):
         if M >= 3:
             cols = np.arange(M - 1, 1, -1 if rule == "trapezoid" else -2)
@@ -225,7 +185,7 @@ def _template_rows(G: np.ndarray, t: np.ndarray, cols: np.ndarray, dx: float) ->
     except np.linalg.LinAlgError:
         raise SolverError(
             f"Marchenko rows at x >= {(G.shape[0] - M) * dx:.4f}: data violate unique "
-            "solvability (I + F_x is not positive definite)"
+            "solvability (I + F_x is not positive definite: a pivot is not positive)"
         ) from None
     p2 = L.diagonal()[cols] ** 2
     Z = np.linalg.inv(L)
@@ -400,11 +360,7 @@ def data_from_F(F: MarchenkoInput, kgrid: MomentumGrid | None = None) -> Scatter
     return data_from_kernel(kernel, kgrid)
 
 
-def data_from_kernel(
-    kernel: TransformationKernel,
-    kgrid: MomentumGrid | None = None,
-    kappa_max: float | None = None,
-) -> ScatteringData:
+def data_from_kernel(kernel: TransformationKernel, kgrid: MomentumGrid | None = None) -> ScatteringData:
     """Scattering data directly from the transformation kernel.
 
     f(k) = 1 + int_0^inf A(0,y) e^{iky} dy (Simpson weights), for k >= 0
@@ -421,11 +377,10 @@ def data_from_kernel(
     weights cut to nb nodes (A is 0 beyond them); past the block
     f_j = e^{-kappa_j x}.
 
-    The scan has the forward scan's nodes (forward._kappa_scan) with
-    q = -2 dA(x,x)/dx read off the kernel diagonal, up to kappa_max, by
-    default 1.5 sqrt(max|q|) + 0.5.  f(i kappa) -> 1 as kappa -> inf, so a
-    negative value at the scan's upper edge means zeros beyond it and
-    raises SolverError.
+    The scan has the forward scan's nodes (forward._kappa_scan), up to
+    1.5 sqrt(max|q|) + 0.5 with q = -2 dA(x,x)/dx read off the kernel
+    diagonal.  f(i kappa) -> 1 as kappa -> inf, so a negative value at the
+    scan's upper edge means zeros beyond it and raises SolverError.
     """
     if kgrid is None:
         kgrid = MomentumGrid.make(200.0, 0.05)
@@ -442,17 +397,17 @@ def data_from_kernel(
         return 1.0 + np.exp(e, out=e) @ wrow
 
     q_max = 2.0 * float(np.max(np.abs(differentiate(kernel.diagonal, dx))))
-    grid = _kappa_scan(q_max, kappa_max)
+    grid = _kappa_scan(q_max)
     gv = f_imag(np.concatenate([[0.0], grid]))
     resonance = abs(gv[0]) < RESONANCE_TOL
     gv = gv[1:]
     if gv[-1] < 0:
         raise SolverError(
             f"f(i kappa) is still negative at the scan edge kappa = {grid[-1]:.3f}; "
-            "bound states lie beyond kappa_max"
+            "bound states lie beyond the scan"
         )
     lo = np.nonzero(gv[:-1] * gv[1:] < 0)[0]
-    kappas = _find_roots(f_imag, grid[lo], grid[lo + 1], gv[lo], gv[lo + 1], 1e-12)
+    kappas = find_roots(f_imag, grid[lo], grid[lo + 1], gv[lo], gv[lo + 1], 1e-12)
     # f_j(x) = e^{-kappa_j x} + int_x^inf A(x,y) e^{-kappa_j y} dy for all
     # states at once; rows past the block have A = 0, so f_j = e^{-kappa_j x}
     decay = np.exp(-np.multiply.outer(y, kappas))

@@ -27,7 +27,6 @@ __all__ = [
     "MarchenkoInput",
     "ConditionEntry",
     "ValidationReport",
-    "l11_moment",
 ]
 
 _REL_TOL = 1e-9
@@ -143,7 +142,7 @@ class Potential:
     """Real sampled potential q(x) on a radial grid.
 
     The admissibility class requires a finite first moment, integral of
-    x|q(x)| dx; use l11_moment to evaluate it.
+    x|q(x)| dx, which every q sampled on a finite grid has.
     """
 
     grid: RadialGrid
@@ -364,13 +363,3 @@ class ValidationReport:
             "s_zero_sign": self.s_zero_sign,
             "entries": [e.to_dict() for e in self.entries],
         }
-
-
-def l11_moment(q: Potential) -> float:
-    """First moment integral of x |q(x)| over the radial grid (trapezoid).
-
-    Finiteness of this moment is the admissibility condition on the
-    potential class underlying the whole forward/inverse theory.
-    """
-    x = q.grid.nodes
-    return float(np.trapezoid(x * np.abs(q.values), dx=q.grid.dx))

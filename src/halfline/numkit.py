@@ -5,11 +5,12 @@ differentiation, sums of e^{ipx} between uniform grids (one chirp-z
 transform each: the truncated Fourier integral from momentum to space,
 with an endpoint taper or an analytic 1/k tail correction, and the Jost
 function from a kernel row), backward-marching Volterra solves with a
-difference kernel, batched bracketed root finding (one vectorized call of
-g per secant step for all brackets), winding numbers by nearest-branch
-phase continuation (a step of pi or more refused), and principal-value
-Cauchy transforms on uniform grids.  The Fourier sums and the principal value are
-both Toeplitz products, computed by one zero-padded FFT convolution.
+difference kernel, batched bracketed root finding that starts from a
+scan's values at the bracket ends (one vectorized call of g per secant
+step for all brackets), winding numbers by nearest-branch phase
+continuation (a step of pi or more refused), and principal-value Cauchy
+transforms on uniform grids.  The Fourier sums and the principal value
+are both Toeplitz products, computed by one zero-padded FFT convolution.
 
 Conventions: the Volterra solver uses the sign convention of the Marchenko
 equation, i.e. it returns h satisfying
@@ -17,7 +18,7 @@ equation, i.e. it returns h satisfying
     h + (integral operator applied to h) = -g,
 
 so a zero kernel gives h = -g.  The Marchenko rows themselves are solved
-by marchenko.solve_kernel (all rows) and marchenko.solve_marchenko (one).
+by marchenko.solve_kernel.
 """
 
 from __future__ import annotations
@@ -73,15 +74,16 @@ def quadrature_weights(n: int, dx: float, rule: str = "trapezoid") -> np.ndarray
     rule = "trapezoid" or "simpson".  Simpson handles an odd interval count
     by finishing with the 3/8 rule on the last three intervals, which keeps
     fourth order.  Weights are positive and sum to the interval length.
+    Any other rule raises DataError, whatever n.
     """
+    if rule not in ("trapezoid", "simpson"):
+        raise DataError(f"unknown rule {rule!r}")
     if n < 2:
         raise GridError("need at least two nodes")
     if rule == "trapezoid" or n == 2:
         w = np.full(n, dx)
         w[0] = w[-1] = dx / 2.0
         return w
-    if rule != "simpson":
-        raise ValueError(f"unknown rule {rule!r}")
     m = n - 1  # interval count
     w = np.zeros(n)
     if m % 2 == 0:
@@ -118,7 +120,10 @@ def differentiate(samples: np.ndarray, dx: float, stencil: int = 3) -> np.ndarra
     stencil=3: second-order central differences, one-sided second order at
     the ends.  stencil=5: fourth-order central differences with one-sided
     fourth-order closures (falls back to stencil=3 for short arrays).
+    Any other stencil raises DataError.
     """
+    if stencil not in (3, 5):
+        raise DataError(f"unknown stencil {stencil!r}")
     f = np.asarray(samples, dtype=float)
     n = f.size
     if n < 3:
@@ -304,39 +309,27 @@ def solve_volterra_backward(a: np.ndarray, g: np.ndarray, dx: float, rule: str =
 # roots, winding numbers, phase continuation
 
 
-def find_roots(
-    g: Callable[[np.ndarray], np.ndarray],
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> np.ndarray:
+MAX_ITER = 200  # secant steps after which find_roots gives up
+
+
+def find_roots(g: Callable[[np.ndarray], np.ndarray], a, b, fa, fb, tol: float) -> np.ndarray:
     """Roots of g on the brackets [a_i, b_i] by bisection with secant
-    refinement, all brackets at once.
+    refinement, all brackets at once, from the values fa = g(a) and
+    fb = g(b) at the bracket ends (a caller's scan holds them).
 
     g is vectorized: it maps an array of points to the array of values and
-    is called once per step for every bracket not yet converged (once more
-    at the start, for all bracket ends).  Each bracket follows the iterates
-    of a scalar run: it needs a sign change and stops when |g| <= tol or it
-    is at rounding width.  Raises DataError for a bracket without a sign
-    change, and SolverError when max_iter runs out or when a bracket
-    collapses while |g| at both its ends is still above 1e-6 max(|g(a)|,
-    |g(b)|): that is a jump of g, not a root.  A caller that already holds
-    g at the bracket ends (from a scan, say) hands them to _find_roots,
-    which then calls g only at the secant iterates.
+    is called once per step for every bracket not yet converged, at the
+    secant iterates only.  Each bracket follows the iterates of a scalar
+    run: it needs a sign change and stops when |g| <= tol or it is at
+    rounding width.  Raises DataError for a bracket without a sign change,
+    and SolverError when MAX_ITER steps run out or when a bracket collapses
+    while |g| at both its ends is still above 1e-6 max(|g(a)|, |g(b)|):
+    that is a jump of g, not a root.
     """
-    return _find_roots(g, a, b, None, None, tol, max_iter)
-
-
-def _find_roots(g, a, b, fa, fb, tol: float, max_iter: int = 200) -> np.ndarray:
-    """find_roots with the bracket-end values fa = g(a) and fb = g(b) given;
-    with fa and fb None, both ends are evaluated in one call of g."""
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.size == 0:
         return np.empty(0)
-    if fa is None:
-        fa, fb = np.split(np.asarray(g(np.concatenate([a, b])), dtype=float), 2)
     fa = np.atleast_1d(np.asarray(fa, dtype=float))
     fb = np.atleast_1d(np.asarray(fb, dtype=float))
     root = np.where(fa == 0.0, a, b)
@@ -350,7 +343,7 @@ def _find_roots(g, a, b, fa, fb, tol: float, max_iter: int = 200) -> np.ndarray:
     x_cur, f_cur = b[idx], fb[idx]
     lo, hi, flo, fhi = x_prev, x_cur, f_prev, f_cur
     jump_floor = 1e-6 * np.maximum(np.abs(fa[idx]), np.abs(fb[idx]))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if idx.size == 0:
             break
         # secant candidate, safeguarded by the bracket
@@ -381,7 +374,7 @@ def _find_roots(g, a, b, fa, fb, tol: float, max_iter: int = 200) -> np.ndarray:
         lo, hi, flo, fhi = lo[keep], hi[keep], flo[keep], fhi[keep]
     if idx.size:
         i = idx[0]
-        raise SolverError(f"root finder did not converge in {max_iter} iterations on [{a[i]}, {b[i]}]")
+        raise SolverError(f"root finder did not converge in {MAX_ITER} iterations on [{a[i]}, {b[i]}]")
     return root
 
 

@@ -75,7 +75,6 @@ class RiemannSolution:
 
     kgrid: MomentumGrid
     f0: np.ndarray
-    phi_plus: np.ndarray
     index: int
     case: str
     kappa_shift: float
@@ -142,12 +141,13 @@ def solve_riemann(sd: ScatteringData) -> RiemannSolution:
     log_g = 1j * theta
     tail_coeff = 0.5 * float(theta[-1] * k[-1] + theta[0] * k[0])
     pv = pv_cauchy_grid(theta, k, tail_coeff=tail_coeff)
+    # phi_plus is named: inlined, numpy may multiply into the temporary with
+    # the operands swapped, which moves the last bit of f0
     phi_plus = np.exp(pv / (2 * np.pi) + 0.5j * theta)
     f0 = W * phi_plus
     return RiemannSolution(
         kgrid=sd.kgrid,
         f0=f0,
-        phi_plus=phi_plus,
         index=idx,
         case=case,
         kappa_shift=shift,

@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from halfline import marchenko as mk
+from halfline.errors import DataError, SolverError
 from halfline.forward import forward
-from halfline.model import BoundState, MomentumGrid, RadialGrid, ScatteringData
+from halfline.model import BoundState, MarchenkoInput, MomentumGrid, RadialGrid, ScatteringData
+from halfline.numkit import quadrature_weights
 from halfline.potentials import sech2_potential, square_well_potential, zero_potential
 
 
@@ -115,3 +118,44 @@ def find_root_scalar(g, a: float, b: float, tol: float = 1e-10, max_iter: int = 
         if hi - lo <= 4 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
             return 0.5 * (lo + hi)
     raise AssertionError("reference root finder did not converge")
+
+
+def marchenko_row(F: MarchenkoInput, x: float, y_max: float | None = None, rule: str = "simpson") -> np.ndarray:
+    """Reference: row A(x, y) of the transformation kernel on y = x, x+dx,
+    ..., y_max by one dense Nystrom solve, the row that
+    marchenko.solve_kernel must reproduce.
+
+    F must be sampled down to 2x and is looked up by index; samples beyond
+    the F window are taken as zero.  y_max defaults to the end of the F
+    window.  A one-node row is -F(2x)/(1 + dx F(2x)).  Raises SolverError
+    for a zero or non-finite one-node pivot, a failed dense solve, or a
+    relative residual above marchenko.RESIDUAL_TOL.
+    """
+    dx = F.xgrid.dx
+    if y_max is None:
+        y_max = F.xgrid.hi
+    m = int(round((y_max - x) / dx)) + 1
+    base = int(round((2 * x - F.xgrid.lo) / dx))
+    if base < 0:
+        raise DataError("F window does not reach down to 2x")
+    idx = base + np.arange(2 * (m - 1) + 1)
+    f = F.f_values
+    Fwin = np.where(idx < f.size, f[np.minimum(idx, f.size - 1)], 0.0)
+    rhs = -Fwin[:m]
+    if m == 1:
+        pivot = 1.0 + dx * Fwin[0]
+        if pivot == 0.0 or not np.isfinite(pivot):
+            raise SolverError(f"Marchenko row at x = {x:.4f} is singular: pivot {pivot}")
+        return rhs / pivot
+    w = quadrature_weights(m, dx, rule)
+    mat = np.eye(m) + Fwin[np.add.outer(np.arange(m), np.arange(m))] * w[None, :]
+    try:
+        a = np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"Marchenko row at x = {x:.4f} is singular: {exc}")
+    scale = float(np.linalg.norm(rhs))
+    if scale > 0:
+        resid = float(np.linalg.norm(mat @ a - rhs)) / scale
+        if not np.isfinite(resid) or resid > mk.RESIDUAL_TOL:
+            raise SolverError(f"Marchenko row at x = {x:.4f}: data violate unique solvability (residual {resid:.2e})")
+    return a

@@ -67,9 +67,10 @@ def test_criterion_1_zero_case(fw_zero, kgrid_fourier):
 def test_criterion_2_soliton_closed_form():
     # invert of the data F(p) = 2 e^{-p} (the closed-form route the
     # criterion names as equivalent to sd with S = (k+i)/(k-i), J = 0)
+    # A(0,0) from the kernel on [0, 20]: the row's tail beyond y = 20 is
+    # e^{-20}, and |A(0,0) + 1| equals that of the [0, 40] row to 1e-15
     F = soliton_marchenko_input(dx=0.025)
-    row0 = mk.solve_marchenko(F, 0.0, y_max=40.0)
-    a00_err = abs(row0[0] + 1.0)
+    a00_err = abs(mk.solve_kernel(F, 20.0, "simpson")[0, 0] + 1.0)
     F2 = soliton_marchenko_input(dx=0.05)
     q, _ = invert_from_input(F2, x_max=40.0)
     ref = -2.0 / np.cosh(q.grid.nodes) ** 2

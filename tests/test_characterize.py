@@ -4,6 +4,7 @@ import pytest
 from halfline import characterize as ch
 from halfline import forward as fw
 from halfline import marchenko as mk
+from halfline.errors import DataError
 from halfline.model import BoundState, MarchenkoInput, MomentumGrid, ScatteringData, UniformGrid
 
 
@@ -203,5 +204,5 @@ def test_report_serialization(fw_zero):
 def test_thresholds_positive(kgrid_coarse):
     sd = ScatteringData(kgrid=kgrid_coarse, s_values=np.ones(kgrid_coarse.n, complex))
     for tol in (0.0, -1e-6):
-        with pytest.raises(ValueError, match="tol must be positive"):
+        with pytest.raises(DataError, match="tol must be positive"):
             ch.check_symmetry_unitarity(sd, tol)

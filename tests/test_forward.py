@@ -208,7 +208,7 @@ def _trimmed_results(q):
     return {
         "boundary": fw.jost_boundary(q, MomentumGrid.make(20.0, 0.05)),
         "field": fw.jost_field(q, [1.0, 2.5j, 0.0]),
-        "scan": (scan.kappas, scan.resonance_suspected, scan.f_at_zero),
+        "scan": (scan.kappas, scan.resonance_suspected, float(fw._f0_imag_axis(q, [0.0])[0])),
         "norming": (s, [sorted(r.items()) for r in report]),
         "kernel": fw.kernel_from_potential(q).values,
     }
@@ -267,7 +267,7 @@ def test_bound_states_sech2_resonance(q_sech2):
     scan = fw.find_bound_states(q_sech2)
     assert scan.kappas == ()
     assert scan.resonance_suspected
-    assert abs(scan.f_at_zero) < 1e-3
+    assert abs(fw._f0_imag_axis(q_sech2, [0.0])[0]) < 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import reflectionless_data
+from conftest import marchenko_row, reflectionless_data
 from halfline.errors import DataError, SolverError, StageError
 from halfline import forward as fw
 from halfline import marchenko as mk
@@ -90,12 +90,12 @@ def test_build_F_rejects_asymmetric(kgrid_fourier):
 
 
 # ---------------------------------------------------------------------------
-# solve_marchenko
+# solve_kernel: single rows
 
 
 def test_row_zero_F():
     F = make_input(0.0, 40.0, 0.05, lambda x: np.zeros_like(x))
-    row = mk.solve_marchenko(F, 1.0)
+    row = mk.solve_kernel(F, 40.0, "simpson")[20, 20:]  # x = 1
     assert np.max(np.abs(row)) == 0.0
 
 
@@ -103,64 +103,82 @@ def test_row_separable_closed_form():
     # F = 2 e^{-p} gives A(x,y) = -2 e^{-(x+y)}/(1 + e^{-2x}); the 1e-6
     # origin tolerance needs the fourth-order rule at dx = 0.025
     F = soliton_input(dx=0.025)
-    row0 = mk.solve_marchenko(F, 0.0, y_max=40.0)
+    A = mk.solve_kernel(F, 40.0, "simpson")
+    row0 = A[0]
     y = np.arange(0.0, 40.0 + 1e-9, 0.025)
     assert abs(row0[0] + 1.0) < 1e-6
     assert np.max(np.abs(row0 + np.exp(-y))) < 1e-6
-    row1 = mk.solve_marchenko(F, 1.0, y_max=40.0)
+    row1 = A[40, 40:]  # x = 1
     y1 = np.arange(1.0, 40.0 + 1e-9, 0.025)
     ref1 = -2 * np.exp(-(1.0 + y1)) / (1 + np.exp(-2.0))
     assert np.max(np.abs(row1 - ref1)) < 1e-6
 
 
 def test_row_two_node_hand_elimination():
-    # F = (1, 2, 3) on [0, 2] with dx = 1, x = 0, y_max = 1, trapezoid
+    # F = (1, 2, 3) on [0, 2] with dx = 1, x = 0, x_max = 1, trapezoid
     # weights (1/2, 1/2): the row system is
     #   a0 + (F(0) a0 + F(1) a1)/2 = -F(0)  ->  3/2 a0 +     a1 = -1
     #   a1 + (F(1) a0 + F(2) a1)/2 = -F(1)  ->      a0 + 5/2 a1 = -2
     # elimination: a1 = -8/11, a0 = -2/11
     F = make_input(0.0, 2.0, 1.0, lambda x: x + 1.0)
-    row = mk.solve_marchenko(F, 0.0, y_max=1.0, rule="trapezoid")
+    row = mk.solve_kernel(F, 1.0, "trapezoid")[0]
     np.testing.assert_allclose(row, [-2.0 / 11.0, -8.0 / 11.0], rtol=0, atol=1e-14)
 
 
 def test_row_singular_refused():
     # F = -1 with trapezoid weights summing to 1 makes I + F W annihilate
-    # the constant mode exactly
+    # the constant mode of the row at x = 0 exactly
     F = make_input(0.0, 2.0, 0.5, lambda x: -np.ones_like(x))
     with pytest.raises(SolverError):
-        mk.solve_marchenko(F, 0.0, y_max=1.0, rule="trapezoid")
+        mk.solve_kernel(F, 1.0, "trapezoid")
 
 
 def test_row_one_node_pivot():
     # a one-node row is -F(2x)/(1 + dx F(2x)); F = -1/dx zeroes the pivot
     F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, -2.0))
     with pytest.raises(SolverError, match="pivot"):
-        mk.solve_marchenko(F, 1.0, y_max=1.0)
+        mk.solve_kernel(F, 1.0, "simpson")
     F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, 3.0))
-    assert mk.solve_marchenko(F, 1.0, y_max=1.0).tolist() == [-3.0 / (1.0 + 0.5 * 3.0)]
+    assert mk.solve_kernel(F, 1.0, "simpson")[-1, -1:].tolist() == [-3.0 / (1.0 + 0.5 * 3.0)]
+
+
+def test_row_one_node_negative_pivot_refused():
+    # 1 + dx F(2 x_max) < 0: the one-node row is indefinite, like the
+    # rows of indefinite data, and is refused, not solved
+    F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, -3.0))
+    with pytest.raises(SolverError, match="pivot"):
+        mk.solve_kernel(F, 1.0, "simpson")
 
 
 def test_row_grid_refinement_second_order():
     errs = []
     for dx in (0.1, 0.05):
         F = soliton_input(dx=dx)
-        row0 = mk.solve_marchenko(F, 0.0, y_max=40.0, rule="trapezoid")
+        row0 = mk.solve_kernel(F, 40.0, "trapezoid")[0]
         y = np.arange(0.0, 40.0 + 1e-9, dx)
         errs.append(np.max(np.abs(row0 + np.exp(-y))))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solve_kernel_refuses_unknown_rule(n):
+    # the rows of one and two nodes read no quadrature rule, so the rule
+    # is checked up front
+    F = make_input(0.0, 4.0, 0.5, lambda x: np.exp(-x))
+    with pytest.raises(DataError, match="rule"):
+        mk.solve_kernel(F, (n - 1) * 0.5, "bogus")
+
+
 # ---------------------------------------------------------------------------
-# solve_kernel
+# solve_kernel against the per-row reference
 
 
 def row_loop(F, x_max, rule):
-    """Reference: one solve_marchenko call per kernel row."""
+    """Reference: one marchenko_row solve per kernel row."""
     nodes = F.xgrid.dx * np.arange(int(round(x_max / F.xgrid.dx)) + 1)
     vals = np.zeros((nodes.size, nodes.size))
     for i, x in enumerate(nodes):
-        vals[i, i:] = mk.solve_marchenko(F, float(x), y_max=x_max, rule=rule)
+        vals[i, i:] = marchenko_row(F, float(x), y_max=x_max, rule=rule)
     return vals
 
 
@@ -177,7 +195,7 @@ def test_solve_kernel_matches_row_loop(rule, n):
 
 
 def test_solve_kernel_short_window_is_zero_padded():
-    # samples beyond the F window count as zero, as in solve_marchenko
+    # samples beyond the F window count as zero, as in the row reference
     F = soliton_input(dx=0.1, hi=3.0)
     np.testing.assert_allclose(mk.solve_kernel(F, 4.0, "trapezoid"), row_loop(F, 4.0, "trapezoid"), rtol=0, atol=1e-12)
 
@@ -186,9 +204,9 @@ def test_solve_kernel_refuses_indefinite_data():
     # F = -3 e^{-p}: I + F_x has the eigenvalue 1 - 1.5 e^{-2x}, negative
     # for x < ln(1.5)/2 ~ 0.203, where the exact A = -3 e^{-(x+y)} /
     # (1 - 1.5 e^{-2x}) passes through a pole.  The systems are invertible
-    # there, so solve_marchenko at x = 0 still returns a row.
+    # there, so a dense solve of the row at x = 0 still returns a row.
     F = make_input(0.0, 10.0, 0.05, lambda x: -3 * np.exp(-x))
-    assert np.all(np.isfinite(mk.solve_marchenko(F, 0.0, y_max=5.0)))
+    assert np.all(np.isfinite(marchenko_row(F, 0.0, y_max=5.0)))
     with pytest.raises(SolverError, match="not positive definite"):
         mk.solve_kernel(F, 5.0, "simpson")
 
@@ -220,7 +238,7 @@ def test_zeroed_F_matches_row_cut():
     for i, x in enumerate(xg.nodes):
         y_hi = min(x_max, max(x + 2 * dx, p_cut - x))
         steps = min(int(round((y_hi - x) / dx)), xg.n - 1 - i)
-        old[i, i : i + steps + 1] = mk.solve_marchenko(F, float(x), x + steps * dx)
+        old[i, i : i + steps + 1] = marchenko_row(F, float(x), x + steps * dx)
     f = F.f_values.copy()
     f[cut + 1 :] = 0.0
     zeroed = MarchenkoInput(xgrid=F.xgrid, fs_values=f, fd_values=np.zeros_like(f))
@@ -487,25 +505,26 @@ def test_data_from_kernel_roots_start_from_the_scan(monkeypatch, deep_well_kerne
     # the root finder takes f(i kappa) at the bracket ends from the scan, so
     # it evaluates f only at secant iterates: one evaluation fewer
     seen, ends = [], []
-    core = mk._find_roots
+    core = mk.find_roots
 
-    def recording(g, a, b, fa, fb, tol, max_iter=200):
+    def recording(g, a, b, fa, fb, tol):
         ends.append(np.concatenate([a, b]))
-        return core(lambda x: seen.append(np.array(x, dtype=float)) or g(x), a, b, fa, fb, tol, max_iter)
+        return core(lambda x: seen.append(np.array(x, dtype=float)) or g(x), a, b, fa, fb, tol)
 
-    monkeypatch.setattr(mk, "_find_roots", recording)
+    monkeypatch.setattr(mk, "find_roots", recording)
     _, K = deep_well_kernel
     assert mk.data_from_kernel(K, kgrid=MomentumGrid.make(20.0, 0.05)).j_count == 3
     assert len(ends) == 1 and ends[0].size == 6
     assert seen[0].size == 3 and not np.any(np.isin(np.concatenate(seen), ends[0]))
 
 
-def test_data_from_kernel_flags_states_beyond_scan(deep_well_kernel):
+def test_data_from_kernel_flags_states_beyond_scan(monkeypatch, deep_well_kernel):
     # f(i kappa) < 0 between the two deepest zeros: a scan stopping there
     # would drop them silently
     _, K = deep_well_kernel
+    monkeypatch.setattr(mk, "_kappa_scan", lambda q_max: np.arange(fw.KAPPA_MIN, 6.5 + fw.SCAN_STEP, fw.SCAN_STEP))
     with pytest.raises(SolverError):
-        mk.data_from_kernel(K, kgrid=MomentumGrid.make(20.0, 0.05), kappa_max=6.5)
+        mk.data_from_kernel(K, kgrid=MomentumGrid.make(20.0, 0.05))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ from halfline.model import (
     ScatteringData,
     TransformationKernel,
     UniformGrid,
-    l11_moment,
 )
-from halfline.potentials import sech2_potential, square_well_potential, zero_potential
+from halfline.potentials import square_well_potential
 
 
 def violations(sd: ScatteringData, tol: float = 1e-8) -> list[str]:
@@ -219,22 +218,6 @@ def test_validate_blaschke_data_clean():
     s[kg.zero_index] = -1.0
     sd = ScatteringData(kgrid=kg, s_values=s, s_at_zero_sign=-1)
     assert violations(sd, tol=1e-12) == []
-
-
-def test_l11_moment_zero():
-    assert l11_moment(zero_potential(RadialGrid.make(40.0, 0.01))) == 0.0
-
-
-def test_l11_moment_sech2():
-    # oracle: integral of x * 2 sech^2 x over [0, inf) = 2 ln 2 by the
-    # antiderivative x*2tanh(x) - 2 ln cosh x
-    q = sech2_potential(RadialGrid.make(40.0, 0.01))
-    assert l11_moment(q) == pytest.approx(2.0 * np.log(2.0), abs=1e-4)
-
-
-def test_l11_moment_square_well():
-    q = square_well_potential(RadialGrid.make(40.0, 0.01))
-    assert l11_moment(q) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_potential_rejects_nonfinite():

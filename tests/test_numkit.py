@@ -89,6 +89,18 @@ def test_differentiate_needs_three():
         nk.differentiate(np.ones(2), 0.1)
 
 
+def test_unknown_rule_or_stencil_refused():
+    # the rule is checked before the node count, so a two-node grid does
+    # not fall back to trapezoid weights; a stencil other than 3 or 5 does
+    # not fall back to three-point differences
+    for n in (1, 2, 3):
+        with pytest.raises(DataError, match="rule"):
+            nk.quadrature_weights(n, 0.1, "bogus")
+    for stencil in (1, 4, 7):
+        with pytest.raises(DataError, match="stencil"):
+            nk.differentiate(np.ones(10), 0.1, stencil=stencil)
+
+
 # ---------------------------------------------------------------------------
 # Fourier integrals
 
@@ -227,11 +239,11 @@ def test_volterra_refuses_unequal_lengths():
 
 
 def test_find_root_linear():
-    assert nk.find_roots(lambda x: x - 1.0, 0.0, 2.0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert nk.find_roots(lambda x: x - 1.0, 0.0, 2.0, -1.0, 1.0, 1e-10)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_find_root_cosine():
-    assert nk.find_roots(np.cos, 1.0, 2.0, tol=1e-12)[0] == pytest.approx(np.pi / 2, abs=1e-10)
+    assert nk.find_roots(np.cos, 1.0, 2.0, np.cos(1.0), np.cos(2.0), 1e-12)[0] == pytest.approx(np.pi / 2, abs=1e-10)
 
 
 def test_find_root_transcendental_vs_bisection(well_kappa=None):
@@ -241,24 +253,25 @@ def test_find_root_transcendental_vs_bisection(well_kappa=None):
         om = np.sqrt(4.0 - kappa**2)
         return om / np.tan(om) + kappa
 
-    root = nk.find_roots(g, 0.01, 1.99, tol=1e-14)[0]
+    root = nk.find_roots(g, 0.01, 1.99, g(0.01), g(1.99), 1e-14)[0]
     assert root == pytest.approx(well_kappa_oracle(), abs=1e-10)
 
 
 def test_find_root_requires_bracket():
     with pytest.raises(DataError):
-        nk.find_roots(lambda x: x + 10.0, 0.0, 1.0)
+        nk.find_roots(lambda x: x + 10.0, 0.0, 1.0, 10.0, 11.0, 1e-10)
 
 
 def test_find_root_refuses_jump():
     # a sign change without a zero: the bracket collapses onto the jump
     with pytest.raises(SolverError):
-        nk.find_roots(lambda x: np.where(x < 0.3, -1.0, 1.0), 0.0, 1.0)
+        nk.find_roots(lambda x: np.where(x < 0.3, -1.0, 1.0), 0.0, 1.0, -1.0, 1.0, 1e-10)
 
 
-def test_find_root_refuses_when_iterations_run_out():
+def test_find_root_refuses_when_iterations_run_out(monkeypatch):
+    monkeypatch.setattr(nk, "MAX_ITER", 3)
     with pytest.raises(SolverError):
-        nk.find_roots(np.cos, 1.0, 2.0, tol=0.0, max_iter=3)
+        nk.find_roots(np.cos, 1.0, 2.0, np.cos(1.0), np.cos(2.0), 0.0)
 
 
 def _well_equation(kappa):
@@ -277,8 +290,8 @@ def test_find_roots_matches_scalar_runs(g, lo, root, hi, tol):
     rng = np.random.default_rng(7)
     a = rng.uniform(lo, root - 0.01, 20)
     b = rng.uniform(root + 0.01, hi, 20)
-    roots = nk.find_roots(g, a, b, tol)
-    assert np.array_equal(roots, [nk.find_roots(g, x, y, tol)[0] for x, y in zip(a, b)])
+    roots = nk.find_roots(g, a, b, g(a), g(b), tol)
+    assert np.array_equal(roots, [nk.find_roots(g, x, y, g(x), g(y), tol)[0] for x, y in zip(a, b)])
     assert np.array_equal(roots, [find_root_scalar(g, float(x), float(y), tol) for x, y in zip(a, b)])
     assert np.all(np.abs(g(roots)) <= max(tol, 1e-14))
 
@@ -290,28 +303,33 @@ def test_find_roots_calls_g_once_per_step():
         calls.append(np.size(x))
         return np.cos(x)
 
-    nk.find_roots(g, np.linspace(0.5, 1.5, 7), np.full(7, 2.5), tol=1e-12)
-    assert calls[0] == 14  # every bracket end in one call
-    assert len(calls) < 12 and all(0 < c <= 7 for c in calls[1:])
+    a, b = np.linspace(0.5, 1.5, 7), np.full(7, 2.5)
+    nk.find_roots(g, a, b, np.cos(a), np.cos(b), 1e-12)
+    assert len(calls) < 12 and all(0 < c <= 7 for c in calls)
 
 
 def test_find_roots_exact_zero_at_bracket_end():
-    assert np.array_equal(nk.find_roots(lambda x: x - 1.0, [1.0, 0.0], [2.0, 1.0]), [1.0, 1.0])
+    a, b = np.array([1.0, 0.0]), np.array([2.0, 1.0])
+    assert np.array_equal(nk.find_roots(lambda x: x - 1.0, a, b, a - 1.0, b - 1.0, 1e-10), [1.0, 1.0])
 
 
-def test_find_roots_refusals():
+def test_find_roots_refusals(monkeypatch):
     def step_or_cos(x):
         # a jump at 0.3 on the first bracket, plain roots on the others
         return np.where(x < 0.4, np.where(x < 0.3, -1.0, 1.0), np.cos(x))
 
+    def refused(g, a, b, tol=1e-10):
+        a, b = np.array(a), np.array(b)
+        return nk.find_roots(g, a, b, g(a), g(b), tol)
+
     with pytest.raises(SolverError, match="jump"):
-        nk.find_roots(step_or_cos, [0.0, 1.0, 1.2], [0.35, 2.0, 2.5])
-    with pytest.raises(SolverError, match="did not converge"):
-        nk.find_roots(np.cos, [1.0, 1.1], [2.0, 2.1], tol=0.0, max_iter=3)
+        refused(step_or_cos, [0.0, 1.0, 1.2], [0.35, 2.0, 2.5])
     with pytest.raises(DataError):
-        nk.find_roots(np.cos, [1.0, 0.0], [2.0, 1.0])
-    empty = nk.find_roots(np.cos, [], [])
-    assert empty.shape == (0,)
+        refused(np.cos, [1.0, 0.0], [2.0, 1.0])
+    assert refused(np.cos, [], []).shape == (0,)
+    monkeypatch.setattr(nk, "MAX_ITER", 3)
+    with pytest.raises(SolverError, match="did not converge"):
+        refused(np.cos, [1.0, 1.1], [2.0, 2.1], tol=0.0)
 
 
 def test_winding_constant():

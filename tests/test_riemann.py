@@ -89,7 +89,8 @@ def test_riemann_blaschke_squared(kg):
     ref = (kg.nodes - 1j) / (kg.nodes + 1j)
     band = np.abs(kg.nodes) <= 20.0
     assert np.max(np.abs(sol.f0 - ref)[band]) < 1e-6
-    assert np.max(np.abs(np.abs(sol.phi_plus) - 1.0)) < 1e-6
+    phi_plus = sol.f0 / rm.blaschke(sol.kappas, kg.nodes)
+    assert np.max(np.abs(np.abs(phi_plus) - 1.0)) < 1e-6
     rep = rm.verify_factorization(sol, sd)
     assert rep["max_zero_residual"] <= 1e-8  # w(i) = 0 exactly
 
