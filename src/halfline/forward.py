@@ -182,41 +182,55 @@ class BoundStateScan:
     resonance_suspected: bool
 
 
+def _imag_axis_zeros(g, q_max: float, tol: float):
+    """The bound-state search of find_bound_states and data_from_kernel:
+    zeros of the vectorized g(kappa) = f(0, i kappa), for a potential of
+    depth at most q_max, as (grid, lo, roots, resonance).
+
+    One call of g on kappa = 0 and the scan grid = _kappa_scan(q_max).
+    f(i kappa) -> 1 as kappa -> inf, so g < 0 at the scan edge means zeros
+    beyond it and raises SolverError.  The brackets [grid[lo], grid[lo+1]]
+    are the scan intervals whose left node is an exact zero (its own root)
+    or where g changes sign; find_roots refines them all at once to
+    |g| <= tol from the scan's values.  Zeros of f are simple but not
+    separated: pairs closer than SCAN_STEP may be missed.  |g(0)| below
+    RESONANCE_TOL, or a sign change straddling KAPPA_MIN, raises the
+    zero-energy-resonance flag.
+    """
+    grid = _kappa_scan(q_max)
+    gv = g(np.concatenate([[0.0], grid]))
+    g0, gv = float(gv[0]), gv[1:]
+    if gv[-1] < 0:
+        raise SolverError(
+            f"f(i kappa) is still negative at the scan edge kappa = {grid[-1]:.3f}; "
+            "bound states lie beyond the scan"
+        )
+    lo = np.nonzero((gv[:-1] == 0.0) | (gv[:-1] * gv[1:] < 0))[0]
+    roots = find_roots(g, grid[lo], grid[lo + 1], gv[lo], gv[lo + 1], tol)
+    resonance = abs(g0) < RESONANCE_TOL or g0 * gv[0] < 0
+    return grid, lo, roots, resonance
+
+
 def find_bound_states(q: Potential) -> BoundStateScan:
     """Locate the zeros i*kappa_j of the Jost function on the imaginary axis.
 
-    Scans g(kappa) = f(0, i*kappa) for sign changes on the nodes of
-    _kappa_scan(max|q|) (one march for the whole scan and kappa = 0) and
-    refines all of them at once by batched bracketed root finding to
-    |g| <= ROOT_TOL, so every step of the root finder is one march for all
-    states, and g at the bracket ends is the scan's.  On a grid with an odd
-    node count the roots are then Richardson-extrapolated against the 2*dx
-    subsampled grid, refined the same way, removing the O(dx^2)
-    discretization bias (the scan may miss nearly degenerate pairs closer
-    than SCAN_STEP; zeros of f are simple but not separated).  A 2*dx root
-    outside its dx root's scan bracket is looked for in widened brackets
-    and used only if a 4*dx check confirms that its shift is second order
-    (_coarse_roots).
-
-    A sign change straddling KAPPA_MIN, or |f(0,0)| below RESONANCE_TOL,
-    raises the zero-energy-resonance warning flag.
+    _imag_axis_zeros scans g(kappa) = f(0, i*kappa) up to the bound of
+    max|q| (one march for the whole scan and kappa = 0) and refines every
+    bracket at once to |g| <= ROOT_TOL, so every step of the root finder is
+    one march for all states; it also sets the zero-energy-resonance flag
+    and refuses zeros beyond the scan.  On a grid with an odd node count
+    the roots are then Richardson-extrapolated against the 2*dx subsampled
+    grid, refined the same way, removing the O(dx^2) discretization bias.
+    A 2*dx root outside its dx root's scan bracket is looked for in
+    widened brackets and used only if a 4*dx check confirms that its shift
+    is second order (_coarse_roots).
     """
-    grid = _kappa_scan(np.max(np.abs(q.values)))
-    n0 = _f0_imag_axis(q, np.concatenate([[0.0], grid]))
-    f00, g = float(n0[0]), n0[1:]
-    resonance = abs(f00) < RESONANCE_TOL
-    exact = np.nonzero(g[:-1] == 0.0)[0]
-    lo = np.nonzero((g[:-1] != 0.0) & (g[:-1] * g[1:] < 0))[0]
-    roots = find_roots(lambda kp: _f0_imag_axis(q, kp), grid[lo], grid[lo + 1], g[lo], g[lo + 1], ROOT_TOL)
+    grid, lo, roots, resonance = _imag_axis_zeros(lambda kp: _f0_imag_axis(q, kp), np.max(np.abs(q.values)), ROOT_TOL)
     if q.grid.n % 2 == 1 and lo.size:
         roots_c = _coarse_roots(q, grid, lo, roots)
         ok = np.isfinite(roots_c)
         roots[ok] = (4.0 * roots[ok] - roots_c[ok]) / 3.0
-    order = np.argsort(np.concatenate([exact, lo]), kind="stable")
-    kappas = np.concatenate([grid[exact], roots])[order]
-    if not resonance and f00 * (g[0] if g.size else 1.0) < 0:
-        resonance = True  # sign change straddling kappa_min
-    return BoundStateScan(tuple(float(k) for k in kappas), resonance)
+    return BoundStateScan(tuple(float(k) for k in roots), resonance)
 
 
 def _coarse_roots(q: Potential, grid: np.ndarray, lo: np.ndarray, roots: np.ndarray) -> np.ndarray:

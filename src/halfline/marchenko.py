@@ -9,15 +9,18 @@ F_d(x) = sum_j s_j e^{-kappa_j x}, and A(x, .) the solution of the Marchenko
 equation A(x,y) + F(x+y) + int_x^inf A(x,s) F(s+y) ds = 0 for y >= x.
 
 Reverse arrows, all on the half-line x >= 0: f_from_kernel recovers F from
-the x = 0 kernel row by a backward Volterra solve of the same equation;
-data_from_kernel reconstructs the full scattering data from A alone; and
-data_from_F composes the Marchenko rows with data_from_kernel, so F on
-[0, X] determines the data through the kernel on [0, X/2].
+the x = 0 kernel row by a backward Volterra march of the same equation;
+data_from_kernel reconstructs the full scattering data from A alone, its
+bound states by the forward route's zero search; and data_from_F composes
+the Marchenko rows with data_from_kernel, so F on [0, X] determines the
+data through the kernel on [0, X/2].
 
-solve_kernel solves every kernel row, each a dense Nystrom collocation
-(Simpson rule), at once: every row's matrix is a leading block of one of a
-few templates, so one Cholesky factorization per template serves them
-all, O(n^3) in total.  invert_full and data_from_F reach it through one
+Both row operators, the Marchenko rows (A from F) and the Volterra march
+(F from A), use the Simpson rule only.  solve_kernel solves every kernel
+row, each a dense Nystrom collocation, at once: every row's matrix is a
+leading block of one of the two parity templates (or is a row of one or
+two nodes), so one Cholesky factorization per template serves them all,
+O(n^3) in total.  invert_full and data_from_F reach it through one
 path, which first zeroes F beyond the point where the remaining |F| tail
 mass falls below Y_TAIL_TOL; invert_full reports that mass as the error
 scale.
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SolverError, StageError
-from .forward import RESONANCE_TOL, _data_from_jost, _kappa_scan
+from .forward import _data_from_jost, _imag_axis_zeros
 from .model import (
     BoundState,
     MarchenkoInput,
@@ -44,7 +47,6 @@ from .model import (
 from .numkit import (
     _oscillatory_sum,
     differentiate,
-    find_roots,
     fourier_kernel_to_space,
     integrate,
     quadrature_weights,
@@ -66,6 +68,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10  # relative residual above which a kernel row is refused
 Y_TAIL_TOL = 1e-8  # |F| tail mass below which F is zeroed before the row solves
+SUPPORT_TOL = 1e-6  # |A(0,y)| relative to its peak below which f_from_kernel stops
 
 
 @dataclass(frozen=True)
@@ -106,37 +109,34 @@ def build_F(
             f"Fourier symmetry violation: imaginary residual {np.max(resid):.2e} "
             "(S(-k) != conj S(k) on this grid)"
         )
-    if sd.bound_states:
-        fd = np.sum(sd.norming[None, :] * np.exp(-np.outer(grid.nodes, sd.kappas)), axis=1)
-    else:
-        fd = np.zeros(grid.n)
+    fd = np.sum(sd.norming[None, :] * np.exp(-np.outer(grid.nodes, sd.kappas)), axis=1)
     return MarchenkoInput(xgrid=grid, fs_values=fs, fd_values=fd)
 
 
-def solve_kernel(F: MarchenkoInput, x_max: float, rule: str) -> np.ndarray:
+def solve_kernel(F: MarchenkoInput, x_max: float) -> np.ndarray:
     """Every kernel row on the nodes x_i = i dx of [0, x_max]: the upper
     triangular array values[i, j] = A(x_i, x_j).
 
     Row x_i is the Nystrom collocation of the Marchenko equation on its own
-    nodes y = x_i, ..., x_max, with the weights quadrature_weights gives
-    them under rule ("simpson" or "trapezoid"; DataError otherwise), except
-    that a row of one node takes the weight dx.  F must be sampled from
-    x = 0 at the kernel's spacing; samples beyond the F window are taken as
-    zero, so the error scales with the neglected tail mass of F.
+    nodes y = x_i, ..., x_max, with the Simpson weights quadrature_weights
+    gives them, except that a row of one node takes the weight dx.  F must
+    be sampled from x = 0 at the kernel's spacing; samples beyond the F
+    window are taken as zero, so the error scales with the neglected tail
+    mass of F.
 
     Row x_i's system I + K W, with K = F(x_p + x_q) over p, q >= i, is
     solved as the symmetric (W^{-1} + K) b = -F(x_i + y), a = b / w.  In
     reversed node order every row's K is a leading block of one Hankel
     matrix G, and its weights are the leading weights of a template: the
-    longest row of its parity (one template for the trapezoid rule) or,
-    for the rows of one and two nodes, the row itself, with the weights
-    (dx) and (dx/2, dx/2).  A row's weight at y = x may be smaller than
-    its template's (1/3 against 2/3, 3/8 against 3/8 + 1/3, or 1/2 against
-    1, times dx), so a row's matrix is its template's leading block plus
-    delta >= 0 on the last diagonal entry, and its Cholesky factor is the
-    template factor's leading block with the last pivot raised to
-    sqrt(p^2 + delta): one factorization per template and two products
-    with the factor's inverse solve every row, O(n^3) in total.
+    longest row of its parity or, for the rows of one and two nodes, the
+    row itself, with the weights (dx) and (dx/2, dx/2).  A row's weight at
+    y = x may be smaller than its template's (1/3 against 2/3, or 3/8
+    against 3/8 + 1/3, times dx), so a row's matrix is its template's
+    leading block plus delta >= 0 on the last diagonal entry, and its
+    Cholesky factor is the template factor's leading block with the last
+    pivot raised to sqrt(p^2 + delta): one factorization per template and
+    two products with the factor's inverse solve every row, O(n^3) in
+    total.
 
     For admissible data I + F_x is positive definite, so a failed
     factorization (a pivot that is not positive, as in a one-node row with
@@ -144,8 +144,6 @@ def solve_kernel(F: MarchenkoInput, x_max: float, rule: str) -> np.ndarray:
     solvability; it raises SolverError, as does a row whose relative
     residual exceeds RESIDUAL_TOL.
     """
-    if rule not in ("simpson", "trapezoid"):
-        raise DataError(f"unknown rule {rule!r}")
     dx = F.xgrid.dx
     n = int(round(x_max / dx)) + 1
     base = int(round(-F.xgrid.lo / dx))
@@ -161,10 +159,10 @@ def solve_kernel(F: MarchenkoInput, x_max: float, rule: str) -> np.ndarray:
     X = values[::-1, ::-1].T
     for c in range(min(n, 2)):
         X[: c + 1, [c]] = _template_rows(G, np.full(c + 1, dx / (c + 1)), np.array([c]), dx)
-    for M in (n,) if rule == "trapezoid" else (n, n - 1):
+    for M in (n, n - 1):
         if M >= 3:
-            cols = np.arange(M - 1, 1, -1 if rule == "trapezoid" else -2)
-            X[:M, cols] = _template_rows(G, quadrature_weights(M, dx, rule)[::-1], cols, dx)
+            cols = np.arange(M - 1, 1, -2)
+            X[:M, cols] = _template_rows(G, quadrature_weights(M, dx, "simpson")[::-1], cols, dx)
     return values
 
 
@@ -253,21 +251,21 @@ def _tail_cut(F: MarchenkoInput) -> tuple[int, float]:
 
 def _kernel_from_F(F: MarchenkoInput, xg: RadialGrid) -> tuple[TransformationKernel, float]:
     """The kernel on xg from F sampled from x = 0 at xg's spacing: F zeroed
-    beyond the cut of _tail_cut, then every row by solve_kernel (Simpson
-    rule).  Also returns the tail mass neglected at the cut."""
+    beyond the cut of _tail_cut, then every row by solve_kernel.  Also
+    returns the tail mass neglected at the cut."""
     cut, neglected = _tail_cut(F)
     f = F.f_values.copy()
     f[cut + 1 :] = 0.0
     F = MarchenkoInput(xgrid=F.xgrid, fs_values=f, fd_values=np.zeros_like(f))
-    return TransformationKernel(grid=xg, block=solve_kernel(F, xg.x_max, "simpson")), neglected
+    return TransformationKernel(grid=xg, block=solve_kernel(F, xg.x_max)), neglected
 
 
 def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> InversionResult:
     """Scattering data to potential, keeping the intermediate artifacts.
 
     Stages: characterization gate (unless config.force), build_F on
-    [0, 2*x_max], every kernel row by solve_kernel (Simpson rule) from F
-    zeroed beyond the cut of _tail_cut, diagonal differentiation.  Raises
+    [0, 2*x_max], every kernel row by solve_kernel from F zeroed beyond
+    the cut of _tail_cut, diagonal differentiation.  Raises
     StageError tagged with the failing stage; the rows' failures are tagged
     solve_marchenko.
     """
@@ -287,8 +285,6 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
             )
     try:
         F = build_F(sd, 0.0, 2 * cfg.x_max, cfg.dx, tail_correction=True)
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError("build_F", exc)
 
@@ -308,21 +304,20 @@ def invert(sd: ScatteringData, config: InversionConfig | None = None) -> Potenti
     return invert_full(sd, config).potential
 
 
-def f_from_kernel(
-    kernel: TransformationKernel, rule: str = "simpson", support_tol: float = 1e-6
-) -> MarchenkoInput:
+def f_from_kernel(kernel: TransformationKernel) -> MarchenkoInput:
     """Recover F on [0, y_max] from the x = 0 kernel row.
 
     The Marchenko equation at x = 0, rewritten with p = y and t = s + y, is
     a backward Volterra equation for F with the triangular kernel A(0, t-p):
 
-        F(p) + int_p^inf A(0, t - p) F(t) dt = -A(0, p).
+        F(p) + int_p^inf A(0, t - p) F(t) dt = -A(0, p),
 
-    When bound states are present, e^{-kappa_j p} solves the homogeneous
+    marched with the Simpson weights of solve_volterra_backward.  When
+    bound states are present, e^{-kappa_j p} solves the homogeneous
     equation on the half-line (f(i kappa_j) = 0), so marching far beyond the
     kernel's support amplifies noise like e^{kappa (y_max - p)}.  The march
     is therefore restricted to the row's numerical support (|A(0,y)| above
-    support_tol relative to its peak, plus a one-unit margin); beyond it F
+    SUPPORT_TOL relative to its peak, plus a one-unit margin); beyond it F
     is taken as zero, which matches the decayed true values there.
     """
     row = kernel.row(0)
@@ -331,9 +326,9 @@ def f_from_kernel(
     f = np.zeros(nodes.size)
     peak = float(np.max(np.abs(row)))
     if peak > 0.0:
-        alive = np.nonzero(np.abs(row) > support_tol * peak)[0]
+        alive = np.nonzero(np.abs(row) > SUPPORT_TOL * peak)[0]
         cut = min(nodes.size - 1, int(alive[-1]) + int(round(1.0 / dx)))
-        f[: cut + 1] = solve_volterra_backward(row[: cut + 1], row[: cut + 1], dx, rule=rule)
+        f[: cut + 1] = solve_volterra_backward(row[: cut + 1], row[: cut + 1], dx)
     return MarchenkoInput(xgrid=kernel.grid, fs_values=f, fd_values=np.zeros_like(f))
 
 
@@ -365,22 +360,18 @@ def data_from_kernel(kernel: TransformationKernel, kgrid: MomentumGrid | None = 
 
     f(k) = 1 + int_0^inf A(0,y) e^{iky} dy (Simpson weights), for k >= 0
     by one chirp-z transform and mirrored by f(-k) = conj f(k); bound states
-    are the sign changes of f(i kappa) on the imaginary axis, all refined
-    at once by batched bracketed root finding that starts from the scan's
-    values; s_j = ||f_j||^{-2} with f_j(x) = e^{-kappa_j x} +
+    are the zeros of f(i kappa) on the imaginary axis, found and refined to
+    |f| <= 1e-12 by forward._imag_axis_zeros, the forward route's zero
+    search, with max|q| read off the kernel diagonal (q = -2 dA(x,x)/dx);
+    s_j = ||f_j||^{-2} with f_j(x) = e^{-kappa_j x} +
     int_x^inf A(x,y) e^{-kappa_j y} dy, each row by its own Simpson rule
     (_simpson_rows); and S = conj(f)/f with the S(0) sign set by the
-    resonance test |f(0)| < RESONANCE_TOL (forward._data_from_jost, which
-    also refuses an f that vanishes away from k = 0).
+    search's resonance flag (forward._data_from_jost, which also refuses
+    an f that vanishes away from k = 0).
 
     The sums over y run on the kernel's nb x nb block only, with the
     weights cut to nb nodes (A is 0 beyond them); past the block
     f_j = e^{-kappa_j x}.
-
-    The scan has the forward scan's nodes (forward._kappa_scan), up to
-    1.5 sqrt(max|q|) + 0.5 with q = -2 dA(x,x)/dx read off the kernel
-    diagonal.  f(i kappa) -> 1 as kappa -> inf, so a negative value at the
-    scan's upper edge means zeros beyond it and raises SolverError.
     """
     if kgrid is None:
         kgrid = MomentumGrid.make(200.0, 0.05)
@@ -397,17 +388,7 @@ def data_from_kernel(kernel: TransformationKernel, kgrid: MomentumGrid | None = 
         return 1.0 + np.exp(e, out=e) @ wrow
 
     q_max = 2.0 * float(np.max(np.abs(differentiate(kernel.diagonal, dx))))
-    grid = _kappa_scan(q_max)
-    gv = f_imag(np.concatenate([[0.0], grid]))
-    resonance = abs(gv[0]) < RESONANCE_TOL
-    gv = gv[1:]
-    if gv[-1] < 0:
-        raise SolverError(
-            f"f(i kappa) is still negative at the scan edge kappa = {grid[-1]:.3f}; "
-            "bound states lie beyond the scan"
-        )
-    lo = np.nonzero(gv[:-1] * gv[1:] < 0)[0]
-    kappas = find_roots(f_imag, grid[lo], grid[lo + 1], gv[lo], gv[lo + 1], 1e-12)
+    _, _, kappas, resonance = _imag_axis_zeros(f_imag, q_max, 1e-12)
     # f_j(x) = e^{-kappa_j x} + int_x^inf A(x,y) e^{-kappa_j y} dy for all
     # states at once; rows past the block have A = 0, so f_j = e^{-kappa_j x}
     decay = np.exp(-np.multiply.outer(y, kappas))

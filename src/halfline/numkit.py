@@ -5,12 +5,13 @@ differentiation, sums of e^{ipx} between uniform grids (one chirp-z
 transform each: the truncated Fourier integral from momentum to space,
 with an endpoint taper or an analytic 1/k tail correction, and the Jost
 function from a kernel row), backward-marching Volterra solves with a
-difference kernel, batched bracketed root finding that starts from a
-scan's values at the bracket ends (one vectorized call of g per secant
-step for all brackets), winding numbers by nearest-branch phase
-continuation (a step of pi or more refused), and principal-value Cauchy
-transforms on uniform grids.  The Fourier sums and the principal value
-are both Toeplitz products, computed by one zero-padded FFT convolution.
+difference kernel (Simpson rule), batched bracketed root finding that
+starts from a scan's values at the bracket ends (one vectorized call of g
+per secant step for all brackets), winding numbers by nearest-branch
+phase continuation (a step of pi or more refused), and principal-value
+Cauchy transforms on uniform grids.  The Fourier sums and the principal
+value are both Toeplitz products, computed by one zero-padded FFT
+convolution.
 
 Conventions: the Volterra solver uses the sign convention of the Marchenko
 equation, i.e. it returns h satisfying
@@ -266,7 +267,7 @@ def fourier_kernel_to_space(h: np.ndarray, kgrid, xgrid, tail_correction: bool =
 # backward Volterra marching
 
 
-def solve_volterra_backward(a: np.ndarray, g: np.ndarray, dx: float, rule: str = "trapezoid") -> np.ndarray:
+def solve_volterra_backward(a: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
     """Solve h(p) + int_p^end a(t - p) h(t) dt = -g(p) by backward marching.
 
     The kernel depends on t - p only and is sampled by offset on the grid
@@ -275,18 +276,19 @@ def solve_volterra_backward(a: np.ndarray, g: np.ndarray, dx: float, rule: str =
     term is empty.
 
     Row i integrates over the L = n - i nodes from p_i to the end.  Its
-    weights are quadrature_weights(L, dx, rule), built once: rows of one
-    parity share their far-end weights and their first weight with the
-    longest row of that parity, so each row is a slice of one of two
-    templates; only rows of 2 and 4 nodes (trapezoid, 3/8 rule) differ.
+    weights are the Simpson quadrature_weights(L, dx, "simpson"), built
+    once: rows of one parity share their far-end weights and their first
+    weight with the longest row of that parity, so each row is a slice of
+    one of two templates; only rows of 2 and 4 nodes (trapezoid, 3/8 rule)
+    differ.
     """
     a = np.asarray(a, dtype=float)
     g = np.asarray(g, dtype=float)
     if a.shape != g.shape:
         raise GridError("kernel and rhs samples must have the same length")
     n = g.size
-    longest = {L % 2: quadrature_weights(L, dx, rule) for L in (n - 1, n) if L >= 2}
-    short = {L: quadrature_weights(L, dx, rule) for L in (2, 4) if L <= n}
+    longest = {L % 2: quadrature_weights(L, dx, "simpson") for L in (n - 1, n) if L >= 2}
+    short = {L: quadrature_weights(L, dx, "simpson") for L in (2, 4) if L <= n}
     h = np.empty(n)
     h[-1] = -g[-1]
     for i in range(n - 2, -1, -1):

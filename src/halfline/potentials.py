@@ -29,17 +29,3 @@ def square_well_potential(grid: RadialGrid, depth: float = 4.0, width: float = 1
     v[edge] = -depth / 2.0
     return Potential(grid=grid, values=v)
 
-
-def square_well_jost_oracle(k: complex, depth: float = 4.0, width: float = 1.0) -> tuple[complex, complex]:
-    """Closed-form (f(0,k), f'(0,k)) for the square well by plane-wave
-    matching at the edge: inside omega = sqrt(k^2 + depth),
-
-        f(0,k)  = e^{ik w} [cos(omega w) - i (k/omega) sin(omega w)]
-        f'(0,k) = e^{ik w} [i k cos(omega w) + omega sin(omega w)].
-    """
-    om = np.sqrt(complex(k) ** 2 + depth)
-    w = width
-    phase = np.exp(1j * complex(k) * w)
-    f0 = phase * (np.cos(om * w) - 1j * (complex(k) / om) * np.sin(om * w))
-    fp0 = phase * (1j * complex(k) * np.cos(om * w) + om * np.sin(om * w))
-    return complex(f0), complex(fp0)

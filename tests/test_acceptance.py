@@ -40,11 +40,11 @@ def soliton_marchenko_input(dx: float, hi: float = 80.0) -> MarchenkoInput:
     return MarchenkoInput(xgrid=g, fs_values=f, fd_values=np.zeros_like(f))
 
 
-def invert_from_input(F: MarchenkoInput, x_max: float, rule: str = "simpson"):
+def invert_from_input(F: MarchenkoInput, x_max: float):
     """data-free inversion: Marchenko rows from a given F, then the diagonal
     derivative (the F => A => q part of the pipeline)."""
     xg = RadialGrid.make(x_max, F.xgrid.dx)
-    K = TransformationKernel(grid=xg, block=mk.solve_kernel(F, x_max, rule))
+    K = TransformationKernel(grid=xg, block=mk.solve_kernel(F, x_max))
     return mk.recover_potential(K), K
 
 
@@ -70,7 +70,7 @@ def test_criterion_2_soliton_closed_form():
     # A(0,0) from the kernel on [0, 20]: the row's tail beyond y = 20 is
     # e^{-20}, and |A(0,0) + 1| equals that of the [0, 40] row to 1e-15
     F = soliton_marchenko_input(dx=0.025)
-    a00_err = abs(mk.solve_kernel(F, 20.0, "simpson")[0, 0] + 1.0)
+    a00_err = abs(mk.solve_kernel(F, 20.0)[0, 0] + 1.0)
     F2 = soliton_marchenko_input(dx=0.05)
     q, _ = invert_from_input(F2, x_max=40.0)
     ref = -2.0 / np.cosh(q.grid.nodes) ** 2
@@ -128,14 +128,14 @@ def test_criterion_5_reversibility_suite(fw_sech2, fw_well, fw_zero, kgrid_fouri
     ok = True
 
     def kernel_roundtrip(sd, y_max):
-        # A -> F -> A seeded by Marchenko rows of the built F (the discrete
-        # maps are mutual inverses on matching trapezoid collocations)
+        # A -> F -> A seeded by Marchenko rows of the built F: Simpson rows
+        # both ways, and the default support cut of f_from_kernel
         F = mk.build_F(sd, 0.0, 2 * y_max, 0.05, tail_correction=True)
         xg = RadialGrid.make(y_max, 0.05)
-        vals = mk.solve_kernel(F, y_max, "trapezoid")
+        vals = mk.solve_kernel(F, y_max)
         K = TransformationKernel(grid=xg, block=vals)
-        F_rec = mk.f_from_kernel(K, rule="trapezoid", support_tol=0.0)
-        vals2 = mk.solve_kernel(F_rec, y_max, "trapezoid")
+        F_rec = mk.f_from_kernel(K)
+        vals2 = mk.solve_kernel(F_rec, y_max)
         return float(np.max(np.abs(vals2 - vals)))
 
     for name, r in (("zero", fw_zero), ("sech2", fw_sech2)):
@@ -250,12 +250,13 @@ def test_criterion_7_characterization(fw_zero, fw_sech2, fw_well):
 
 
 def test_criterion_8_convergence():
-    # second-order sanity on the closed-form inversion: trapezoid rows,
-    # halving dx must cut the sup error by at least 3x
+    # convergence sanity on the closed-form inversion (Simpson rows, the
+    # five-point derivative): halving dx must cut the sup error by at
+    # least 3x
     errs = []
     for dx in (0.1, 0.05):
         F = soliton_marchenko_input(dx=dx)
-        q, _ = invert_from_input(F, x_max=40.0, rule="trapezoid")
+        q, _ = invert_from_input(F, x_max=40.0)
         ref = -2.0 / np.cosh(q.grid.nodes) ** 2
         mask = q.grid.nodes <= 8.0
         errs.append(float(np.max(np.abs(q.values - ref)[mask])))

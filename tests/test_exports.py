@@ -61,4 +61,4 @@ def _settable_values() -> list[str]:
 def test_settable_values_count():
     # each new option must show up here: a change that adds one changes
     # this number in its own diff
-    assert len(_settable_values()) == 29, _settable_values()
+    assert len(_settable_values()) == 26, _settable_values()

@@ -3,18 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import sech2_jost_exact, well_kappa_oracle
+from conftest import sech2_jost_exact, square_well_jost_oracle, well_kappa_oracle
 from halfline.errors import DataError, SolverError
 from halfline import forward as fw
 from halfline.marchenko import data_from_kernel
 from halfline.model import MomentumGrid, Potential, RadialGrid, ScatteringData
 from halfline.numkit import integrate, quadrature_weights, winding_number
-from halfline.potentials import (
-    sech2_potential,
-    square_well_jost_oracle,
-    square_well_potential,
-    zero_potential,
-)
+from halfline.potentials import sech2_potential, square_well_potential, zero_potential
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +263,16 @@ def test_bound_states_sech2_resonance(q_sech2):
     assert scan.kappas == ()
     assert scan.resonance_suspected
     assert abs(fw._f0_imag_axis(q_sech2, [0.0])[0]) < 1e-3
+
+
+def test_bound_states_beyond_scan_refused(monkeypatch):
+    # the depth-64 well has kappa = 0.83, 5.79 and 7.50, and f(i kappa) < 0
+    # between the two deepest: a scan stopping at 6.5 must not drop the
+    # deepest state silently
+    q = square_well_potential(RadialGrid.make(10.0, 0.005), depth=64.0)
+    monkeypatch.setattr(fw, "_kappa_scan", lambda q_max: np.arange(fw.KAPPA_MIN, 6.5 + fw.SCAN_STEP, fw.SCAN_STEP))
+    with pytest.raises(SolverError, match="beyond the scan"):
+        fw.find_bound_states(q)
 
 
 # ---------------------------------------------------------------------------

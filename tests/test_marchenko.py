@@ -95,7 +95,7 @@ def test_build_F_rejects_asymmetric(kgrid_fourier):
 
 def test_row_zero_F():
     F = make_input(0.0, 40.0, 0.05, lambda x: np.zeros_like(x))
-    row = mk.solve_kernel(F, 40.0, "simpson")[20, 20:]  # x = 1
+    row = mk.solve_kernel(F, 40.0)[20, 20:]  # x = 1
     assert np.max(np.abs(row)) == 0.0
 
 
@@ -103,7 +103,7 @@ def test_row_separable_closed_form():
     # F = 2 e^{-p} gives A(x,y) = -2 e^{-(x+y)}/(1 + e^{-2x}); the 1e-6
     # origin tolerance needs the fourth-order rule at dx = 0.025
     F = soliton_input(dx=0.025)
-    A = mk.solve_kernel(F, 40.0, "simpson")
+    A = mk.solve_kernel(F, 40.0)
     row0 = A[0]
     y = np.arange(0.0, 40.0 + 1e-9, 0.025)
     assert abs(row0[0] + 1.0) < 1e-6
@@ -115,31 +115,31 @@ def test_row_separable_closed_form():
 
 
 def test_row_two_node_hand_elimination():
-    # F = (1, 2, 3) on [0, 2] with dx = 1, x = 0, x_max = 1, trapezoid
-    # weights (1/2, 1/2): the row system is
+    # F = (1, 2, 3) on [0, 2] with dx = 1, x = 0, x_max = 1: a two-node row
+    # takes the weights (1/2, 1/2), and the row system is
     #   a0 + (F(0) a0 + F(1) a1)/2 = -F(0)  ->  3/2 a0 +     a1 = -1
     #   a1 + (F(1) a0 + F(2) a1)/2 = -F(1)  ->      a0 + 5/2 a1 = -2
     # elimination: a1 = -8/11, a0 = -2/11
     F = make_input(0.0, 2.0, 1.0, lambda x: x + 1.0)
-    row = mk.solve_kernel(F, 1.0, "trapezoid")[0]
+    row = mk.solve_kernel(F, 1.0)[0]
     np.testing.assert_allclose(row, [-2.0 / 11.0, -8.0 / 11.0], rtol=0, atol=1e-14)
 
 
 def test_row_singular_refused():
-    # F = -1 with trapezoid weights summing to 1 makes I + F W annihilate
+    # F = -1 with Simpson weights summing to 1 makes I + F W annihilate
     # the constant mode of the row at x = 0 exactly
     F = make_input(0.0, 2.0, 0.5, lambda x: -np.ones_like(x))
     with pytest.raises(SolverError):
-        mk.solve_kernel(F, 1.0, "trapezoid")
+        mk.solve_kernel(F, 1.0)
 
 
 def test_row_one_node_pivot():
     # a one-node row is -F(2x)/(1 + dx F(2x)); F = -1/dx zeroes the pivot
     F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, -2.0))
     with pytest.raises(SolverError, match="pivot"):
-        mk.solve_kernel(F, 1.0, "simpson")
+        mk.solve_kernel(F, 1.0)
     F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, 3.0))
-    assert mk.solve_kernel(F, 1.0, "simpson")[-1, -1:].tolist() == [-3.0 / (1.0 + 0.5 * 3.0)]
+    assert mk.solve_kernel(F, 1.0)[-1, -1:].tolist() == [-3.0 / (1.0 + 0.5 * 3.0)]
 
 
 def test_row_one_node_negative_pivot_refused():
@@ -147,33 +147,24 @@ def test_row_one_node_negative_pivot_refused():
     # rows of indefinite data, and is refused, not solved
     F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, -3.0))
     with pytest.raises(SolverError, match="pivot"):
-        mk.solve_kernel(F, 1.0, "simpson")
+        mk.solve_kernel(F, 1.0)
 
 
-def test_row_grid_refinement_second_order():
+def test_row_grid_refinement_fourth_order():
     errs = []
     for dx in (0.1, 0.05):
         F = soliton_input(dx=dx)
-        row0 = mk.solve_kernel(F, 40.0, "trapezoid")[0]
+        row0 = mk.solve_kernel(F, 40.0)[0]
         y = np.arange(0.0, 40.0 + 1e-9, dx)
         errs.append(np.max(np.abs(row0 + np.exp(-y))))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_solve_kernel_refuses_unknown_rule(n):
-    # the rows of one and two nodes read no quadrature rule, so the rule
-    # is checked up front
-    F = make_input(0.0, 4.0, 0.5, lambda x: np.exp(-x))
-    with pytest.raises(DataError, match="rule"):
-        mk.solve_kernel(F, (n - 1) * 0.5, "bogus")
+    assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.2)
 
 
 # ---------------------------------------------------------------------------
 # solve_kernel against the per-row reference
 
 
-def row_loop(F, x_max, rule):
+def row_loop(F, x_max, rule="simpson"):
     """Reference: one marchenko_row solve per kernel row."""
     nodes = F.xgrid.dx * np.arange(int(round(x_max / F.xgrid.dx)) + 1)
     vals = np.zeros((nodes.size, nodes.size))
@@ -182,14 +173,16 @@ def row_loop(F, x_max, rule):
     return vals
 
 
-@pytest.mark.parametrize("rule", ["simpson", "trapezoid"])
+# solve_kernel's rows are Simpson rows; the reference builds its weights by
+# the rule's name
+@pytest.mark.parametrize("rule", ["simpson"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 40, 41])
 def test_solve_kernel_matches_row_loop(rule, n):
     # n <= 6 gives rows of one to four nodes and both parities, including
     # the four-node 3/8 row under a six-node template
     dx = 0.1
     F = make_input(0.0, 2 * (n - 1) * dx + 1.0, dx, lambda x: 2 * np.exp(-x) + 0.5 * np.exp(-3 * x))
-    got = mk.solve_kernel(F, (n - 1) * dx, rule)
+    got = mk.solve_kernel(F, (n - 1) * dx)
     assert got.shape == (n, n)
     np.testing.assert_allclose(got, row_loop(F, (n - 1) * dx, rule), rtol=0, atol=1e-12)
 
@@ -197,7 +190,7 @@ def test_solve_kernel_matches_row_loop(rule, n):
 def test_solve_kernel_short_window_is_zero_padded():
     # samples beyond the F window count as zero, as in the row reference
     F = soliton_input(dx=0.1, hi=3.0)
-    np.testing.assert_allclose(mk.solve_kernel(F, 4.0, "trapezoid"), row_loop(F, 4.0, "trapezoid"), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mk.solve_kernel(F, 4.0), row_loop(F, 4.0), rtol=0, atol=1e-12)
 
 
 def test_solve_kernel_refuses_indefinite_data():
@@ -208,13 +201,13 @@ def test_solve_kernel_refuses_indefinite_data():
     F = make_input(0.0, 10.0, 0.05, lambda x: -3 * np.exp(-x))
     assert np.all(np.isfinite(marchenko_row(F, 0.0, y_max=5.0)))
     with pytest.raises(SolverError, match="not positive definite"):
-        mk.solve_kernel(F, 5.0, "simpson")
+        mk.solve_kernel(F, 5.0)
 
 
 def test_solve_kernel_one_node_pivot():
     F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, -2.0))
     with pytest.raises(SolverError, match="pivot"):
-        mk.solve_kernel(F, 1.0, "simpson")
+        mk.solve_kernel(F, 1.0)
 
 
 def test_solve_kernel_residual_check_names_the_row(monkeypatch):
@@ -222,7 +215,7 @@ def test_solve_kernel_residual_check_names_the_row(monkeypatch):
     # the batched check reports the row and its residual
     monkeypatch.setattr(mk, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SolverError, match=r"row at x = \d+\.\d{4}: .*residual \d"):
-        mk.solve_kernel(soliton_input(dx=0.1, hi=8.0), 4.0, "simpson")
+        mk.solve_kernel(soliton_input(dx=0.1, hi=8.0), 4.0)
 
 
 def test_zeroed_F_matches_row_cut():
@@ -242,7 +235,7 @@ def test_zeroed_F_matches_row_cut():
     f = F.f_values.copy()
     f[cut + 1 :] = 0.0
     zeroed = MarchenkoInput(xgrid=F.xgrid, fs_values=f, fd_values=np.zeros_like(f))
-    assert np.max(np.abs(mk.solve_kernel(zeroed, x_max, "simpson") - old)) <= 1e-7
+    assert np.max(np.abs(mk.solve_kernel(zeroed, x_max) - old)) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +352,7 @@ def test_f_to_kernel_roundtrip():
     # two discrete maps are mutual inverses
     Fin = soliton_input(dx=0.05, hi=80.0)
     xg = RadialGrid.make(40.0, 0.05)
-    K = TransformationKernel(grid=xg, block=mk.solve_kernel(Fin, 40.0, "simpson"))
+    K = TransformationKernel(grid=xg, block=mk.solve_kernel(Fin, 40.0))
     Frec = mk.f_from_kernel(K)
     assert np.max(np.abs(Frec.f_values - 2 * np.exp(-xg.nodes))) < 1e-5
 
@@ -505,13 +498,13 @@ def test_data_from_kernel_roots_start_from_the_scan(monkeypatch, deep_well_kerne
     # the root finder takes f(i kappa) at the bracket ends from the scan, so
     # it evaluates f only at secant iterates: one evaluation fewer
     seen, ends = [], []
-    core = mk.find_roots
+    core = fw.find_roots
 
     def recording(g, a, b, fa, fb, tol):
         ends.append(np.concatenate([a, b]))
         return core(lambda x: seen.append(np.array(x, dtype=float)) or g(x), a, b, fa, fb, tol)
 
-    monkeypatch.setattr(mk, "find_roots", recording)
+    monkeypatch.setattr(fw, "find_roots", recording)
     _, K = deep_well_kernel
     assert mk.data_from_kernel(K, kgrid=MomentumGrid.make(20.0, 0.05)).j_count == 3
     assert len(ends) == 1 and ends[0].size == 6
@@ -522,9 +515,21 @@ def test_data_from_kernel_flags_states_beyond_scan(monkeypatch, deep_well_kernel
     # f(i kappa) < 0 between the two deepest zeros: a scan stopping there
     # would drop them silently
     _, K = deep_well_kernel
-    monkeypatch.setattr(mk, "_kappa_scan", lambda q_max: np.arange(fw.KAPPA_MIN, 6.5 + fw.SCAN_STEP, fw.SCAN_STEP))
+    monkeypatch.setattr(fw, "_kappa_scan", lambda q_max: np.arange(fw.KAPPA_MIN, 6.5 + fw.SCAN_STEP, fw.SCAN_STEP))
     with pytest.raises(SolverError):
         mk.data_from_kernel(K, kgrid=MomentumGrid.make(20.0, 0.05))
+
+
+def test_data_from_kernel_flags_straddling_sign_change():
+    # A(x, y) = -1.005 c e^{-c(x+y)} gives f(i kappa) ~ 1 - 1.005 c/(c + kappa):
+    # f(0) ~ -5e-3 is above RESONANCE_TOL in size, but f changes sign below
+    # KAPPA_MIN, so the zero-energy resonance flag sets S(0) = -1
+    c = 0.1
+    xg = RadialGrid.make(100.0, 0.1)
+    K = TransformationKernel(grid=xg, block=np.triu(-1.005 * c * np.exp(-c * np.add.outer(xg.nodes, xg.nodes))))
+    sd = mk.data_from_kernel(K)
+    assert sd.j_count == 0
+    assert sd.s_at_zero_sign == -1
 
 
 # ---------------------------------------------------------------------------

@@ -192,18 +192,18 @@ def test_volterra_separable_oracle():
     dx = 0.01
     nodes = np.arange(0.0, 40.0 + 1e-9, dx)
     a = -np.exp(-dx * np.arange(nodes.size))
-    F = nk.solve_volterra_backward(a, -np.exp(-nodes), dx, rule="simpson")
+    F = nk.solve_volterra_backward(a, -np.exp(-nodes), dx)
     assert np.max(np.abs(F - 2 * np.exp(-nodes))) < 1e-6
 
 
-def test_volterra_second_order_convergence():
+def test_volterra_fourth_order_convergence():
     errs = []
     for dx in (0.02, 0.01):
         nodes = np.arange(0.0, 40.0 + 1e-9, dx)
         a = -np.exp(-dx * np.arange(nodes.size))
-        F = nk.solve_volterra_backward(a, -np.exp(-nodes), dx, rule="trapezoid")
+        F = nk.solve_volterra_backward(a, -np.exp(-nodes), dx)
         errs.append(np.max(np.abs(F - 2 * np.exp(-nodes))))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
+    assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.15)
 
 
 def _volterra_row_by_row(a, g, dx, rule):
@@ -218,7 +218,9 @@ def _volterra_row_by_row(a, g, dx, rule):
     return h
 
 
-@pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
+# the march's rows are Simpson rows; the reference builds its weights by
+# the rule's name
+@pytest.mark.parametrize("rule", ["simpson"])
 def test_volterra_weights_sliced_from_templates(rule):
     # every row's weights, sliced from the two parity templates, are the
     # row's own quadrature_weights bit for bit, short rows included
@@ -226,7 +228,7 @@ def test_volterra_weights_sliced_from_templates(rule):
     for n in [*range(2, 13), 1001]:
         a, g = rng.standard_normal(n), rng.standard_normal(n)
         want = _volterra_row_by_row(a, g, 0.037, rule)
-        np.testing.assert_array_equal(nk.solve_volterra_backward(a, g, 0.037, rule), want)
+        np.testing.assert_array_equal(nk.solve_volterra_backward(a, g, 0.037), want)
 
 
 def test_volterra_refuses_unequal_lengths():
