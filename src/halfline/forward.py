@@ -18,7 +18,12 @@ makes the trapezoid march explicit, and its k -> 0 limit y - x is its value
 at k = 0, so one recurrence (_march) serves real and imaginary momenta and
 k = 0 alike.  It runs in the exponent rate z = 2ik, which is real on the
 imaginary axis: there (the bound-state scan and root finder, the norming
-constants) the march is real arithmetic.
+constants) the march is real arithmetic.  Each node's step is an affine map
+of the march's state, so the march is a product of maps with two evaluation
+orders, picked by its width: wide marches (the bound-state scans,
+jost_boundary) go node by node, narrow ones (the root finder's steps, the
+norming constants' fields) as a tree of pairwise matrix products in
+O(log n) numpy steps.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ KAPPA_MIN = 1e-3  # lower end of the bound-state scan on the imaginary axis
 SCAN_STEP = 0.01  # spacing of the scan; closer pairs of zeros may be missed
 ROOT_TOL = 1e-10  # |f(0, i kappa)| at which a refined bound state is accepted
 FORWARD_TOL = 1e-8  # unitarity and symmetry tolerance forward's data must meet
+NARROW_MARCH = 16  # marches of at most this many momenta run in tree order (see _march)
+TREE_CHUNK = 1024  # nodes per tree-order chunk, a power of two: bounds the stacked maps
 
 
 def _kappa_scan(q_max: float) -> np.ndarray:
@@ -93,12 +100,21 @@ def _march(q_vals: np.ndarray, dx: float, ks: np.ndarray, keep_field: bool = Fal
     with e2 = e^{z dx}, c = (e2 - 1)/z (c = dx at z = 0, its limit; expm1
     keeps c accurate for small |z| and finite for large -z) and
     v_i = int_{x_i}^inf q n dy.  Node 0 adds only its half weight, so the
-    last V is v_0, and f'(0,k) = (z/2)(2 - f(0,k)) - v_0.  Each node is six
-    in-place passes over preallocated rows.
+    last V is v_0, and f'(0,k) = (z/2)(2 - f(0,k)) - v_0.
+
+    The recurrence has two evaluation orders, and the march's width alone
+    picks one.  A march of more than NARROW_MARCH momenta (the bound-state
+    scans, jost_boundary) runs node by node, six in-place passes over
+    preallocated rows per node.  A narrower one (the root finder's steps,
+    the 4*dx check, the norming constants' fields) composes the nodes' affine
+    maps in a tree instead (_march_tree): O(log n) numpy steps per chunk of
+    TREE_CHUNK nodes in place of 6 per node, the same O(n * width) work,
+    agreeing with the loop to rounding.
 
     The arithmetic follows z: on the imaginary axis k = i kappa, z = -2 kappa
     is real and the march runs in float64 (and returns float arrays), else
-    in complex128.  Momenta must be finite with Im k >= 0 (DataError).
+    in complex128.  Momenta must be a finite one-dimensional array with
+    Im k >= 0 (DataError).
 
     The march starts at node _support_end(q_vals) - 1, one node past the
     last nonzero sample: beyond it the march would keep n = 1 and v = 0
@@ -106,6 +122,8 @@ def _march(q_vals: np.ndarray, dx: float, ks: np.ndarray, keep_field: bool = Fal
     holds n = 1 on those rows.
     """
     ks = np.asarray(ks, dtype=complex)
+    if ks.ndim > 1:
+        raise DataError(f"momenta must be a one-dimensional array, got shape {ks.shape}")
     if not np.all(np.isfinite(ks)):
         raise DataError("momenta must be finite")
     z = 2j * ks
@@ -117,17 +135,29 @@ def _march(q_vals: np.ndarray, dx: float, ks: np.ndarray, keep_field: bool = Fal
     em1 = np.expm1(z * dx)  # e2 - 1, |e2| <= 1 for Im k >= 0
     c = np.divide(em1, z, out=np.full_like(z, dx), where=z != 0)
     e2 = 1.0 + em1
-    w = (dx * q_vals[:ne]).tolist()  # trapezoid weights of q n, half at node 0
-    w[0] *= 0.5
-    u = np.zeros_like(z)
+    w = dx * q_vals[: ne - 1]  # trapezoid weights of q n, half at node 0
+    if w.size:
+        w[0] *= 0.5
     # V of the first step, from the start node's half weight (n = 1 there);
     # a one-node march has no step, and v_0 = 0
-    V = np.full_like(z, 0.5 * dx * q_vals[ne - 1] if ne > 1 else 0.0)
-    t = np.empty_like(z)
-    n = np.empty_like(z)
+    V0 = 0.5 * dx * q_vals[ne - 1] if ne > 1 else 0.0
     field = np.ones((q_vals.size, z.size), dtype=z.dtype) if keep_field else None
-    for i in range(ne - 2, -1, -1):
-        if keep_field:
+    if z.size <= NARROW_MARCH:
+        u, V = _march_tree(e2, c, w, V0, field)
+    else:
+        u, V = _march_loop(e2, c, w.tolist(), V0, field)
+    n0 = u + 1.0
+    return n0, 0.5 * z * (2.0 - n0) - V, field
+
+
+def _march_loop(e2, c, w, V0, field):
+    """_march node by node: (u_0, v_0), and n on field's rows 0 .. len(w) - 1."""
+    u = np.zeros_like(e2)
+    V = np.full_like(e2, V0)
+    t = np.empty_like(e2)
+    n = np.empty_like(e2)
+    for i in range(len(w) - 1, -1, -1):
+        if field is not None:
             n = field[i]
         np.multiply(u, e2, out=u)
         np.multiply(V, c, out=t)
@@ -135,8 +165,74 @@ def _march(q_vals: np.ndarray, dx: float, ks: np.ndarray, keep_field: bool = Fal
         np.add(u, 1.0, out=n)
         np.multiply(n, w[i], out=t)
         np.add(V, t, out=V)
-    n0 = u + 1.0
-    return n0, 0.5 * z * (2.0 - n0) - V, field
+    return u, V
+
+
+def _march_tree(e2, c, w, V0, field):
+    """_march as a product of affine maps: (u_0, v_0), and n on field's rows
+    0 .. w.size - 1.
+
+    Node i maps the state s = (u, V, 1) to M_i s, with the 3 x 3 matrix
+
+        M_i = [[e2, c, 0], [w_i e2, 1 + w_i c, w_i], [0, 0, 1]],
+
+    so the march is s_0 = M_0 M_1 ... M_{m-1} s_m, s_m = (0, V0, 1), a
+    product that may be formed in any grouping (Blelloch, "Prefix sums and
+    their applications", CMU-CS-90-190, 1990).  The nodes go in chunks of
+    TREE_CHUNK from node 0 up, each padded with identities to a power of two
+    and marched from the far end, the state carried from chunk to chunk, so
+    the stacked maps never outgrow one chunk.  Within a chunk the up-sweep
+    multiplies neighbouring maps pairwise, level by level, one np.matmul
+    each.  Without a field, the state then walks the leftmost spine down:
+    the right half of each level's first block, then M_0.  With a field, the
+    down-sweep pushes every block's entering state through its right
+    half, level by level, and gives every node's state; its leftmost spine
+    is the same chain of products, so field[0] equals the no-field f(0) bit
+    for bit.  Chunks and levels are anchored at node 0, and a map with
+    w_i = 0 leaves s = (0, 0, 1) exactly, so marching past q's support (see
+    _support_end) changes no bit here either.
+    """
+    s = np.zeros((e2.size, 3, 1), dtype=e2.dtype)
+    s[:, 1, 0] = V0
+    s[:, 2, 0] = 1.0
+    for a in range((w.size - 1) // TREE_CHUNK * TREE_CHUNK, -1, -TREE_CHUNK):
+        wa = w[a : a + TREE_CHUNK]
+        levels = [_node_maps(e2, c, wa)]
+        while levels[-1].shape[0] > 1:
+            maps = levels[-1]
+            levels.append(maps[0::2] @ maps[1::2])
+        if field is None:
+            for maps in levels[-2::-1]:
+                s = maps[1] @ s
+        else:
+            S = s[None]  # S[j]: the state entering block j of the level
+            for maps in levels[-2::-1]:
+                below = np.empty((2 * S.shape[0],) + S.shape[1:], dtype=S.dtype)
+                below[1::2] = S
+                below[0::2] = maps[1::2] @ S
+                S = below
+            s = S[0]
+            field[a + 1 : a + wa.size] += S[: wa.size - 1, :, 0, 0]
+        s = levels[0][0] @ s
+        if field is not None:
+            field[a] += s[:, 0, 0]
+    return s[:, 0, 0], s[:, 1, 0]
+
+
+def _node_maps(e2, c, w):
+    """The maps M_i of _march_tree for weights w, stacked (p, width, 3, 3)
+    and padded with identities to p = the next power of two."""
+    r = w.size
+    maps = np.zeros((1 << (r - 1).bit_length(), e2.size, 3, 3), dtype=e2.dtype)
+    wc = w[:, None]
+    maps[:r, :, 0, 0] = e2
+    maps[:r, :, 0, 1] = c
+    maps[:r, :, 1, 0] = wc * e2
+    maps[:r, :, 1, 1] = 1.0 + wc * c
+    maps[:r, :, 1, 2] = wc
+    maps[r:, :, 0, 0] = maps[r:, :, 1, 1] = 1.0
+    maps[:, :, 2, 2] = 1.0
+    return maps
 
 
 def jost_boundary(q: Potential, kgrid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -284,9 +380,12 @@ def norming_constants(q: Potential, kappas) -> tuple[np.ndarray, list[dict]]:
     Secondary value: s_j = 1 / int_0^inf f(x, i kappa_j)^2 dx.  The relative
     discrepancy between the two routes is recorded per state.  One
     jost_field march for all states gives the fields at i kappa_j and the
-    values at i (kappa_j +- h).
+    values at i (kappa_j +- h).  Every kappa must be finite and positive
+    (DataError).
     """
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
+    if not np.all(np.isfinite(kappas) & (kappas > 0)):
+        raise DataError(f"bound-state kappas must be finite and positive, got {kappas}")
     nj = kappas.size
     h = 1e-4 * kappas
     f_x, fprime0 = jost_field(q, 1j * np.concatenate([kappas, kappas + h, kappas - h]))

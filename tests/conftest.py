@@ -105,10 +105,13 @@ def well_kappa_oracle(depth: float = 4.0, width: float = 1.0, iters: int = 200) 
     return 0.5 * (lo + hi)
 
 
-def find_root_scalar(g, a: float, b: float, tol: float = 1e-10, max_iter: int = 200) -> float:
+def find_root_scalar(g, a: float, b: float, tol: float = 1e-10, max_iter: int = 200, fa=None, fb=None) -> float:
     """Reference scalar safeguarded secant: the iterates the batched
-    numkit.find_roots must reproduce bracket by bracket."""
-    fa, fb = g(a), g(b)
+    numkit.find_roots must reproduce bracket by bracket.  fa and fb are
+    g(a) and g(b), computed here when not given; like find_roots, a caller
+    whose scan holds them passes them."""
+    fa = g(a) if fa is None else fa
+    fb = g(b) if fb is None else fb
     if fa == 0.0:
         return a
     if fb == 0.0:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -75,6 +76,19 @@ def test_jost_rejects_nonfinite_momenta(q_sech2, k):
     # a NaN or infinite momentum would march to NaN f and f'(0)
     with pytest.raises(DataError, match="finite"):
         fw.jost_field(q_sech2, [1.0, k])
+
+
+@pytest.mark.parametrize("order", ["tree", "loop"])
+@pytest.mark.parametrize("shape", [(1, 2), (2, 17), (1, 1, 1)])
+def test_jost_rejects_multidimensional_momenta(monkeypatch, q_sech2, order, shape):
+    # one march per column: a momentum array of more than one dimension is
+    # refused, not broadcast into the field
+    if order == "loop":
+        monkeypatch.setattr(fw, "NARROW_MARCH", -1)
+    with pytest.raises(DataError, match="one-dimensional"):
+        fw.jost_field(q_sech2, np.ones(shape))
+    with pytest.raises(DataError, match="one-dimensional"):
+        fw._march(q_sech2.values, q_sech2.grid.dx, 1j * np.ones(shape))
 
 
 @pytest.mark.parametrize(
@@ -187,6 +201,97 @@ def test_jost_field_boundary_equals_jost_boundary(q_well):
 
 
 # ---------------------------------------------------------------------------
+# the two evaluation orders of _march: node by node (wide) and tree (narrow)
+
+
+def _short_support(nodes: int) -> Potential:
+    """A potential whose first `nodes` samples are its only nonzero ones."""
+    grid = RadialGrid.make(1.0, 0.01)
+    return Potential(grid=grid, values=np.where(np.arange(grid.n) < nodes, -3.0, 0.0))
+
+
+_ORDER_POTENTIALS = {
+    "unit_well": lambda: square_well_potential(RadialGrid.make(10.0, 0.01)),
+    "deep_well": lambda: _deep_well(),
+    "sech2": lambda: sech2_potential(RadialGrid.make(40.0, 0.01)),
+    "support1": lambda: _short_support(1),
+    "support2": lambda: _short_support(2),
+    "support3": lambda: _short_support(3),
+}
+_ORDER_MOMENTA = {
+    "imaginary": 1j * np.array([0.05, 0.8, 2.5, 7.5, 40.0]),
+    "real": np.array([0.05, 1.0, 4.0, 20.0, 150.0]),
+    "zero": np.array([0.0]),
+    "mixed": np.array([0.0, 1.5, 2j, 3.0 + 0.5j, 1e-9]),
+}
+
+
+@pytest.mark.parametrize("ks", list(_ORDER_MOMENTA.values()), ids=list(_ORDER_MOMENTA))
+@pytest.mark.parametrize("make_q", list(_ORDER_POTENTIALS.values()), ids=list(_ORDER_POTENTIALS))
+def test_tree_order_matches_loop_order(monkeypatch, make_q, ks):
+    # a narrow march composes the nodes' maps in a tree; the same momenta
+    # marched node by node agree to rounding, relative to each column's scale
+    q = make_q()
+    assert ks.size <= fw.NARROW_MARCH
+    tree = fw._march(q.values, q.grid.dx, ks, keep_field=True)
+    tree_f0 = fw._march(q.values, q.grid.dx, ks)[0]
+    monkeypatch.setattr(fw, "NARROW_MARCH", -1)
+    f0, fp0, field = fw._march(q.values, q.grid.dx, ks, keep_field=True)
+    assert tree[2].dtype == field.dtype
+    scale = np.max(np.abs(field), axis=0)
+    assert np.max(np.abs(tree[2] - field) / scale) <= 1e-13
+    assert np.max(np.abs(tree[0] - f0) / scale) <= 1e-13
+    assert np.max(np.abs(tree_f0 - f0) / scale) <= 1e-13
+    fp_scale = np.maximum(np.abs(fp0), np.maximum(np.abs(ks), 1.0) * scale)
+    assert np.max(np.abs(tree[1] - fp0) / fp_scale) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", [1j, 1.0], ids=["imaginary", "real"])
+def test_tree_order_is_columnwise(kind):
+    # a momentum's values do not depend on which others share its narrow
+    # march: the batched-equals-one-by-one comparisons stay exact
+    q = sech2_potential(RadialGrid.make(20.0, 0.01), depth=6.0)
+    ks = kind * np.linspace(0.5, 8.0, fw.NARROW_MARCH)
+    f0, fp0, field = fw._march(q.values, q.grid.dx, ks, keep_field=True)
+    for j in (0, 7, fw.NARROW_MARCH - 1):
+        one = fw._march(q.values, q.grid.dx, ks[j : j + 1], keep_field=True)
+        np.testing.assert_array_equal(one[0], f0[j : j + 1])
+        np.testing.assert_array_equal(one[1], fp0[j : j + 1])
+        np.testing.assert_array_equal(one[2], field[:, j : j + 1])
+        # and without a field the march walks the same spine to x = 0
+        np.testing.assert_array_equal(fw._march(q.values, q.grid.dx, ks[j : j + 1])[0], f0[j : j + 1])
+
+
+@pytest.mark.parametrize("order", ["tree", "loop"])
+def test_jost_empty_momenta(monkeypatch, q_well, order):
+    if order == "loop":
+        monkeypatch.setattr(fw, "NARROW_MARCH", -1)
+    f_xk, fp0 = fw.jost_field(q_well, [])
+    assert f_xk.shape == (q_well.grid.n, 0) and fp0.shape == (0,)
+    assert fw._f0_imag_axis(q_well, []).shape == (0,)
+
+
+def test_tree_order_memory_is_bounded():
+    # q without exact zeros on 50001 nodes: a narrow march stacks its maps
+    # one TREE_CHUNK of nodes at a time, so its working memory does not grow
+    # with the grid (the maps of the whole grid would take 50001 * 16 * 9
+    # complex numbers, 115 MB); with a field, beyond the field itself
+    grid = RadialGrid.make(50.0, 0.001)
+    q = sech2_potential(grid)
+    assert fw._support_end(q.values) == grid.n == 50001
+    ks = np.linspace(0.5, 8.0, fw.NARROW_MARCH)
+    for keep_field in (False, True):
+        tracemalloc.start()
+        try:
+            _, _, field = fw._march(q.values, grid.dx, ks, keep_field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - (field.nbytes if keep_field else 0)
+        assert extra < 16e6, (keep_field, peak)
+
+
+# ---------------------------------------------------------------------------
 # support trimming: a march stops one node past q's last nonzero sample
 
 
@@ -284,6 +389,14 @@ def test_norming_empty(q_zero):
     assert vals.size == 0 and report == []
 
 
+@pytest.mark.parametrize("kappa", [0.0, -0.5, np.nan, np.inf])
+def test_norming_rejects_nonpositive_kappa(q_well, kappa):
+    # kappa = 0 makes the difference step h = 1e-4 kappa zero (a division
+    # by zero), kappa < 0 would march below the axis, nan and inf not at all
+    with pytest.raises(DataError, match="kappa"):
+        fw.norming_constants(q_well, [1.0, kappa])
+
+
 def test_norming_cross_check(q_well):
     scan = fw.find_bound_states(q_well)
     vals, report = fw.norming_constants(q_well, scan.kappas)
@@ -293,7 +406,8 @@ def test_norming_cross_check(q_well):
 
 def _bound_states_one_by_one(q, tol=1e-10):
     """Reference: the scan refined state by state, each root by a scalar
-    secant on single-kappa marches (dx grid, then the 2*dx grid)."""
+    secant on single-kappa marches (dx grid, then the 2*dx grid) that starts
+    from the scan's g at the bracket ends, as find_bound_states does."""
     from conftest import find_root_scalar
 
     kappa_max = float(np.sqrt(np.max(np.abs(q.values)))) * 1.5 + 0.5
@@ -304,7 +418,9 @@ def _bound_states_one_by_one(q, tol=1e-10):
         if g[i] == 0.0:
             kappas.append(float(grid[i]))
         elif g[i] * g[i + 1] < 0:
-            root = find_root_scalar(lambda kp: float(fw._f0_imag_axis(q, np.array([kp]))[0]), grid[i], grid[i + 1], tol)
+            root = find_root_scalar(
+                lambda kp: float(fw._f0_imag_axis(q, np.array([kp]))[0]), grid[i], grid[i + 1], tol, fa=g[i], fb=g[i + 1]
+            )
             if q.grid.n % 2 == 1:
                 # the 2*dx root's scan bracket: the dx one, else the nearest
                 # one outward, SCAN_STEP by SCAN_STEP, with a sign change
@@ -313,7 +429,12 @@ def _bound_states_one_by_one(q, tol=1e-10):
                 c = next((c for c in near if gs[c] * gs[c + 1] < 0), None)
                 if c is not None:
                     root_c = find_root_scalar(
-                        lambda kp: float(fw._f0_imag_axis(q, np.array([kp]), step=2)[0]), grid[c], grid[c + 1], tol
+                        lambda kp: float(fw._f0_imag_axis(q, np.array([kp]), step=2)[0]),
+                        grid[c],
+                        grid[c + 1],
+                        tol,
+                        fa=gs[c],
+                        fb=gs[c + 1],
                     )
                     # a shifted 2*dx root counts only if the 4*dx root sits
                     # where second order puts it, at root_c + 4 (root_c - root)
