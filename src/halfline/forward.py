@@ -17,11 +17,11 @@ unconditionally stable.  The kernel vanishes on the diagonal y = x, which
 makes the trapezoid march explicit, and its k -> 0 limit y - x is its value
 at k = 0, so one recurrence (_march) serves real and imaginary momenta and
 k = 0 alike.  It runs in the exponent rate z = 2ik, which is real on the
-imaginary axis: there (the bound-state scan and root finder, the norming
-constants) the march is real arithmetic.  Each node's step is an affine map
-of the march's state, so the march is a product of maps with two evaluation
-orders, picked by its width: wide marches (the bound-state scans,
-jost_boundary) go node by node, narrow ones (the root finder's steps, the
+imaginary axis: there (the bound-state search, the norming constants) the
+march is real arithmetic.  Each node's step is an affine map of the march's
+state, so the march is a product of maps with two evaluation orders, picked
+by its width: wide marches (the bound-state scan, jost_boundary) go node by
+node, narrow ones (the bound-state search's root and Newton steps, the
 norming constants' fields) as a tree of pairwise matrix products in
 O(log n) numpy steps.
 """
@@ -64,6 +64,7 @@ ROOT_TOL = 1e-10  # |f(0, i kappa)| at which a refined bound state is accepted
 FORWARD_TOL = 1e-8  # unitarity and symmetry tolerance forward's data must meet
 NARROW_MARCH = 16  # marches of at most this many momenta run in tree order (see _march)
 TREE_CHUNK = 1024  # nodes per tree-order chunk, a power of two: bounds the stacked maps
+_TWIN_STEPS = 8  # Newton steps after which a 2*dx twin is given up (see _coarse_roots)
 
 
 def _kappa_scan(q_max: float) -> np.ndarray:
@@ -104,12 +105,12 @@ def _march(q_vals: np.ndarray, dx: float, ks: np.ndarray, keep_field: bool = Fal
 
     The recurrence has two evaluation orders, and the march's width alone
     picks one.  A march of more than NARROW_MARCH momenta (the bound-state
-    scans, jost_boundary) runs node by node, six in-place passes over
-    preallocated rows per node.  A narrower one (the root finder's steps,
-    the 4*dx check, the norming constants' fields) composes the nodes' affine
-    maps in a tree instead (_march_tree): O(log n) numpy steps per chunk of
-    TREE_CHUNK nodes in place of 6 per node, the same O(n * width) work,
-    agreeing with the loop to rounding.
+    scan, jost_boundary) runs node by node, six in-place passes over
+    preallocated rows per node.  A narrower one (the steps of the root
+    finder and of _coarse_roots, the norming constants' fields) composes the
+    nodes' affine maps in a tree instead (_march_tree): O(log n) numpy steps
+    per chunk of TREE_CHUNK nodes in place of 6 per node, the same
+    O(n * width) work, agreeing with the loop to rounding.
 
     The arithmetic follows z: on the imaginary axis k = i kappa, z = -2 kappa
     is real and the march runs in float64 (and returns float arrays), else
@@ -311,56 +312,54 @@ def find_bound_states(q: Potential) -> BoundStateScan:
     """Locate the zeros i*kappa_j of the Jost function on the imaginary axis.
 
     _imag_axis_zeros scans g(kappa) = f(0, i*kappa) up to the bound of
-    max|q| (one march for the whole scan and kappa = 0) and refines every
-    bracket at once to |g| <= ROOT_TOL, so every step of the root finder is
-    one march for all states; it also sets the zero-energy-resonance flag
-    and refuses zeros beyond the scan.  On a grid with an odd node count
-    the roots are then Richardson-extrapolated against the 2*dx subsampled
-    grid, refined the same way, removing the O(dx^2) discretization bias.
-    A 2*dx root outside its dx root's scan bracket is looked for in
-    widened brackets and used only if a 4*dx check confirms that its shift
-    is second order (_coarse_roots).
+    max|q| (one march for the whole scan and kappa = 0, the search's only
+    wide march) and refines every bracket at once to |g| <= ROOT_TOL, so
+    every step of the root finder is one march for all states; it also sets
+    the zero-energy-resonance flag and refuses zeros beyond the scan.  On a
+    grid with an odd node count the roots are then Richardson-extrapolated
+    against their twins on the 2*dx subsampled grid (_coarse_roots),
+    removing the O(dx^2) discretization bias.
     """
     grid, lo, roots, resonance = _imag_axis_zeros(lambda kp: _f0_imag_axis(q, kp), np.max(np.abs(q.values)), ROOT_TOL)
     if q.grid.n % 2 == 1 and lo.size:
         roots_c = _coarse_roots(q, grid, lo, roots)
-        ok = np.isfinite(roots_c)
-        roots[ok] = (4.0 * roots[ok] - roots_c[ok]) / 3.0
+        roots = np.where(np.isnan(roots_c), roots, (4.0 * roots - roots_c) / 3.0)
     return BoundStateScan(tuple(float(k) for k in roots), resonance)
 
 
 def _coarse_roots(q: Potential, grid: np.ndarray, lo: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """The 2*dx twins of the dx roots, which lie in the scan brackets
+    """The 2*dx twins of the dx roots, whose scan brackets are
     [grid[lo], grid[lo + 1]]; nan where there is no twin to extrapolate with.
 
-    One 2*dx march over the whole scan gives the sign changes of the 2*dx g.
-    A twin is looked for in its dx root's bracket.  Where it left it (on
-    deep wells the O(dx^2) shift spans whole SCAN_STEPs) the bracket is
-    widened by SCAN_STEP on both sides until it meets a sign change that no
-    state holds as its own; two states widened to the same one get none.
-    All twins are then refined at once, starting from the 2*dx scan's g at
-    their bracket ends.  A twin from a widened bracket counts only if its
-    shift is second order: then the 4*dx root lies at r_c + 4 (r_c - r), so
+    A twin lies O(dx^2) from its dx root, so Newton steps on the 2*dx grid
+    start there, each one march of columns kappa, kappa +- h (h = 1e-4 kappa,
+    as in norming_constants) for every state until |g| <= ROOT_TOL.  A state
+    gets nan after _TWIN_STEPS steps, at a zero slope or at a step out of
+    kappa > 0, and so do twins sharing a scan interval.  A twin outside its
+    dx root's bracket (deep wells shift by whole SCAN_STEPs) counts only if
+    its shift is second order: then the 4*dx root is r_c + 4 (r_c - r), and
     g on the 4*dx grid changes sign between r_c + 3 (r_c - r) and
-    r_c + 5 (r_c - r).  A jump sampled off its
-    midpoint (an O(dx) shift) fails this, as does another state's twin.
+    r_c + 5 (r_c - r).  A jump sampled off its midpoint (an O(dx) shift)
+    fails this, as does another state's twin.
     """
-    gs = _f0_imag_axis(q, grid, step=2)
-    sign = np.nonzero(gs[:-1] * gs[1:] < 0)[0]
-    own = np.isin(lo, sign)
-    lo_c = np.where(own, lo, -1)
-    free = np.setdiff1d(sign, lo[own])
-    if free.size and not np.all(own):
-        near = free[np.argmin(np.abs(free[None, :] - lo[~own, None]), axis=1)]
-        taken, count = np.unique(near, return_counts=True)
-        lo_c[~own] = np.where(np.isin(near, taken[count > 1]), -1, near)
-    roots_c = np.full(lo.size, np.nan)
-    ok = lo_c >= 0
-    lc = lo_c[ok]
-    roots_c[ok] = find_roots(
-        lambda kp: _f0_imag_axis(q, kp, step=2), grid[lc], grid[lc + 1], gs[lc], gs[lc + 1], ROOT_TOL
-    )
-    moved = np.nonzero(ok & ~own)[0]
+    roots_c = np.array(roots, dtype=float)
+    todo = np.arange(roots_c.size)
+    for _ in range(_TWIN_STEPS):
+        if not todo.size:
+            break
+        kap = roots_c[todo]
+        h = 1e-4 * kap
+        g, gp, gm = _f0_imag_axis(q, np.concatenate([kap, kap + h, kap - h]), step=2).reshape(3, -1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = kap - g / ((gp - gm) / (2.0 * h))
+        done = np.abs(g) <= ROOT_TOL
+        roots_c[todo] = np.where(done, kap, np.where(np.isfinite(step) & (step > 0.0), step, np.nan))
+        todo = todo[~done & np.isfinite(roots_c[todo])]
+    roots_c[todo] = np.nan
+    cell = np.searchsorted(grid, roots_c, side="right") - 1
+    taken, count = np.unique(cell[np.isfinite(roots_c)], return_counts=True)
+    roots_c[np.isin(cell, taken[count > 1])] = np.nan
+    moved = np.nonzero(np.isfinite(roots_c) & (cell != lo))[0]
     if moved.size:
         rc, shift = roots_c[moved], roots_c[moved] - roots[moved]
         g4 = _f0_imag_axis(q, np.maximum(np.concatenate([rc + 3.0 * shift, rc + 5.0 * shift]), 0.0), step=4)

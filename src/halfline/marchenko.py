@@ -267,9 +267,11 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
     [0, 2*x_max], every kernel row by solve_kernel from F zeroed beyond
     the cut of _tail_cut, diagonal differentiation.  Raises
     StageError tagged with the failing stage; the rows' failures are tagged
-    solve_marchenko.
+    solve_marchenko.  A config whose x_max and dx make no grid raises
+    GridError before any stage runs.
     """
     cfg = config or InversionConfig()
+    xg = RadialGrid.make(cfg.x_max, cfg.dx)
     report = None
     if not cfg.force:
         from .characterize import full_report
@@ -289,7 +291,7 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
         raise StageError("build_F", exc)
 
     try:
-        kernel, neglected = _kernel_from_F(F, RadialGrid.make(cfg.x_max, cfg.dx))
+        kernel, neglected = _kernel_from_F(F, xg)
     except SolverError as exc:
         raise StageError("solve_marchenko", exc)
     try:

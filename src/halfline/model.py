@@ -32,6 +32,19 @@ __all__ = [
 _REL_TOL = 1e-9
 
 
+def _offsets(span: float, dx: float, symmetric: bool = False) -> np.ndarray:
+    """Node offsets in steps of dx over span, for the grids' make: 0 .. m,
+    or -m .. m when symmetric, with m = round(span / dx).  GridError unless
+    dx is positive and finite and numpy can allocate the nodes."""
+    if not (np.isfinite(dx) and dx > 0):
+        raise GridError(f"grid spacing must be positive and finite, got {dx}")
+    try:
+        m = int(round(span / dx))
+        return np.arange(-m if symmetric else 0, m + 1)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise GridError(f"cannot build a grid of spacing {dx} on a span of {span}: {exc}") from exc
+
+
 def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
@@ -61,8 +74,7 @@ class UniformGrid:
 
     @classmethod
     def make(cls, lo: float, hi: float, dx: float) -> "UniformGrid":
-        n = int(round((hi - lo) / dx)) + 1
-        return cls(lo + dx * np.arange(n))
+        return cls(lo + dx * _offsets(hi - lo, dx))
 
     @property
     def lo(self) -> float:
@@ -86,8 +98,7 @@ class RadialGrid(UniformGrid):
 
     @classmethod
     def make(cls, x_max: float, dx: float) -> "RadialGrid":
-        n = int(round(x_max / dx)) + 1
-        return cls(dx * np.arange(n))
+        return cls(dx * _offsets(x_max, dx))
 
     @property
     def x_max(self) -> float:
@@ -113,8 +124,7 @@ class MomentumGrid(UniformGrid):
 
     @classmethod
     def make(cls, k_max: float, dk: float) -> "MomentumGrid":
-        half = int(round(k_max / dk))
-        return cls(dk * np.arange(-half, half + 1))
+        return cls(dk * _offsets(k_max, dk, symmetric=True))
 
     @property
     def k_max(self) -> float:

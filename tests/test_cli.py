@@ -388,6 +388,24 @@ def test_bad_grid_or_tolerance_flag_exits_2(tmp_path, sech2_csv, capsys, subcomm
     assert f"{flag} must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "subcommand, flag, value, code",
+    [
+        ("forward", "--dk", "1e-300", cli.EXIT_FORWARD),  # was numpy's ValueError traceback
+        ("forward", "--kmax", "1e300", cli.EXIT_FORWARD),
+        ("invert", "--dx", "1e-300", cli.EXIT_INVERSE),  # was exit 6, blamed on the characterization
+    ],
+)
+def test_grid_numpy_cannot_allocate_exits_with_stage_code(tmp_path, sech2_csv, capsys, subcommand, flag, value, code):
+    # positive and finite, so past the parser, but numpy refuses the node
+    # count before allocating anything
+    inputs = {"forward": ["--potential", str(sech2_csv)], "invert": ["--data", str(identity_dataset(tmp_path))]}
+    argv = [subcommand, *inputs[subcommand], f"{flag}={value}", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert "cannot build a grid" in err and "Traceback" not in err
+
+
 def test_scattering_json_without_s_re_exits_with_stage_code(tmp_path, capsys):
     path = identity_dataset(tmp_path)
     doc = json.loads(path.read_text())

@@ -404,45 +404,70 @@ def test_norming_cross_check(q_well):
     assert report[0]["rel_diff"] < 1e-4
 
 
+def _twin_one_by_one(q, root):
+    """Reference: one state's 2*dx twin by scalar Newton steps from its dx
+    root, each a three-column 2*dx march at kappa, kappa + h and kappa - h;
+    nan where _coarse_roots gives up (step cap, zero slope, a step out of
+    kappa > 0)."""
+    kap = root
+    for _ in range(fw._TWIN_STEPS):
+        h = 1e-4 * kap
+        g, gp, gm = fw._f0_imag_axis(q, np.array([kap, kap + h, kap - h]), step=2)
+        if abs(g) <= fw.ROOT_TOL:
+            return kap
+        slope = (gp - gm) / (2.0 * h)
+        if slope == 0.0:
+            return np.nan
+        kap = kap - g / slope
+        if not (np.isfinite(kap) and kap > 0.0):
+            return np.nan
+    return np.nan
+
+
 def _bound_states_one_by_one(q, tol=1e-10):
     """Reference: the scan refined state by state, each root by a scalar
-    secant on single-kappa marches (dx grid, then the 2*dx grid) that starts
-    from the scan's g at the bracket ends, as find_bound_states does."""
+    secant on single-kappa dx marches that starts from the scan's g at the
+    bracket ends, then on a grid with an odd node count Richardson against
+    each state's _twin_one_by_one, with _coarse_roots' two guards: twins
+    sharing a scan interval are dropped, and a twin outside its dx root's
+    bracket counts only if the 4*dx check confirms a second-order shift."""
     from conftest import find_root_scalar
 
     kappa_max = float(np.sqrt(np.max(np.abs(q.values)))) * 1.5 + 0.5
     grid = np.arange(1e-3, kappa_max + 0.01, 0.01)
     g = fw._f0_imag_axis(q, grid)
-    kappas = []
+    brackets, kappas = [], []
     for i in range(grid.size - 1):
         if g[i] == 0.0:
+            brackets.append(i)
             kappas.append(float(grid[i]))
         elif g[i] * g[i + 1] < 0:
-            root = find_root_scalar(
-                lambda kp: float(fw._f0_imag_axis(q, np.array([kp]))[0]), grid[i], grid[i + 1], tol, fa=g[i], fb=g[i + 1]
+            brackets.append(i)
+            kappas.append(
+                find_root_scalar(
+                    lambda kp: float(fw._f0_imag_axis(q, np.array([kp]))[0]),
+                    grid[i],
+                    grid[i + 1],
+                    tol,
+                    fa=g[i],
+                    fb=g[i + 1],
+                )
             )
-            if q.grid.n % 2 == 1:
-                # the 2*dx root's scan bracket: the dx one, else the nearest
-                # one outward, SCAN_STEP by SCAN_STEP, with a sign change
-                gs = fw._f0_imag_axis(q, grid, step=2)
-                near = [c for m in range(grid.size) for c in (i - m, i + m) if 0 <= c < grid.size - 1]
-                c = next((c for c in near if gs[c] * gs[c + 1] < 0), None)
-                if c is not None:
-                    root_c = find_root_scalar(
-                        lambda kp: float(fw._f0_imag_axis(q, np.array([kp]), step=2)[0]),
-                        grid[c],
-                        grid[c + 1],
-                        tol,
-                        fa=gs[c],
-                        fb=gs[c + 1],
-                    )
-                    # a shifted 2*dx root counts only if the 4*dx root sits
-                    # where second order puts it, at root_c + 4 (root_c - root)
-                    d = root_c - root
-                    g4 = fw._f0_imag_axis(q, np.maximum([root_c + 3 * d, root_c + 5 * d], 0.0), step=4)
-                    if c == i or g4[0] * g4[1] < 0:
-                        root = (4.0 * root - root_c) / 3.0
-            kappas.append(float(root))
+    if q.grid.n % 2 == 0:
+        return tuple(kappas)
+    twins = [_twin_one_by_one(q, root) for root in kappas]
+    cells = [int(np.searchsorted(grid, t, side="right")) - 1 for t in twins]
+    for j, (i, root, twin, cell) in enumerate(zip(brackets, kappas, twins, cells)):
+        if np.isnan(twin) or sum(c == cell for t, c in zip(twins, cells) if not np.isnan(t)) > 1:
+            continue
+        if cell != i:
+            # a moved twin counts only if the 4*dx root sits where second
+            # order puts it, at twin + 4 (twin - root)
+            d = twin - root
+            g4 = fw._f0_imag_axis(q, np.maximum([twin + 3 * d, twin + 5 * d], 0.0), step=4)
+            if g4[0] * g4[1] >= 0:
+                continue
+        kappas[j] = float((4.0 * root - twin) / 3.0)
     return tuple(kappas)
 
 
@@ -493,14 +518,40 @@ def _well_kappas_exact(depth: float, width: float = 1.0) -> list[float]:
 
 def test_bound_states_richardson_reaches_every_state():
     # depth 64 at dx 0.005: the O(dx^2) shift moves every 2*dx root out of
-    # its dx scan bracket; the widened brackets still extrapolate each
-    # state (the dx roots alone are off by 2.7e-3, 1.0e-4 and 7.1e-5)
+    # its dx scan bracket; Newton from the dx roots still finds each twin
+    # (the dx roots alone are off by 2.7e-3, 1.0e-4 and 7.1e-5)
     q = square_well_potential(RadialGrid.make(10.0, 0.005), depth=64.0)
     kappas = fw.find_bound_states(q).kappas
     exact = _well_kappas_exact(64.0)
     assert len(kappas) == len(exact) == 3
     for got, want in zip(kappas, exact):
         assert abs(got - want) <= 1e-5 * want
+
+
+def test_bound_states_order_check_keeps_a_first_order_twin_out():
+    # the edge of a width-1.005 well sits at a dx cell midpoint, so only the
+    # 2*dx grid sees a first-order jump: its twin leaves the dx bracket, and
+    # the 4*dx check must refuse to extrapolate with it (5.5e-3 off if not)
+    q = square_well_potential(RadialGrid.make(10.0, 0.01), depth=4.0, width=1.005)
+    (kappa,) = fw.find_bound_states(q).kappas
+    (exact,) = _well_kappas_exact(4.0, 1.005)
+    assert abs(kappa - exact) <= 2e-4 * exact
+
+
+def test_coarse_roots_newton_gives_up_safely(monkeypatch):
+    # below 0.5 the 2*dx g is kappa + 0.1, whose Newton step from 0.305
+    # lands at -0.1; above it g = 1 has a zero slope.  Neither may be
+    # marched nor divided by: both states get nan without an error or warning
+    def fake(q, kp, step=1):
+        kp = np.asarray(kp, dtype=float)
+        if np.any(kp <= 0.0):
+            raise DataError("momenta must satisfy Im k >= 0")
+        return np.where(kp < 0.5, kp + 0.1, 1.0)
+
+    monkeypatch.setattr(fw, "_f0_imag_axis", fake)
+    grid = np.arange(100) * 0.01
+    twins = fw._coarse_roots(None, grid, np.array([30, 70]), np.array([0.305, 0.705]))
+    assert np.all(np.isnan(twins))
 
 
 def test_coarse_roots_share_no_widened_bracket(monkeypatch):
@@ -550,16 +601,16 @@ def test_bound_states_and_norming_batch_the_marches(monkeypatch):
     calls = _record_marches(monkeypatch)
     scan = fw.find_bound_states(q)
     assert len(scan.kappas) == 3
-    # the dx and 2dx scans, the secant steps on both grids and the 4dx
-    # check: 9 marches (11 while the root finder re-marched its bracket
-    # ends, 24 one state at a time)
+    # the dx scan, the secant steps, the Newton steps of the 2dx twins and
+    # the 4dx check: 8 marches (9 with a 2dx scan, 11 while the root finder
+    # re-marched its bracket ends, 24 one state at a time)
     assert len(calls) <= 9
-    # g at the bracket ends comes from the scans: after them, no march
+    # g at the bracket ends comes from the scan: after it, no march
     # revisits a scan node
     nodes = fw._kappa_scan(np.max(np.abs(q.values)))
     scans = [c for c in calls if c.size >= nodes.size]
     later = np.concatenate([c for c in calls if c.size < nodes.size])
-    assert len(scans) == 2 and not np.any(np.isin(later.imag, nodes))
+    assert len(scans) == 1 and not np.any(np.isin(later.imag, nodes))
     calls.clear()
     vals, report = fw.norming_constants(q, scan.kappas)
     assert [c.size for c in calls] == [9]  # kappa_j and kappa_j +- h for all three states

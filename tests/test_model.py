@@ -84,6 +84,20 @@ def test_grids_share_the_uniform_base():
             cls(np.array([0.0, np.nan, 1.0]))
 
 
+@pytest.mark.parametrize("dx", [0.0, np.nan, np.inf, 1e-300])
+def test_grid_make_refuses_impossible_spacings(dx):
+    # 0 was a ZeroDivisionError, nan a ValueError and 1e-300 numpy's
+    # "Maximum allowed size exceeded"; numpy refuses 1e-300's node count
+    # before it allocates anything
+    for make in (RadialGrid.make, MomentumGrid.make):
+        with pytest.raises(GridError, match="grid"):
+            make(10.0, dx)
+    with pytest.raises(GridError, match="grid"):
+        UniformGrid.make(-1.0, 1.0, dx)
+    with pytest.raises(GridError, match="grid"):
+        MomentumGrid.make(1e300, 0.01)
+
+
 def test_arrays_are_frozen():
     # every array a value type exposes, the derived diagonal and F included,
     # refuses an item write
