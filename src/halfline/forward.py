@@ -255,12 +255,18 @@ def jost_field(q: Potential, ks) -> tuple[np.ndarray, np.ndarray]:
     Beyond the node after q's last nonzero sample f(x,k) = e^{ikx} exactly;
     the march stops there (see _march).  Purely imaginary momenta are
     marched in real arithmetic, as by every other imaginary-axis caller, so
-    their columns equal those callers' values bit for bit; both returned
-    arrays are complex all the same.
+    their columns equal those callers' values bit for bit, and are
+    multiplied by the real e^{-kappa x}; both returned arrays are complex
+    all the same.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     _, fprime0, field = _march(q.values, q.grid.dx, ks, keep_field=True)
-    return field * np.exp(1j * np.multiply.outer(q.grid.nodes, ks)), fprime0.astype(complex, copy=False)
+    if field.dtype == complex:
+        field *= np.exp(1j * np.multiply.outer(q.grid.nodes, ks))
+    else:  # k = i kappa: e^{ikx} = e^{-kappa x} is real, and so is the product
+        field *= np.exp(np.multiply.outer(q.grid.nodes, -ks.imag))
+        field = field.astype(complex)
+    return field, fprime0.astype(complex, copy=False)
 
 
 def _f0_imag_axis(q: Potential, kappas: np.ndarray, step: int = 1) -> np.ndarray:
@@ -477,12 +483,30 @@ def kernel_from_potential(q: Potential) -> TransformationKernel:
             = (dx^2/4) [P(i,j) + P(i+1,j) + P(i,j-1) + P(i+1,j-1)],
 
     P = q(xi - eta) K (zero for eta > xi), is marched in xi from x_max down.
-    Each row is a first-order recurrence K(i,j) = a_j K(i,j-1) + b_j, solved
-    by one cumulative sum against the running products of the a_j, which lie
-    within exp(dx ||q||_1) of 1.  O(n^2), and A(x,x) = omega exactly.
-    Odd-parity (x,y) nodes fall at cell centers of the characteristic grid
-    and are filled by 4-point averaging.  Raises SolverError if a pivot
-    1 - (dx^2/4) q is not positive or A is not finite.
+    With c_t = (dx^2/4) q(x_max - t dx) and s the row's distance from
+    x_max, each row is the first-order recurrence
+    K(i,j) = a_{s+j} K(i,j-1) + (terms of row i+1), a_t = (1 + c_{t-1}) /
+    (1 - c_t).  The march runs in the scaled variable L(i,j) = K(i,j) /
+    G_{s+j}, G the prefix product of the a_t (within exp(dx ||q||_1) of
+    1), in which every row is a cumulative sum:
+
+        L(i,j) = L(i,j-1) + [L(i+1,j) - L(i+1,j-1)] + sigma_{s+j} L(i+1,j-1),
+
+    sigma_t = 1 - (1 - c_{t-2})(1 - c_{t-1}) / ((1 + c_{t-2})(1 + c_{t-1})),
+    formed from c without cancellation: three in-place passes and one
+    cumsum per row.  (Written as L(i+1,j) - rho L(i+1,j-1), rho = 1 - sigma,
+    the step cancels, and A carries 5 to 40 times the rounding error.)
+    One multiply by G, read through a skewed (sliding-window) view, gives
+    K, and K(xi, 0) = omega is set exactly, so A(x,x) = omega exactly.
+    O(n^2).  Raises SolverError if a pivot 1 - (dx^2/4) q is not positive
+    or A is not finite.
+
+    A(x_i, x_{i+d}) is K at (i + d/2, d/2) for even d and, for odd d, the
+    mean of the four corners of the cell at (i + (d-1)/2, (d-1)/2), a
+    characteristic-grid cell center.  The means are formed for every cell at
+    once, and two skewed views, one of K and one of the means, give the
+    rows of A; a third writes them through D[i, d] = A[i, i + d], masked to
+    the upper triangle (_fill_block).
 
     Where q is 0 from x_{e+1} on (x_e its last nonzero sample), K = 0 for
     xi > x_e, so A = 0 for x + y >= 2 x_{e+2}.  The march then runs on the
@@ -506,34 +530,67 @@ def kernel_from_potential(q: Potential) -> TransformationKernel:
     c[:nb] = 0.25 * dx * dx * qv[::-1]
     if np.any(1.0 - c <= 0.0):
         raise SolverError("kernel march pivot 1 - (dx^2/4) q is not positive; refine the grid")
-    # a_j = (1 + c[s+j-1]) / (1 - c[s+j]) with s = nb-1-i: one prefix product G serves all rows
     G = np.ones(nb + m)
     np.cumprod((1.0 + c[:-1]) / (1.0 - c[1:]), out=G[1:])
-    weight = 1.0 / ((1.0 - c) * G)
-    K = np.zeros((nb, m))
-    K[:, 0] = omega
+    # sigma_t = 1 - rho_t = 1 - u_{t-2} u_{t-1}, u = (1 - c)/(1 + c) = 1 - v, without cancellation
+    v = 2.0 * c / (1.0 + c)
+    sigma = np.zeros(nb + m)
+    sigma[2:] = v[:-2] + (1.0 - v[:-2]) * v[1:-1]
+    # G_{s+j} for row i = nb-1-s: a sliding-window view of G, rows reversed
+    Gs = np.lib.stride_tricks.sliding_window_view(G, m)[nb - 1 :: -1]
+    # rows nb .. nb+m-1 stay 0: the skewed reads of _fill_block run past row nb-1
+    K = np.zeros((nb + m, m))
+    K[:nb, 0] = omega / Gs[:, 0]
+    step = np.empty(m - 1)
     for s in range(max(1, nb - 2 - e), nb):  # rows i > e + 1 stay 0
-        prev, row = K[nb - s], K[nb - 1 - s, 1:]
-        b = (1.0 + c[s : s + m - 1]) * prev[1:] - (1.0 - c[s - 1 : s + m - 2]) * prev[:-1]
-        np.cumsum(b * weight[s + 1 : s + m], out=row)
-        row += omega[nb - 1 - s] / G[s]
-        row *= G[s + 1 : s + m]
-    # A(x_i, x_{i+d}) for each offset d: even d reads column d/2 of K, odd d
-    # the mean of a cell's four corners; each diagonal of the nb x nb block
-    # is a strided flat view of it
-    KT = np.ascontiguousarray(K.T)
-    A = np.zeros((nb, nb))
-    for d in range(nb):
-        r, span = d // 2, nb - d
-        if d % 2 == 0:
-            vals = KT[r, r : r + span]
-        else:
-            lo, hi = KT[r], KT[min(r + 1, m - 1)]
-            vals = 0.25 * (lo[r : r + span] + lo[r + 1 : r + 1 + span] + hi[r : r + span] + hi[r + 1 : r + 1 + span])
-        A.reshape(-1)[d :: nb + 1][:span] = vals
+        prev, row = K[nb - s], K[nb - 1 - s]
+        np.multiply(sigma[s + 1 : s + m], prev[:-1], out=row[1:])
+        np.subtract(prev[1:], prev[:-1], out=step)
+        row[1:] += step
+        row.cumsum(out=row)
+    K[:nb] *= Gs
+    K[:nb, 0] = omega
+    A = _fill_block(K, nb)
     if not np.all(np.isfinite(A)):
         raise SolverError("transformation kernel has non-finite entries")
     return TransformationKernel(grid=q.grid, block=A)
+
+
+def _skew(X: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The read-only view V[i, r] = X[i + r, r] of a C-contiguous 2-d array."""
+    row, item = X.strides
+    return np.lib.stride_tricks.as_strided(X, shape=shape, strides=(row, row + item), writeable=False)
+
+
+def _fill_block(K: np.ndarray, nb: int) -> np.ndarray:
+    """The nb x nb block of A from the Goursat array K, of shape (nb + m, m)
+    with rows nb .. nb+m-1 zero: A[i, i + 2r] = K[i + r, r] and
+    A[i, i + 2r + 1] the mean of the cell corners K[i+r .. i+r+1, r .. r+1],
+    the columns clamped to m - 1.
+
+    The means are formed in K's own layout, in the corner order
+    ((K[x,r] + K[x+1,r]) + K[x,r+1]) + K[x+1,r+1], and both they and K are
+    read through _skew.  D[i, d] = A[i, i + d] is a view of a buffer nb - 1
+    entries longer than A; its entries with i + d >= nb fall below A's
+    diagonal or past its end, and a mask leaves them 0.
+    """
+    m = K.shape[1]
+    ne, no = (nb + 1) // 2, nb // 2  # even and odd offsets d < nb
+    M = np.zeros((nb + no, m))  # cell means; rows past nb - 1 stay 0 for the skewed read
+    lo, hi = K[:nb], K[1 : nb + 1]
+    mean = M[:nb]
+    np.add(lo, hi, out=mean)
+    mean[:, :-1] += lo[:, 1:]
+    mean[:, -1] += lo[:, -1]
+    mean[:, :-1] += hi[:, 1:]
+    mean[:, -1] += hi[:, -1]
+    mean *= 0.25
+    buf = np.zeros(nb * nb + nb - 1)
+    D = np.lib.stride_tricks.as_strided(buf, shape=(nb, nb), strides=((nb + 1) * buf.itemsize, buf.itemsize))
+    upper = np.tri(nb, dtype=bool)[::-1]  # i + d < nb
+    np.copyto(D[:, 0::2], _skew(K, (nb, ne)), where=upper[:, 0::2])
+    np.copyto(D[:, 1::2], _skew(M, (nb, no)), where=upper[:, 1::2])
+    return buf[: nb * nb].reshape(nb, nb)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,7 @@ __all__ = [
 RESIDUAL_TOL = 1e-10  # relative residual above which a kernel row is refused
 Y_TAIL_TOL = 1e-8  # |F| tail mass below which F is zeroed before the row solves
 SUPPORT_TOL = 1e-6  # |A(0,y)| relative to its peak below which f_from_kernel stops
+SCAN_BLOCK = 128  # kappas per block of data_from_kernel's f(i kappa) sums: bounds their e^{-kappa y} buffer
 
 
 @dataclass(frozen=True)
@@ -373,7 +374,11 @@ def data_from_kernel(kernel: TransformationKernel, kgrid: MomentumGrid | None = 
 
     The sums over y run on the kernel's nb x nb block only, with the
     weights cut to nb nodes (A is 0 beyond them); past the block
-    f_j = e^{-kappa_j x}.
+    f_j = e^{-kappa_j x}.  f(i kappa) is summed SCAN_BLOCK momenta at a
+    time through one reused buffer of e^{-kappa y}: the scan's full table
+    never exists, and each matrix-vector product stays below the size at
+    which OpenBLAS splits it over threads (a 1252 x 404 product took 8 ms
+    that way on a busy 2-core host, 0.18 ms on one thread).
     """
     if kgrid is None:
         kgrid = MomentumGrid.make(200.0, 0.05)
@@ -385,9 +390,16 @@ def data_from_kernel(kernel: TransformationKernel, kgrid: MomentumGrid | None = 
     wrow = quadrature_weights(y.size, dx, "simpson")[:nb] * A[0]
     f0 = 1.0 + _oscillatory_sum(wrow, yb, dx, kgrid.nodes[kgrid.upper], kgrid.dx)
 
+    buf = np.empty((SCAN_BLOCK, nb))
+
     def f_imag(kaps: np.ndarray) -> np.ndarray:
-        e = np.multiply.outer(-np.asarray(kaps, dtype=float), yb)
-        return 1.0 + np.exp(e, out=e) @ wrow
+        kaps = np.asarray(kaps, dtype=float)
+        out = np.empty(kaps.size)
+        for lo in range(0, kaps.size, SCAN_BLOCK):
+            e = buf[: min(SCAN_BLOCK, kaps.size - lo)]
+            np.multiply.outer(-kaps[lo : lo + SCAN_BLOCK], yb, out=e)
+            np.matmul(np.exp(e, out=e), wrow, out=out[lo : lo + SCAN_BLOCK])
+        return 1.0 + out
 
     q_max = 2.0 * float(np.max(np.abs(differentiate(kernel.diagonal, dx))))
     _, _, kappas, resonance = _imag_axis_zeros(f_imag, q_max, 1e-12)

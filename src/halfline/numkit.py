@@ -275,35 +275,48 @@ def solve_volterra_backward(a: np.ndarray, g: np.ndarray, dx: float) -> np.ndarr
     ever read).  The recursion starts at the far end, where the integral
     term is empty.
 
-    Row i integrates over the L = n - i nodes from p_i to the end.  Its
-    weights are the Simpson quadrature_weights(L, dx, "simpson"), built
-    once: rows of one parity share their far-end weights and their first
-    weight with the longest row of that parity, so each row is a slice of
-    one of two templates; only rows of 2 and 4 nodes (trapezoid, 3/8 rule)
-    differ.
+    Row i integrates over the L = n - i nodes from p_i to the end with the
+    Simpson quadrature_weights(L, dx, "simpson").  Rows of one parity share
+    their far-end weights and their first weight with the longest row of
+    that parity, so the far weights of every row are one window of that
+    template, zero-padded: one sliding_window_view of each template, times
+    the kernel samples a[1:], gives every row's far products at once (rows
+    of 2 and 4 nodes, trapezoid and 3/8 rule, are set on their own).  The
+    march itself is then one np.dot per row, with the same operands as a
+    row built from its own weights, so the result is the same bit for bit.
+    A row whose pivot 1 + w_0 a[0] vanishes raises SolverError naming the
+    largest such node, the first the march meets.
     """
     a = np.asarray(a, dtype=float)
     g = np.asarray(g, dtype=float)
     if a.shape != g.shape:
         raise GridError("kernel and rhs samples must have the same length")
     n = g.size
-    longest = {L % 2: quadrature_weights(L, dx, "simpson") for L in (n - 1, n) if L >= 2}
-    short = {L: quadrature_weights(L, dx, "simpson") for L in (2, 4) if L <= n}
     h = np.empty(n)
     h[-1] = -g[-1]
+    # far[i, :L-1] = w_far * a[1:L] for row i (L = n - i nodes), zero beyond;
+    # row i = p + 2k reads the template of n - p nodes from index 2k + 1
+    far = np.empty((n - 1, n - 1))
+    w0 = np.empty(n - 1)
+    for p in (0, 1):
+        if n - p >= 2:
+            t = quadrature_weights(n - p, dx, "simpson")
+            windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([t, np.zeros(n - 1)]), n - 1)[1::2]
+            rows = far[p::2]
+            np.multiply(windows[: rows.shape[0]], a[1:], out=rows)
+            w0[p::2] = t[0]
+    for L in (2, 4):
+        if L <= n:
+            w = quadrature_weights(L, dx, "simpson")
+            far[n - L, : L - 1] = w[1:] * a[1:L]
+            w0[n - L] = w[0]
+    denom = 1.0 + w0 * a[0]
+    bad = np.nonzero(np.abs(denom) < 1e-14)[0]
+    if bad.size:
+        raise SolverError(f"Volterra marching broke down at node {bad[-1]}")
+    rhs, pivot = (-g).tolist(), denom.tolist()
     for i in range(n - 2, -1, -1):
-        L = n - i
-        w = short.get(L)
-        if w is None:
-            t = longest[L % 2]
-            w0, w_far = t[0], t[t.size - L + 1 :]
-        else:
-            w0, w_far = w[0], w[1:]
-        acc = float(np.dot(w_far * a[1:L], h[i + 1 :]))
-        denom = 1.0 + w0 * a[0]
-        if abs(denom) < 1e-14:
-            raise SolverError(f"Volterra marching broke down at node {i}")
-        h[i] = (-g[i] - acc) / denom
+        h[i] = (rhs[i] - float(far[i, : n - 1 - i].dot(h[i + 1 :]))) / pivot[i]
     return h
 
 

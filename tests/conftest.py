@@ -177,3 +177,26 @@ def marchenko_row(F: MarchenkoInput, x: float, y_max: float | None = None, rule:
         if not np.isfinite(resid) or resid > mk.RESIDUAL_TOL:
             raise SolverError(f"Marchenko row at x = {x:.4f}: data violate unique solvability (residual {resid:.2e})")
     return a
+
+
+def kernel_fill_by_diagonals(K: np.ndarray, nb: int) -> np.ndarray:
+    """Reference: the nb x nb block of A(x, y) from the Goursat array K
+    (rows xi, columns eta; at least nb rows, m = (nb - 1) // 2 + 1 columns),
+    one diagonal of the block at a time, the fill that
+    forward.kernel_from_potential must reproduce bit for bit.
+
+    Even offsets d read K[i + d/2, d/2]; odd offsets the mean of a cell's
+    four corners, the upper columns clamped to m - 1.
+    """
+    m = K.shape[1]
+    KT = np.ascontiguousarray(K[:nb].T)
+    A = np.zeros((nb, nb))
+    for d in range(nb):
+        r, span = d // 2, nb - d
+        if d % 2 == 0:
+            vals = KT[r, r : r + span]
+        else:
+            lo, hi = KT[r], KT[min(r + 1, m - 1)]
+            vals = 0.25 * (lo[r : r + span] + lo[r + 1 : r + 1 + span] + hi[r : r + span] + hi[r + 1 : r + 1 + span])
+        A.reshape(-1)[d :: nb + 1][:span] = vals
+    return A

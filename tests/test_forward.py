@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import sech2_jost_exact, square_well_jost_oracle, well_kappa_oracle
+from conftest import kernel_fill_by_diagonals, sech2_jost_exact, square_well_jost_oracle, well_kappa_oracle
 from halfline.errors import DataError, SolverError
 from halfline import forward as fw
 from halfline.marchenko import data_from_kernel
@@ -748,6 +748,36 @@ def test_kernel_block_is_the_dense_kernel(monkeypatch, depth, dx):
     assert dense.block.shape == (q.grid.n, q.grid.n)
     assert np.array_equal(K.values, dense.block)
     assert np.array_equal(K.diagonal, dense.diagonal)
+
+
+@pytest.mark.parametrize("nb", [*range(2, 14), 404, 405])
+def test_kernel_fill_matches_diagonals(nb):
+    # the skewed fill against the per-diagonal reference, on random Goursat
+    # arrays of odd and even nb; even nb reaches the clamped cell at A[0, nb-1]
+    m = (nb - 1) // 2 + 1
+    K = np.zeros((nb + m, m))
+    K[:nb] = np.random.default_rng(nb).standard_normal((nb, m))
+    np.testing.assert_array_equal(fw._fill_block(K, nb), kernel_fill_by_diagonals(K, nb))
+
+
+@pytest.mark.parametrize(
+    "q, nb",
+    [
+        (square_well_potential(RadialGrid.make(10.0, 0.01), depth=16.0), 204),  # trimmed: edge node e = 100
+        (sech2_potential(RadialGrid.make(9.99, 0.01)), 1000),  # full block, even n
+        (sech2_potential(RadialGrid.make(10.0, 0.01)), 1001),  # full block, odd n
+        (zero_potential(RadialGrid.make(10.0, 0.01)), 2),  # q = 0: m = 1
+    ],
+    ids=["trimmed", "full_even", "full_odd", "zero"],
+)
+def test_kernel_fill_of_the_march(monkeypatch, q, nb):
+    # the fill of kernel_from_potential's own Goursat array is the
+    # per-diagonal fill bit for bit
+    fill_block, seen = fw._fill_block, []
+    monkeypatch.setattr(fw, "_fill_block", lambda K, nb: seen.append(K.copy()) or fill_block(K, nb))
+    block = fw.kernel_from_potential(q).block
+    assert block.shape == (nb, nb) and len(seen) == 1
+    np.testing.assert_array_equal(block, kernel_fill_by_diagonals(seen[0], nb))
 
 
 def test_kernel_sech2_second_order():

@@ -231,6 +231,30 @@ def test_volterra_weights_sliced_from_templates(rule):
         np.testing.assert_array_equal(nk.solve_volterra_backward(a, g, 0.037), want)
 
 
+def _volterra_first_breakdown(a, n, dx):
+    """The node at which the row-by-row march first meets a vanishing pivot
+    1 + w_0 a(0), marching from the far end; None if it meets none."""
+    for i in range(n - 2, -1, -1):
+        if abs(1.0 + nk.quadrature_weights(n - i, dx, "simpson")[0] * a[0]) < 1e-14:
+            return i
+    return None
+
+
+# the y = x weight is dx/2 on the row of two nodes, 3dx/8 on the row of
+# four and dx/3 on every other row: a(0) = -1/w_0 breaks one row, or all
+# the long ones
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("w0", [1 / 2, 3 / 8, 1 / 3])
+def test_volterra_breakdown_names_the_first_node_marched(n, w0):
+    dx = 0.25
+    a = np.random.default_rng(7).standard_normal(n)
+    a[0] = -1.0 / (w0 * dx)
+    node = _volterra_first_breakdown(a, n, dx)
+    assert node is not None
+    with pytest.raises(SolverError, match=f"broke down at node {node}$"):
+        nk.solve_volterra_backward(a, np.ones(n), dx)
+
+
 def test_volterra_refuses_unequal_lengths():
     with pytest.raises(GridError):
         nk.solve_volterra_backward(np.zeros(5), np.zeros(6), 0.1)
