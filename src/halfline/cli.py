@@ -22,7 +22,10 @@ scattering data are JSON {k, S_re, S_im, bound_states: [{kappa, s}],
 s_zero_sign}; the kernel diagonal is CSV with header x,A.  Numbers are
 serialized with repr (17 significant digits), so reading an artifact back
 reproduces the in-memory object bit for bit and identical inputs give
-byte-identical outputs.  Exit codes: 2 usage, 3 forward failure,
+byte-identical outputs.  A column that is even or odd on the symmetric
+momentum grid bit for bit (k, S, delta, f and f' obey S(-k) = conj S(k))
+is formatted from its last half alone; the bytes are those of repr on
+every entry.  Exit codes: 2 usage, 3 forward failure,
 4 inversion failure, 5 riemann failure, 6 validation or tolerance failure.
 A HalflineError raised by a subcommand ends in the code of the stage that
 failed.
@@ -34,6 +37,7 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +64,11 @@ EXIT_INVERSE = 4
 EXIT_RIEMANN = 5
 EXIT_VALIDATION = 6
 
-# Rows per block of `_write_csv`: bounds the Python floats alive at once.
-_CSV_BLOCK = 8192
+# Rows per block of `_write_csv`: bounds the Python floats and strings alive
+# at once.  A mirrored CSV also holds its last half's text (1.7 MB for
+# forward's jost.csv); at 1024 rows writing jost.csv peaks at 2.4 MB, as
+# 8192-row blocks of floats alone would.
+_CSV_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -131,27 +138,89 @@ def read_f_csv(path: Path) -> MarchenkoInput:
     return MarchenkoInput(xgrid=UniformGrid(xs), fs_values=f, fd_values=np.zeros_like(f))
 
 
+def _mirror_sign(a: np.ndarray) -> int:
+    """1 if the float column a is even, its first half reversed equal to its
+    last half bit for bit; -1 if it is odd, equal to the negated last half
+    bit for bit, with no NaN (repr writes nan for either sign); else 0.
+    The centre of an odd length is not compared."""
+    h = a.size // 2
+    if h == 0 or a.dtype != np.float64:
+        return 0
+    low, high = a[:h][::-1].view(np.int64), a[a.size - h :]
+    if np.array_equal(low, high.view(np.int64)):
+        return 1
+    if np.array_equal(low, np.negative(high).view(np.int64)) and not np.isnan(high).any():
+        return -1
+    return 0
+
+
+def _mirrored(strings: list[str], sign: int) -> Iterator[str]:
+    """The reprs of the mirror images, in reverse order, of the values whose
+    reprs are `strings`: x for an even column, -x for an odd one.  Toggling
+    a leading '-' is repr(-x) for every x but NaN, ±0.0 and ±inf included."""
+    if sign > 0:
+        return reversed(strings)
+    return (s[1:] if s[0] == "-" else "-" + s for s in reversed(strings))
+
+
+def _reprs(a: np.ndarray) -> list[str]:
+    """list(map(repr, a.tolist())), formatting only the last half (from the
+    centre node on) of a column _mirror_sign finds even or odd."""
+    sign = _mirror_sign(a)
+    if not sign:
+        return list(map(repr, a.tolist()))
+    upper = list(map(repr, a[a.size // 2 :].tolist()))
+    return [*_mirrored(upper[a.size % 2 :], sign), *upper]
+
+
+def _rows(columns) -> Iterator[str]:
+    return (",".join(row) + "\r\n" for row in zip(*columns))
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """One row per sample, each value as repr(float): the bytes csv.writer
-    writes for these rows, streamed block by block."""
+    writes for these rows, streamed _CSV_BLOCK rows at a time.
+
+    When a column is even or odd (_mirror_sign), only its last half is
+    formatted.  The last half is then formatted block by block from its
+    far end, and each block's mirror rows, the next rows of the first
+    half, are written at once; the last half's joined text is held until
+    the first half is written.  A column that does not mirror is formatted
+    entry by entry in both halves, in the same block order."""
+    n = len(columns[0])
+    signs = [_mirror_sign(c) for c in columns]
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for i in range(0, len(columns[0]), _CSV_BLOCK):
-            rows = zip(*(c[i : i + _CSV_BLOCK].tolist() for c in columns))
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        h = n // 2
+        upper = []  # joined text of the last half's blocks, far end first
+        for hi in range(n, h, -_CSV_BLOCK):
+            lo = max(hi - _CSV_BLOCK, h)
+            block = [list(map(repr, c[lo:hi].tolist())) for c in columns]
+            upper.append("".join(_rows(block)))
+            # rows n - hi, ..., n - hi + m - 1 mirror the block's last m rows
+            # (all but the centre node of an odd length)
+            m = hi - max(lo, n - h)
+            fh.writelines(
+                _rows(
+                    _mirrored(s[len(s) - m :], sign) if sign else map(repr, c[n - hi : n - hi + m].tolist())
+                    for c, s, sign in zip(columns, block, signs)
+                )
+            )
+        fh.writelines(reversed(upper))
 
 
 def _write_json(path: Path, doc: dict) -> None:
     """The bytes of json.dumps(doc, indent=1, sort_keys=True) and a newline,
     numpy scalars written as floats.  A top-level numpy array, which must be
     finite (json writes NaN where repr writes nan), is joined from the
-    reprs of its entries directly: with an indent, json runs its
-    pure-Python encoder, several times slower on long lists."""
+    reprs of its entries directly (_reprs: the last half alone of a
+    mirrored column): with an indent, json runs its pure-Python encoder,
+    several times slower on long lists."""
     entries = []
     for key in sorted(doc):
         value = doc[key]
         if isinstance(value, np.ndarray):
-            body = "[\n  " + ",\n  ".join(map(repr, value.tolist())) + "\n ]" if value.size else "[]"
+            body = "[\n  " + ",\n  ".join(_reprs(value)) + "\n ]" if value.size else "[]"
         else:
             body = json.dumps(value, indent=1, sort_keys=True, default=float).replace("\n", "\n ")
         entries.append(f" {json.dumps(key)}: {body}")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -177,6 +180,32 @@ def marchenko_row(F: MarchenkoInput, x: float, y_max: float | None = None, rule:
         if not np.isfinite(resid) or resid > mk.RESIDUAL_TOL:
             raise SolverError(f"Marchenko row at x = {x:.4f}: data violate unique solvability (residual {resid:.2e})")
     return a
+
+
+def write_csv_reference(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Reference: the CSV artifact writer cli._write_csv must reproduce byte
+    for byte; every value formatted by repr, one row per sample, the bytes
+    csv.writer writes for these rows."""
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        rows = zip(*(c.tolist() for c in columns))
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
+def write_json_reference(path: Path, doc: dict) -> None:
+    """Reference: the JSON artifact writer cli._write_json must reproduce
+    byte for byte, json.dumps(doc, indent=1, sort_keys=True) and a newline
+    with numpy scalars as floats; a top-level (finite) numpy array is
+    joined from the reprs of all its entries."""
+    entries = []
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, np.ndarray):
+            body = "[\n  " + ",\n  ".join(map(repr, value.tolist())) + "\n ]" if value.size else "[]"
+        else:
+            body = json.dumps(value, indent=1, sort_keys=True, default=float).replace("\n", "\n ")
+        entries.append(f" {json.dumps(key)}: {body}")
+    path.write_text("{\n" + ",\n".join(entries) + "\n}\n")
 
 
 def kernel_fill_by_diagonals(K: np.ndarray, nb: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reflectionless_data
+from conftest import reflectionless_data, write_csv_reference, write_json_reference
 from halfline import characterize, cli, marchenko as mk
 from halfline.errors import DataError
 from halfline.model import BoundState, MomentumGrid, RadialGrid, ScatteringData
@@ -89,23 +89,33 @@ def test_scattering_json_roundtrip_bit_exact(tmp_path, fw_well):
 @pytest.mark.parametrize("states", [(), ((0.5, 1e-300),), ((0.5, 2.0), (1.5, 1e22))])
 def test_scattering_json_bytes_match_json_dumps(tmp_path, states):
     # the reference is the json.dumps call the artifact was first written
-    # with; the float lists carry -0.0, subnormal, tiny and huge entries
+    # with; the float lists carry -0.0, subnormal, tiny and huge entries.
+    # k is odd about its -0.0 centre; the second S has S(-k) = conj S(k)
+    # bit for bit, so only the last halves of its S_re and S_im are formatted
     kg = MomentumGrid(np.array([-3.0, -2.0, -1.0, -0.0, 1.0, 2.0, 3.0]))
-    re = np.array([-0.0, 1e-300, 1e22, 0.1 + 0.2, 5e-324, -1.5, 1.0])
-    im = np.array([0.0, -1e22, -0.0, 1e-300, 2.0 / 3.0, 1e16, -5e-324])
-    s = np.empty(kg.n, complex)
-    s.real, s.imag = re, im  # re + 1j * im would turn -0.0 into 0.0
-    sd = ScatteringData(kgrid=kg, s_values=s, bound_states=tuple(BoundState(*b) for b in states), s_at_zero_sign=-1)
-    doc = {
-        "k": kg.nodes.tolist(),
-        "S_re": re.tolist(),
-        "S_im": im.tolist(),
-        "bound_states": [{"kappa": kappa, "s": norm} for kappa, norm in states],
-        "s_zero_sign": -1,
-    }
-    path = tmp_path / "sd.json"
-    cli.write_scattering_json(path, sd)
-    assert path.read_text() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    plain = (
+        np.array([-0.0, 1e-300, 1e22, 0.1 + 0.2, 5e-324, -1.5, 1.0]),
+        np.array([0.0, -1e22, -0.0, 1e-300, 2.0 / 3.0, 1e16, -5e-324]),
+    )
+    mirrored = (
+        np.array([1.0, -1.5, 5e-324, 0.1 + 0.2, 5e-324, -1.5, 1.0]),
+        np.array([-1e16, 5e-324, -0.0, 1e-300, 0.0, -5e-324, 1e16]),
+    )
+    assert [cli._mirror_sign(a) for a in (kg.nodes, *mirrored)] == [-1, 1, -1]
+    for re, im in (plain, mirrored):
+        s = np.empty(kg.n, complex)
+        s.real, s.imag = re, im  # re + 1j * im would turn -0.0 into 0.0
+        sd = ScatteringData(kgrid=kg, s_values=s, bound_states=tuple(BoundState(*b) for b in states), s_at_zero_sign=-1)
+        doc = {
+            "k": kg.nodes.tolist(),
+            "S_re": re.tolist(),
+            "S_im": im.tolist(),
+            "bound_states": [{"kappa": kappa, "s": norm} for kappa, norm in states],
+            "s_zero_sign": -1,
+        }
+        path = tmp_path / "sd.json"
+        cli.write_scattering_json(path, sd)
+        assert path.read_text() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def test_write_json_nested_values_match_json_dumps(tmp_path):
@@ -124,18 +134,76 @@ def test_forward_artifacts_and_determinism(tmp_path, sech2_csv):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+_SPECIAL = np.array([-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 0.1 + 0.2, -1.5])
+
+
+def mirror(upper: np.ndarray, n: int, flip) -> np.ndarray:
+    """An n-long column whose last n - n // 2 entries are `upper` and whose
+    first half is flip of the last half, reversed."""
+    return np.concatenate([flip(upper[::-1][: n // 2]), upper])
+
+
 def test_write_csv_bytes_match_csv_writer(tmp_path):
     # the reference is the csv.writer loop the artifacts were first written
-    # with; rows span several write blocks
-    values = np.array([-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 0.1 + 0.2, -1.5])
-    columns = [np.resize(values, 2 * cli._CSV_BLOCK + 3), np.resize(values[::-1], 2 * cli._CSV_BLOCK + 3)]
-    cli._write_csv(tmp_path / "got.csv", ["k", "f"], columns)
-    with (tmp_path / "ref.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "f"])
-        for row in zip(*columns):
-            w.writerow([repr(float(v)) for v in row])
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # with; rows span several write blocks, whose last-half rows are
+    # formatted from the far end while the first half is written
+    for n in (0, 1, 2, 3, 4 * cli._CSV_BLOCK + 3, 4 * cli._CSV_BLOCK + 4):
+        upper = np.resize(_SPECIAL, n - n // 2)
+        finite = np.resize(_SPECIAL[np.isfinite(_SPECIAL)], n - n // 2)
+        columns = [
+            np.resize(_SPECIAL, n),
+            mirror(upper, n, np.positive),  # even, NaN and inf included
+            mirror(finite, n, np.negative),  # odd
+            mirror(upper, n, np.negative),  # odd but for its NaN: falls back
+            np.resize(_SPECIAL[::-1], n),
+        ]
+        if n >= 4:
+            assert [cli._mirror_sign(c) for c in columns] == [0, 1, -1, 0, 0]
+        # mixed, mirrored only, mirrored first, none mirrored
+        for cols in (columns, columns[1:3], columns[2:], [columns[0], columns[4]]):
+            cli._write_csv(tmp_path / "got.csv", ["c"] * len(cols), cols)
+            with (tmp_path / "ref.csv").open("w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["c"] * len(cols))
+                for row in zip(*cols):
+                    w.writerow([repr(float(v)) for v in row])
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), (n, len(cols))
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, np.nan, -np.nan]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 5), st.integers(2 * cli._CSV_BLOCK + 1, 2 * cli._CSV_BLOCK + 4)),
+    pattern=st.lists(_FLOATS, min_size=1, max_size=8),
+    centre=_FLOATS,
+    kind=st.sampled_from(["even", "odd", "even, one ulp off", "odd, one ulp off", "neither"]),
+    where=st.integers(0, 2**31),
+)
+def test_column_reprs_match_repr(n, pattern, centre, kind, where):
+    # the column formatter of both writers formats one half of an even or
+    # odd column and derives the other; it must return exactly the reprs
+    upper = np.resize(np.array(pattern), n - n // 2)
+    if n % 2:
+        upper[0] = centre
+    if kind == "neither":
+        a = np.resize(np.array(pattern + [centre]), n)
+    else:
+        a = mirror(upper, n, np.negative if kind.startswith("odd") else np.positive)
+    if kind.endswith("ulp off") and n >= 2:
+        a.view(np.int64)[where % (n // 2)] ^= 1  # the last bit of one first-half entry
+    got = cli._reprs(a)
+    assert got == list(map(repr, a.tolist()))
+    # repr writes nan for -nan too: an odd column holding NaN must fall back
+    expected = {"even": 1, "odd": -1 if not np.isnan(a[n - n // 2 :]).any() else 0}.get(kind, None)
+    if n >= 2 and expected is not None:
+        assert cli._mirror_sign(a) == expected
+    elif kind.endswith("ulp off") and n >= 2:
+        assert cli._mirror_sign(a) == 0
 
 
 def write_f_csv(path, sd, x_hi, dx):
@@ -170,6 +238,34 @@ def test_extract_well_from_F_at_0_plus(tmp_path, fw_well):
     assert sd.j_count == ref.j_count == 1
     np.testing.assert_allclose(sd.kappas, ref.kappas, rtol=1e-4)
     np.testing.assert_allclose(sd.norming, ref.norming, rtol=1e-4)
+
+
+def test_artifacts_match_reference_writers(tmp_path, fw_well, monkeypatch):
+    # forward, riemann, invert and extract on the README's well write the
+    # bytes the reference writers write for the same results: forward's
+    # columns are mirrored, riemann's f0 and invert's columns are not
+    qpath = tmp_path / "q.csv"
+    cli.write_potential_csv(qpath, square_well_potential(RadialGrid.make(40.0, 0.01)))
+    fpath = write_f_csv(tmp_path / "f.csv", fw_well.sd, 20.0, 0.0125)
+
+    def run_all(out):
+        data = str(out / "forward" / "scattering.json")
+        for argv in (
+            ["forward", "--potential", str(qpath), "--dk", "0.05"],
+            ["riemann", "--data", data],
+            ["invert", "--data", data, "--xmax", "20"],
+            ["extract", "--f-data", str(fpath)],
+        ):
+            assert cli.main(argv + ["--out", str(out / argv[0])]) == 0
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    got = run_all(tmp_path / "got")
+    monkeypatch.setattr(cli, "_write_csv", write_csv_reference)
+    monkeypatch.setattr(cli, "_write_json", write_json_reference)
+    ref = run_all(tmp_path / "ref")
+    assert len(got) == 9 and got.keys() == ref.keys()
+    for name in got:
+        assert got[name] == ref[name], name
 
 
 def test_riemann_subcommand(tmp_path, fw_well):
