@@ -6,10 +6,10 @@ moment, by checking the four necessary-and-sufficient conditions:
   1. symmetry/unitarity: S(-k) = conj S(k) = 1/S(k) on the real axis and
      S(k) -> 1 at the ends of the grid;
   2. discrete data: kappa_j > 0, s_j > 0, strictly increasing;
-  3. integrability: F_s in L1 of the whole line and x F' in L1 of the
-     half-line, tested by nested-window growth (a numerical proxy: "finite
-     L1 norm" is undecidable from samples, so bounded growth between the
-     half window and the full window stands in for convergence);
+  3. integrability: F_s and x F' in L1 of the half-line, tested by
+     nested-window growth on [0, x_max] (a numerical proxy: "finite L1
+     norm" is undecidable from samples, so bounded growth between the half
+     window and the full window stands in for convergence);
   4. index: the winding number of S is a non-positive integer equal to
      -2J (generic) or -2J - 1 (zero-energy resonance, S(0) = -1).
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, PhaseUnwrapError
-from .model import ConditionEntry, MarchenkoInput, ScatteringData, UniformGrid, ValidationReport
+from .model import ConditionEntry, MarchenkoInput, ScatteringData, ValidationReport
 from .numkit import winding_number
 
 __all__ = [
@@ -72,35 +72,27 @@ def check_discrete(sd: ScatteringData) -> ConditionEntry:
     )
 
 
-def _window_growth(
-    grid: UniformGrid,
-    values: np.ndarray,
-    half: tuple[float, float],
-    full: tuple[float, float],
-) -> tuple[float, float, float]:
-    """Integrals of |values| over the half and full windows; relative growth."""
-    x = grid.nodes
-    m_half = (x >= half[0]) & (x <= half[1])
-    m_full = (x >= full[0]) & (x <= full[1])
-    i_half = float(np.trapezoid(np.abs(values[m_half]), dx=grid.dx))
-    i_full = float(np.trapezoid(np.abs(values[m_full]), dx=grid.dx))
+def _window_growth(values: np.ndarray, dx: float) -> tuple[float, float]:
+    """Integral of |values| over the full window [0, x_max] of a radial
+    grid, and its growth relative to the half window [0, x_max/2]."""
+    a = np.abs(values)
+    i_half = float(np.trapezoid(a[: (a.size - 1) // 2 + 1], dx=dx))
+    i_full = float(np.trapezoid(a, dx=dx))
     if i_full < 1e-12:
-        return i_half, i_full, 0.0
-    return i_half, i_full, (i_full - i_half) / max(i_half, 1e-12)
+        return i_full, 0.0
+    return i_full, (i_full - i_half) / max(i_half, 1e-12)
 
 
 def check_integrability(F: MarchenkoInput) -> ConditionEntry:
-    """F_s in L1(R) and x F' in L1(R+), by nested-window growth.
+    """F_s and x F' in L1(R+), by nested-window growth on F's grid [0, x_max].
 
-    I1 integrates |F_s| over the half and full sample windows; I2 does the
-    same for x |F'| on [0, x_hi/2] and [0, x_hi].  Pass iff both integrals
-    are finite and the half-to-full growth stays below INTEGRABILITY_WINDOW.
+    I1 integrates |F_s| and I2 integrates x |F'| over [0, x_max/2] and
+    [0, x_max].  Pass iff both integrals are finite and the half-to-full
+    growth stays below INTEGRABILITY_WINDOW.  I1 reads F_s alone: the
+    bound-state part F_d, whose s_j can be large, would mask its growth.
     """
-    x = F.xgrid.nodes
-    lo, hi = F.xgrid.lo, F.xgrid.hi
-    i1_half, i1, g1 = _window_growth(F.xgrid, F.fs_values, (lo / 2, hi / 2), (lo, hi))
-    xf = np.where(x >= 0, x, 0.0) * F.fprime
-    i2_half, i2, g2 = _window_growth(F.xgrid, xf, (0.0, hi / 2), (0.0, hi))
+    i1, g1 = _window_growth(F.fs_values, F.xgrid.dx)
+    i2, g2 = _window_growth(F.xgrid.nodes * F.fprime, F.xgrid.dx)
     finite = np.isfinite(i1) and np.isfinite(i2)
     growth = max(g1, g2)
     passed = bool(finite and growth <= INTEGRABILITY_WINDOW)
@@ -142,12 +134,13 @@ def full_report(sd: ScatteringData, x_hi: float = 40.0, dx: float = 0.01) -> Val
     """Aggregate all four conditions, at their default tolerances, into a
     ValidationReport.
 
-    F is built internally on [-20, x_hi] (build_F's default taper) for the
-    integrability check.  The verdict passes iff every entry passes.
+    F is built internally on the half-line [0, x_hi] (build_F's default
+    taper) for the integrability check.  The verdict passes iff every entry
+    passes.
     """
     from .marchenko import build_F
 
-    F = build_F(sd, -20.0, x_hi, dx, imag_tol=1e-6)
+    F = build_F(sd, x_hi, dx, imag_tol=1e-6)
     entries = (check_symmetry_unitarity(sd), check_discrete(sd), check_integrability(F), check_index(sd))
     measured_index = entries[-1].measured
     index = int(measured_index) if np.isfinite(measured_index) else None

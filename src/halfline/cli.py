@@ -134,8 +134,11 @@ def read_scattering_json(path: Path) -> ScatteringData:
 
 
 def read_f_csv(path: Path) -> MarchenkoInput:
+    """F on the half-line: the rows from the node nearest x = 0 on, which
+    must be a uniform grid starting at x = 0 (GridError otherwise)."""
     xs, f = _read_columns(path, ["x", "F"])
-    return MarchenkoInput(xgrid=UniformGrid(xs), fs_values=f, fd_values=np.zeros_like(f))
+    i0 = int(np.argmin(np.abs(UniformGrid(xs).nodes)))
+    return MarchenkoInput(xgrid=RadialGrid(xs[i0:]), fs_values=f[i0:], fd_values=np.zeros(f.size - i0))
 
 
 def _mirror_sign(a: np.ndarray) -> int:

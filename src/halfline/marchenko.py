@@ -8,6 +8,9 @@ with F_s(x) = (1/2pi) int (1 - S(k)) e^{ikx} dk and
 F_d(x) = sum_j s_j e^{-kappa_j x}, and A(x, .) the solution of the Marchenko
 equation A(x,y) + F(x+y) + int_x^inf A(x,s) F(s+y) ds = 0 for y >= x.
 
+F lives on the half-line: build_F samples it on a radial grid [0, x_hi],
+and no step builds or reads it at x < 0.
+
 Reverse arrows, all on the half-line x >= 0: f_from_kernel recovers F from
 the x = 0 kernel row by a backward Volterra march of the same equation;
 data_from_kernel reconstructs the full scattering data from A alone, its
@@ -42,7 +45,6 @@ from .model import (
     RadialGrid,
     ScatteringData,
     TransformationKernel,
-    UniformGrid,
 )
 from .numkit import (
     _oscillatory_sum,
@@ -93,15 +95,18 @@ class InversionConfig:
 
 def build_F(
     sd: ScatteringData,
-    x_lo: float,
     x_hi: float,
     dx: float,
+    *,
     tail_correction: bool = False,
     imag_tol: float = 1e-8,
 ) -> MarchenkoInput:
-    """Marchenko input on [x_lo, x_hi]: F_d from the bound states, F_s by the
-    oscillatory Fourier quadrature of 1 - S (one chirp-z transform)."""
-    grid = UniformGrid.make(x_lo, x_hi, dx)
+    """Marchenko input on the radial grid [0, x_hi]: F_d from the bound
+    states, F_s by the oscillatory Fourier quadrature of 1 - S (one chirp-z
+    transform).  With tail_correction=True the x = 0 sample is the right
+    limit F(0+) the Marchenko rows need; without it, the midpoint of F_s's
+    jump there."""
+    grid = RadialGrid.make(x_hi, dx)
     h = 1.0 - sd.s_values
     fs, resid = fourier_kernel_to_space(h, sd.kgrid, grid, tail_correction=tail_correction)
     scale = max(1.0, float(np.max(np.abs(fs))))
@@ -121,9 +126,8 @@ def solve_kernel(F: MarchenkoInput, x_max: float) -> np.ndarray:
     Row x_i is the Nystrom collocation of the Marchenko equation on its own
     nodes y = x_i, ..., x_max, with the Simpson weights quadrature_weights
     gives them, except that a row of one node takes the weight dx.  F must
-    be sampled from x = 0 at the kernel's spacing; samples beyond the F
-    window are taken as zero, so the error scales with the neglected tail
-    mass of F.
+    be sampled at the kernel's spacing; samples beyond the F window are
+    taken as zero, so the error scales with the neglected tail mass of F.
 
     Row x_i's system I + K W, with K = F(x_p + x_q) over p, q >= i, is
     solved as the symmetric (W^{-1} + K) b = -F(x_i + y), a = b / w.  In
@@ -147,11 +151,8 @@ def solve_kernel(F: MarchenkoInput, x_max: float) -> np.ndarray:
     """
     dx = F.xgrid.dx
     n = int(round(x_max / dx)) + 1
-    base = int(round(-F.xgrid.lo / dx))
-    if base < 0:
-        raise DataError("F window does not reach down to 0")
     # G[a, b] = v[a + b] = F((2(n - 1) - a - b) dx), a read-only view
-    f = F.f_values[base : base + 2 * n - 1]
+    f = F.f_values[: 2 * n - 1]
     v = np.zeros(2 * n - 1)
     v[v.size - f.size :] = f[::-1]
     G = np.lib.stride_tricks.sliding_window_view(v, n)
@@ -251,9 +252,9 @@ def _tail_cut(F: MarchenkoInput) -> tuple[int, float]:
 
 
 def _kernel_from_F(F: MarchenkoInput, xg: RadialGrid) -> tuple[TransformationKernel, float]:
-    """The kernel on xg from F sampled from x = 0 at xg's spacing: F zeroed
-    beyond the cut of _tail_cut, then every row by solve_kernel.  Also
-    returns the tail mass neglected at the cut."""
+    """The kernel on xg from F sampled at xg's spacing: F zeroed beyond
+    the cut of _tail_cut, then every row by solve_kernel.  Also returns the
+    tail mass neglected at the cut."""
     cut, neglected = _tail_cut(F)
     f = F.f_values.copy()
     f[cut + 1 :] = 0.0
@@ -287,7 +288,7 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
                 DataError("scattering data fail characterization: " + ", ".join(report.failures())),
             )
     try:
-        F = build_F(sd, 0.0, 2 * cfg.x_max, cfg.dx, tail_correction=True)
+        F = build_F(sd, 2 * cfg.x_max, cfg.dx, tail_correction=True)
     except Exception as exc:
         raise StageError("build_F", exc)
 
@@ -336,24 +337,15 @@ def f_from_kernel(kernel: TransformationKernel) -> MarchenkoInput:
 
 
 def data_from_F(F: MarchenkoInput, kgrid: MomentumGrid | None = None) -> ScatteringData:
-    """Scattering data from F on the half-line alone.
+    """Scattering data from F on the half-line [0, X].
 
-    Only the samples at x >= 0 are read, and the x = 0 sample is taken as
-    the right limit F(0+) (build_F's value with tail_correction=True).  With
-    X the last node, the kernel on [0, X/2] at F's own spacing comes from
-    the Marchenko rows (the path invert_full takes), and the data from
-    data_from_kernel on kgrid.  A grid without a node at x = 0 raises
-    DataError; data that violate unique solvability raise SolverError.
+    The x = 0 sample is taken as the right limit F(0+) (build_F's value
+    with tail_correction=True).  The kernel on [0, X/2] at F's own spacing
+    comes from the Marchenko rows (the path invert_full takes), and the
+    data from data_from_kernel on kgrid.  Data that violate unique
+    solvability raise SolverError.
     """
-    nodes = F.xgrid.nodes
-    dx = F.xgrid.dx
-    i0 = int(np.argmin(np.abs(nodes)))
-    if abs(nodes[i0]) > 1e-9 * dx:
-        raise DataError("F needs a node at x = 0")
-    half = UniformGrid(nodes[i0:])
-    f = F.f_values[i0:]
-    F = MarchenkoInput(xgrid=half, fs_values=f, fd_values=np.zeros_like(f))
-    xg = RadialGrid(dx * np.arange((half.n - 1) // 2 + 1))
+    xg = RadialGrid(F.xgrid.dx * np.arange((F.xgrid.n - 1) // 2 + 1))
     kernel, _ = _kernel_from_F(F, xg)
     return data_from_kernel(kernel, kgrid)
 

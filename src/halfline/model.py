@@ -298,18 +298,19 @@ class TransformationKernel:
 
 @dataclass(frozen=True)
 class MarchenkoInput:
-    """Samples of F_s and F_d on a uniform grid; the Marchenko input
-    F = F_s + F_d is summed once here, and its derivative is fprime.  The
-    grid may extend to negative x, where the characterization checks F_s
-    on the whole line; the Marchenko rows and data_from_F read x >= 0 only,
-    and take a sample at x = 0 as the right limit F(0+)."""
+    """Samples of F_s and F_d on a radial grid [0, x_max]; the Marchenko
+    input F = F_s + F_d is summed once here, and its derivative is fprime.
+    F lives on the half-line: any other grid raises GridError.  The
+    Marchenko rows take the sample at x = 0 as the right limit F(0+)."""
 
-    xgrid: UniformGrid
+    xgrid: RadialGrid
     fs_values: np.ndarray
     fd_values: np.ndarray
     f_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.xgrid, RadialGrid):
+            raise GridError("F needs a radial grid on [0, x_max]")
         fs = _frozen(self.fs_values, dtype=float)
         fd = _frozen(self.fd_values, dtype=float)
         if fs.shape != self.xgrid.nodes.shape or fd.shape != self.xgrid.nodes.shape:

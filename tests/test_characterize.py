@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from halfline import characterize as ch
 from halfline import forward as fw
 from halfline import marchenko as mk
 from halfline.errors import DataError
-from halfline.model import BoundState, MarchenkoInput, MomentumGrid, ScatteringData, UniformGrid
+from halfline.model import BoundState, MarchenkoInput, MomentumGrid, Potential, RadialGrid, ScatteringData
 
 
 def entry_by_name(report, name):
@@ -51,7 +53,7 @@ def test_discrete_ordering(kgrid_coarse):
 
 
 def test_integrability_zero():
-    g = UniformGrid.make(-20.0, 40.0, 0.01)
+    g = RadialGrid.make(40.0, 0.01)
     z = np.zeros(g.n)
     F = MarchenkoInput(xgrid=g, fs_values=z, fd_values=z)
     entry = ch.check_integrability(F)
@@ -59,20 +61,20 @@ def test_integrability_zero():
 
 
 def test_integrability_exponential():
-    g = UniformGrid.make(-20.0, 40.0, 0.01)
-    f = np.where(g.nodes > 0, 2.0 * np.exp(-g.nodes), 0.0)
-    f[np.abs(g.nodes) < 1e-12] = 1.0
+    # F_s = 2 e^{-x} on the half-line, with F(0+) = 2 at x = 0
+    g = RadialGrid.make(40.0, 0.01)
+    f = 2.0 * np.exp(-g.nodes)
     F = MarchenkoInput(xgrid=g, fs_values=f, fd_values=np.zeros_like(f))
     entry = ch.check_integrability(F)
     assert entry.passed
-    # I1 = int |F_s| = 2 and I2 = int x |F'| = 2 up to the jump cell
+    # I1 = int |F_s| = 2 and I2 = int x |F'| = 2
     assert "I1 = 2" in entry.note and "I2 = 2" in entry.note
 
 
 def test_integrability_slow_decay_fails():
-    # F_s ~ 1/(1+|x|) has log-divergent L1 norm: the window growth test fails
-    g = UniformGrid.make(-20.0, 40.0, 0.01)
-    fs = 1.0 / (1.0 + np.abs(g.nodes))
+    # F_s ~ 1/(1+x) has log-divergent L1 norm: the window growth test fails
+    g = RadialGrid.make(40.0, 0.01)
+    fs = 1.0 / (1.0 + g.nodes)
     F = MarchenkoInput(xgrid=g, fs_values=fs, fd_values=np.zeros_like(fs))
     assert not ch.check_integrability(F).passed
 
@@ -121,6 +123,62 @@ def test_full_report_corpus(fw_zero, fw_sech2, fw_well):
         rep = ch.full_report(r.sd)
         assert rep.passed, rep.failures()
         assert rep.index == idx
+
+
+def displaced_well(a: float) -> Potential:
+    """Depth-4, width-1 well on [a, a + 1] on x in [0, 40] at dx 0.01; a node
+    on an edge inside the half-line takes the midpoint value -2."""
+    g = RadialGrid.make(40.0, 0.01)
+    x = g.nodes
+    v = np.where((x >= a) & (x < a + 1), -4.0, 0.0)
+    for edge in (a, a + 1) if a > 0 else (a + 1,):
+        v[np.abs(x - edge) < 1e-9] = -2.0
+    return Potential(grid=g, values=v)
+
+
+@functools.cache
+def displaced_data(a: float) -> ScatteringData:
+    return fw.forward(displaced_well(a)).sd
+
+
+FAR_WELL = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="integrability: F's structure reaches x = 22, past the half window's end at 20; and index",
+)
+
+
+@pytest.mark.parametrize("a", [0.0, 2.0, 4.0, pytest.param(10.0, marks=FAR_WELL)])
+def test_full_report_displaced_wells(a):
+    # the half-line windows read the well's F wherever the well sits
+    rep = ch.full_report(displaced_data(a))
+    assert rep.passed, rep.failures()
+    assert entry_by_name(rep, "integrability").measured <= 1e-3
+
+
+def with_states(sd, states):
+    return ScatteringData(kgrid=sd.kgrid, s_values=sd.s_values, bound_states=states, s_at_zero_sign=sd.s_at_zero_sign)
+
+
+@pytest.mark.parametrize("a", [0.0, 2.0, 4.0])
+def test_full_report_displaced_wells_tampered(monkeypatch, a):
+    # each tampering fails its own entry and no other
+    sd = displaced_data(a)
+    b = sd.bound_states[0]
+    flipped = with_states(sd, (BoundState(b.kappa, -b.s),) + sd.bound_states[1:])
+    assert ch.full_report(flipped).failures() == ["discrete_data"]
+    assert ch.full_report(with_states(sd, sd.bound_states[1:])).failures() == ["index"]
+
+    build_F = mk.build_F
+
+    def slow_tail(*args, **kwargs):
+        # F_s + 1/(1 + x): a log-divergent L1 norm
+        F = build_F(*args, **kwargs)
+        fs = F.fs_values + 1.0 / (1.0 + F.xgrid.nodes)
+        return MarchenkoInput(xgrid=F.xgrid, fs_values=fs, fd_values=F.fd_values)
+
+    monkeypatch.setattr(mk, "build_F", slow_tail)
+    assert ch.full_report(sd).failures() == ["integrability"]
 
 
 def test_check_discrete_negative_s(kgrid_coarse):

@@ -209,7 +209,7 @@ def test_column_reprs_match_repr(n, pattern, centre, kind, where):
 def write_f_csv(path, sd, x_hi, dx):
     """The half-line F of sd on [0, x_hi] as an `extract` input, with the
     right limit F(0+) at x = 0."""
-    F = mk.build_F(sd, 0.0, x_hi, dx, tail_correction=True)
+    F = mk.build_F(sd, x_hi, dx, tail_correction=True)
     cli._write_csv(path, ["x", "F"], [F.xgrid.nodes, F.f_values])
     return path
 
@@ -238,6 +238,31 @@ def test_extract_well_from_F_at_0_plus(tmp_path, fw_well):
     assert sd.j_count == ref.j_count == 1
     np.testing.assert_allclose(sd.kappas, ref.kappas, rtol=1e-4)
     np.testing.assert_allclose(sd.norming, ref.norming, rtol=1e-4)
+
+
+def test_extract_reads_only_x_geq_0(tmp_path, fw_well):
+    # rows at x < 0 do not enter: a CSV that starts at x = -0.5 writes the
+    # bytes the [0, 20] CSV writes
+    half = write_f_csv(tmp_path / "half.csv", fw_well.sd, 20.0, 0.0125)
+    x, f = cli._read_columns(half, ["x", "F"])
+    dx = 0.0125
+    xs = dx * np.arange(-40, x.size)
+    assert np.array_equal(xs[40:], x) and xs[0] == -0.5
+    cli._write_csv(tmp_path / "whole.csv", ["x", "F"], [xs, np.concatenate([np.full(40, 7.0), f])])
+    for name in ("half", "whole"):
+        assert cli.main(["extract", "--f-data", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "whole" / "scattering.json").read_bytes() == (tmp_path / "half" / "scattering.json").read_bytes()
+
+
+def test_extract_needs_an_x0_node(tmp_path, capsys):
+    # the x = 0 sample is F(0+): a CSV without it, starting past 0 or with
+    # its nodes offset from the grid through 0, is refused
+    for dx, x0 in ((0.0125, 0.0125), (0.05, -0.025)):
+        xs = x0 + dx * np.arange(int(round(40.0 / dx)))
+        cli._write_csv(tmp_path / "f.csv", ["x", "F"], [xs, 2 * np.exp(-np.abs(xs))])
+        argv = ["extract", "--f-data", str(tmp_path / "f.csv"), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == cli.EXIT_INVERSE
+        assert "x = 0" in capsys.readouterr().err
 
 
 def test_artifacts_match_reference_writers(tmp_path, fw_well, monkeypatch):

@@ -18,14 +18,14 @@ from halfline.numkit import fourier_kernel_to_space, quadrature_weights
 from halfline.potentials import sech2_potential, square_well_potential
 
 
-def make_input(lo, hi, dx, func):
-    g = UniformGrid.make(lo, hi, dx)
+def make_input(hi, dx, func):
+    g = RadialGrid.make(hi, dx)
     f = func(g.nodes)
     return MarchenkoInput(xgrid=g, fs_values=f, fd_values=np.zeros_like(f))
 
 
 def soliton_input(dx=0.05, hi=80.0):
-    return make_input(0.0, hi, dx, lambda x: 2 * np.exp(-x))
+    return make_input(hi, dx, lambda x: 2 * np.exp(-x))
 
 
 def soliton_kernel_exact(xg: RadialGrid) -> TransformationKernel:
@@ -49,7 +49,7 @@ def analytic_sech2_sd():
 
 def test_build_F_identity_data(kgrid_fourier):
     sd = ScatteringData(kgrid=kgrid_fourier, s_values=np.ones(kgrid_fourier.n, complex))
-    F = mk.build_F(sd, 0.0, 10.0, 0.05)
+    F = mk.build_F(sd, 10.0, 0.05)
     assert np.max(np.abs(F.f_values)) < 1e-12
 
 
@@ -59,7 +59,7 @@ def test_build_F_pure_bound_state(kgrid_fourier):
         s_values=np.ones(kgrid_fourier.n, complex),
         bound_states=(BoundState(1.0, 2.0),),
     )
-    F = mk.build_F(sd, 0.0, 10.0, 0.05)
+    F = mk.build_F(sd, 10.0, 0.05)
     np.testing.assert_allclose(F.f_values, 2 * np.exp(-F.xgrid.nodes), atol=1e-12)
     np.testing.assert_allclose(F.fd_values, F.f_values, atol=1e-12)
 
@@ -68,17 +68,19 @@ def test_build_F_residue_oracle(analytic_sech2_sd):
     # 1 - S = -2i/(k-i): single pole at k = i gives F_s = 2 e^{-x} for x > 0
     # and 0 for x < 0; the tapered reconstruction smooths the jump over
     # ~pi/(TAPER_FRAC * k_max), so the pointwise check stays off that band
-    F = mk.build_F(analytic_sech2_sd, -6.0, 10.0, 0.01)
+    F = mk.build_F(analytic_sech2_sd, 10.0, 0.01)
     x = F.xgrid.nodes
-    ref = np.where(x > 0, 2 * np.exp(-x), 0.0)
-    mask = np.abs(x) >= 0.25
+    ref = 2 * np.exp(-x)
+    mask = x >= 0.25
     assert np.max(np.abs(F.f_values - ref)[mask]) < 1e-3
+    # the tapered x = 0 node carries the midpoint of the jump, 1
+    assert F.f_values[0] == pytest.approx(1.0, abs=1e-2)
     # with the analytic tail correction the transition collapses to the
     # grid scale and the x = 0 node carries the right-sided limit
-    F2 = mk.build_F(analytic_sech2_sd, -6.0, 10.0, 0.01, tail_correction=True)
-    mask2 = np.abs(x) >= 0.02
+    F2 = mk.build_F(analytic_sech2_sd, 10.0, 0.01, tail_correction=True)
+    mask2 = x >= 0.02
     assert np.max(np.abs(F2.f_values - ref)[mask2]) < 1e-3
-    assert F2.f_values[np.argmin(np.abs(x))] == pytest.approx(2.0, abs=1e-3)
+    assert F2.f_values[0] == pytest.approx(2.0, abs=1e-3)
 
 
 def test_build_F_rejects_asymmetric(kgrid_fourier):
@@ -86,7 +88,14 @@ def test_build_F_rejects_asymmetric(kgrid_fourier):
     s += 0.05j * np.exp(-((kgrid_fourier.nodes - 3) ** 2))  # breaks S(-k) = conj S(k)
     sd = ScatteringData(kgrid=kgrid_fourier, s_values=s)
     with pytest.raises(DataError):
-        mk.build_F(sd, 0.0, 5.0, 0.05)
+        mk.build_F(sd, 5.0, 0.05)
+
+
+def test_build_F_flags_are_keyword_only(analytic_sech2_sd):
+    # the flags follow x_hi and dx by keyword only, so a call that still
+    # passes a lower end fails loudly
+    with pytest.raises(TypeError):
+        mk.build_F(analytic_sech2_sd, 0.0, 10.0, 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +103,7 @@ def test_build_F_rejects_asymmetric(kgrid_fourier):
 
 
 def test_row_zero_F():
-    F = make_input(0.0, 40.0, 0.05, lambda x: np.zeros_like(x))
+    F = make_input(40.0, 0.05, lambda x: np.zeros_like(x))
     row = mk.solve_kernel(F, 40.0)[20, 20:]  # x = 1
     assert np.max(np.abs(row)) == 0.0
 
@@ -120,7 +129,7 @@ def test_row_two_node_hand_elimination():
     #   a0 + (F(0) a0 + F(1) a1)/2 = -F(0)  ->  3/2 a0 +     a1 = -1
     #   a1 + (F(1) a0 + F(2) a1)/2 = -F(1)  ->      a0 + 5/2 a1 = -2
     # elimination: a1 = -8/11, a0 = -2/11
-    F = make_input(0.0, 2.0, 1.0, lambda x: x + 1.0)
+    F = make_input(2.0, 1.0, lambda x: x + 1.0)
     row = mk.solve_kernel(F, 1.0)[0]
     np.testing.assert_allclose(row, [-2.0 / 11.0, -8.0 / 11.0], rtol=0, atol=1e-14)
 
@@ -128,24 +137,24 @@ def test_row_two_node_hand_elimination():
 def test_row_singular_refused():
     # F = -1 with Simpson weights summing to 1 makes I + F W annihilate
     # the constant mode of the row at x = 0 exactly
-    F = make_input(0.0, 2.0, 0.5, lambda x: -np.ones_like(x))
+    F = make_input(2.0, 0.5, lambda x: -np.ones_like(x))
     with pytest.raises(SolverError):
         mk.solve_kernel(F, 1.0)
 
 
 def test_row_one_node_pivot():
     # a one-node row is -F(2x)/(1 + dx F(2x)); F = -1/dx zeroes the pivot
-    F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, -2.0))
+    F = make_input(2.0, 0.5, lambda x: np.full_like(x, -2.0))
     with pytest.raises(SolverError, match="pivot"):
         mk.solve_kernel(F, 1.0)
-    F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, 3.0))
+    F = make_input(2.0, 0.5, lambda x: np.full_like(x, 3.0))
     assert mk.solve_kernel(F, 1.0)[-1, -1:].tolist() == [-3.0 / (1.0 + 0.5 * 3.0)]
 
 
 def test_row_one_node_negative_pivot_refused():
     # 1 + dx F(2 x_max) < 0: the one-node row is indefinite, like the
     # rows of indefinite data, and is refused, not solved
-    F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, -3.0))
+    F = make_input(2.0, 0.5, lambda x: np.full_like(x, -3.0))
     with pytest.raises(SolverError, match="pivot"):
         mk.solve_kernel(F, 1.0)
 
@@ -181,7 +190,7 @@ def test_solve_kernel_matches_row_loop(rule, n):
     # n <= 6 gives rows of one to four nodes and both parities, including
     # the four-node 3/8 row under a six-node template
     dx = 0.1
-    F = make_input(0.0, 2 * (n - 1) * dx + 1.0, dx, lambda x: 2 * np.exp(-x) + 0.5 * np.exp(-3 * x))
+    F = make_input(2 * (n - 1) * dx + 1.0, dx, lambda x: 2 * np.exp(-x) + 0.5 * np.exp(-3 * x))
     got = mk.solve_kernel(F, (n - 1) * dx)
     assert got.shape == (n, n)
     np.testing.assert_allclose(got, row_loop(F, (n - 1) * dx, rule), rtol=0, atol=1e-12)
@@ -198,14 +207,14 @@ def test_solve_kernel_refuses_indefinite_data():
     # for x < ln(1.5)/2 ~ 0.203, where the exact A = -3 e^{-(x+y)} /
     # (1 - 1.5 e^{-2x}) passes through a pole.  The systems are invertible
     # there, so a dense solve of the row at x = 0 still returns a row.
-    F = make_input(0.0, 10.0, 0.05, lambda x: -3 * np.exp(-x))
+    F = make_input(10.0, 0.05, lambda x: -3 * np.exp(-x))
     assert np.all(np.isfinite(marchenko_row(F, 0.0, y_max=5.0)))
     with pytest.raises(SolverError, match="not positive definite"):
         mk.solve_kernel(F, 5.0)
 
 
 def test_solve_kernel_one_node_pivot():
-    F = make_input(0.0, 2.0, 0.5, lambda x: np.full_like(x, -2.0))
+    F = make_input(2.0, 0.5, lambda x: np.full_like(x, -2.0))
     with pytest.raises(SolverError, match="pivot"):
         mk.solve_kernel(F, 1.0)
 
@@ -222,7 +231,7 @@ def test_zeroed_F_matches_row_cut():
     # invert_full zeroes F beyond the tail cut; before, it cut each row to
     # [x, p_cut - x] (at least three nodes) instead
     dx, x_max = 0.05, 40.0
-    F = make_input(0.0, 80.0, dx, lambda x: 2 * np.exp(-x) + 0.5 * np.exp(-3 * x))
+    F = make_input(80.0, dx, lambda x: 2 * np.exp(-x) + 0.5 * np.exp(-3 * x))
     cut, _ = mk._tail_cut(F)
     p_cut = F.xgrid.nodes[cut]
     assert 19.0 < p_cut < 19.3
@@ -364,7 +373,7 @@ def test_f_to_kernel_roundtrip():
 def test_extract_two_exponentials(kgrid_fourier):
     # admissible two-state data, F on [0, 20] with F(0+) at x = 0
     sd_in = reflectionless_data(kgrid_fourier, ((1.0, 2.0), (2.0, 3.0)))
-    sd = mk.data_from_F(mk.build_F(sd_in, 0.0, 20.0, 0.0125, tail_correction=True))
+    sd = mk.data_from_F(mk.build_F(sd_in, 20.0, 0.0125, tail_correction=True))
     assert sd.j_count == 2
     (b1, b2) = sd.bound_states
     assert b1.kappa == pytest.approx(1.0, abs=1e-4)
@@ -374,7 +383,7 @@ def test_extract_two_exponentials(kgrid_fourier):
 
 
 def test_extract_zero():
-    F = make_input(0.0, 40.0, 0.05, lambda x: np.zeros_like(x))
+    F = make_input(40.0, 0.05, lambda x: np.zeros_like(x))
     sd = mk.data_from_F(F)
     assert sd.j_count == 0
     assert np.all(sd.s_values == 1.0)
@@ -383,7 +392,7 @@ def test_extract_zero():
 def test_extract_one_sided_exponential():
     # F = 2 e^{-x} with F(0) = F(0+) = 2 is sech^2's F: no bound state and
     # S = (k + i)/(k - i) with the resonance sign
-    F = make_input(0.0, 30.0, 0.0125, lambda x: 2 * np.exp(-x))
+    F = make_input(30.0, 0.0125, lambda x: 2 * np.exp(-x))
     sd = mk.data_from_F(F)
     assert sd.j_count == 0
     assert sd.s_at_zero_sign == -1
@@ -395,23 +404,6 @@ def test_extract_one_sided_exponential():
     # default grid (k dx up to 2.5)
     band = np.abs(k) <= 100.0
     assert np.max(np.abs(sd.s_values - ref)[band]) <= 1e-3
-
-
-def test_extract_needs_an_x0_node():
-    # the x = 0 sample is F(0+), so a grid without it is refused
-    for lo in (-0.025, 0.05):
-        with pytest.raises(DataError, match="x = 0"):
-            mk.data_from_F(make_input(lo, 40.0, 0.05, lambda x: 2 * np.exp(-np.abs(x))))
-
-
-def test_extract_reads_only_x_geq_0():
-    # samples at x < 0 do not enter: the data equal those of the x >= 0 part
-    F = make_input(-5.0, 20.0, 0.05, lambda x: 2 * np.exp(-np.abs(x)))
-    half = make_input(0.0, 20.0, 0.05, lambda x: 2 * np.exp(-x))
-    got, want = mk.data_from_F(F), mk.data_from_F(half)
-    # the two grids' nodes differ by rounding only
-    np.testing.assert_allclose(got.s_values, want.s_values, rtol=0, atol=1e-12)
-    assert got.j_count == want.j_count == 0 and got.s_at_zero_sign == want.s_at_zero_sign == -1
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +452,7 @@ def test_invert_and_data_from_F_share_the_kernel_path(monkeypatch, analytic_sech
     core = mk._kernel_from_F
     monkeypatch.setattr(mk, "_kernel_from_F", lambda F, xg: calls.append(xg.n) or core(F, xg))
     res = mk.invert_full(analytic_sech2_sd, mk.InversionConfig(x_max=10.0, dx=0.05, force=True))
-    F = mk.build_F(analytic_sech2_sd, 0.0, 20.0, 0.05, tail_correction=True)
+    F = mk.build_F(analytic_sech2_sd, 20.0, 0.05, tail_correction=True)
     K, _ = core(F, res.kernel.grid)
     mk.data_from_F(F)
     assert calls == [201, 201]
@@ -553,7 +545,7 @@ def test_F_l1_stable_under_kmax_refinement(q_sech2):
     for kmax in (100.0, 200.0):
         kg = MomentumGrid.make(kmax, 0.01)
         sd = fw.s_matrix(q_sech2, kg)
-        F = mk.build_F(sd, 0.0, 40.0, 0.01)
+        F = mk.build_F(sd, 40.0, 0.01)
         norms.append(float(np.trapezoid(np.abs(F.f_values), dx=0.01)))
     assert norms[1] == pytest.approx(norms[0], rel=2e-3)
     assert norms[1] == pytest.approx(2.0, rel=2e-2)

@@ -107,7 +107,7 @@ def test_arrays_are_frozen():
     sd = ScatteringData(kgrid=kg, s_values=np.ones(kg.n, dtype=complex))
     jost = JostField(kgrid=kg, f0=np.ones(kg.n), fprime0=1j * kg.nodes)
     kernel = kernel_from_potential(q)
-    F = MarchenkoInput(xgrid=UniformGrid.make(-1.0, 1.0, 0.1), fs_values=np.ones(21), fd_values=np.ones(21))
+    F = MarchenkoInput(xgrid=RadialGrid.make(2.0, 0.1), fs_values=np.ones(21), fd_values=np.ones(21))
     exposed = {
         "Potential.values": q.values,
         "ScatteringData.s_values": sd.s_values,
@@ -188,7 +188,7 @@ def test_bound_states_sorted_and_ties_rejected():
 
 
 def test_marchenko_input_sums_f_once():
-    g = UniformGrid.make(0.0, 1.0, 0.1)
+    g = RadialGrid.make(1.0, 0.1)
     fs, fd = np.sin(g.nodes), np.exp(-g.nodes)
     F = MarchenkoInput(xgrid=g, fs_values=fs, fd_values=fd)
     np.testing.assert_array_equal(F.f_values, fs + fd)
@@ -196,9 +196,16 @@ def test_marchenko_input_sums_f_once():
         MarchenkoInput(xgrid=g, fs_values=fs, fd_values=fd[:-1])
 
 
+def test_marchenko_input_needs_a_radial_grid():
+    # F lives on the half-line: a grid reaching x < 0 is refused by type
+    g = UniformGrid.make(-1.0, 1.0, 0.1)
+    with pytest.raises(GridError, match="radial grid"):
+        MarchenkoInput(xgrid=g, fs_values=np.ones(g.n), fd_values=np.zeros(g.n))
+
+
 def test_marchenko_input_rejects_nonfinite():
     # a non-finite sample in either term, or an overflowing sum, is refused
-    g = UniformGrid.make(0.0, 1.0, 0.1)
+    g = RadialGrid.make(1.0, 0.1)
     zero = np.zeros(g.n)
     for bad in (np.nan, np.inf):
         f = zero.copy()
