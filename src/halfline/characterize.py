@@ -33,6 +33,7 @@ __all__ = [
 TAIL_TOL = 0.05  # |S - 1| allowed at the grid ends
 INTEGRABILITY_WINDOW = 0.05  # half-to-full window growth allowed of the L1 integrals
 INDEX_CONFIDENCE = 0.1  # distance of the winding number from an integer allowed
+F_X_MAX, F_DX = 40.0, 0.01  # the half-line grid [0, F_X_MAX] on which full_report builds F
 
 
 def check_symmetry_unitarity(sd: ScatteringData, tol: float = 1e-6) -> ConditionEntry:
@@ -130,17 +131,17 @@ def check_index(sd: ScatteringData) -> ConditionEntry:
     )
 
 
-def full_report(sd: ScatteringData, x_hi: float = 40.0, dx: float = 0.01) -> ValidationReport:
+def full_report(sd: ScatteringData) -> ValidationReport:
     """Aggregate all four conditions, at their default tolerances, into a
-    ValidationReport.
+    ValidationReport: `halfline validate`'s report and invert_full's gate.
 
-    F is built internally on the half-line [0, x_hi] (build_F's default
-    taper) for the integrability check.  The verdict passes iff every entry
-    passes.
+    F is built internally on the fixed half-line grid [0, F_X_MAX] at F_DX
+    (build_F's default taper) for the integrability check.  The verdict
+    passes iff every entry passes.
     """
     from .marchenko import build_F
 
-    F = build_F(sd, x_hi, dx, imag_tol=1e-6)
+    F = build_F(sd, F_X_MAX, F_DX, imag_tol=1e-6)
     entries = (check_symmetry_unitarity(sd), check_discrete(sd), check_integrability(F), check_index(sd))
     measured_index = entries[-1].measured
     index = int(measured_index) if np.isfinite(measured_index) else None

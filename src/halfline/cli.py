@@ -54,7 +54,6 @@ from .model import (
     ScatteringData,
     UniformGrid,
 )
-from .numkit import winding_number
 
 __all__ = ["parse_args", "run", "main"]
 
@@ -325,8 +324,8 @@ def _run_forward(ns: argparse.Namespace) -> int:
         ["k", "f_re", "f_im", "fprime_re", "fprime_im"],
         [k, jost.f0.real, jost.f0.imag, jost.fprime0.real, jost.fprime0.imag],
     )
-    idx, _ = winding_number(sd.s_values)
-    print(f"forward: J={sd.j_count}, index={idx}, S(0) sign {sd.s_at_zero_sign:+d}, wrote {ns.out_dir}")
+    idx = characterize.check_index(sd).measured
+    print(f"forward: J={sd.j_count}, index={idx:g}, S(0) sign {sd.s_at_zero_sign:+d}, wrote {ns.out_dir}")
     return 0
 
 

@@ -45,6 +45,7 @@ from .model import (
     RadialGrid,
     ScatteringData,
     TransformationKernel,
+    ValidationReport,
 )
 from .numkit import (
     _oscillatory_sum,
@@ -230,7 +231,7 @@ class InversionResult:
 
     potential: Potential
     kernel: TransformationKernel
-    report: object | None
+    report: ValidationReport | None
     neglected_tail_mass: float
 
 
@@ -265,9 +266,10 @@ def _kernel_from_F(F: MarchenkoInput, xg: RadialGrid) -> tuple[TransformationKer
 def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> InversionResult:
     """Scattering data to potential, keeping the intermediate artifacts.
 
-    Stages: characterization gate (unless config.force), build_F on
-    [0, 2*x_max], every kernel row by solve_kernel from F zeroed beyond
-    the cut of _tail_cut, diagonal differentiation.  Raises
+    Stages: characterization gate (unless config.force: full_report(sd),
+    validate's report, whatever the grid), build_F on [0, 2*x_max], every
+    kernel row by solve_kernel from F zeroed beyond the cut of _tail_cut,
+    diagonal differentiation.  Raises
     StageError tagged with the failing stage; the rows' failures are tagged
     solve_marchenko.  A config whose x_max and dx make no grid raises
     GridError before any stage runs.
@@ -279,7 +281,7 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
         from .characterize import full_report
 
         try:
-            report = full_report(sd, x_hi=2 * cfg.x_max, dx=min(cfg.dx, 0.02))
+            report = full_report(sd)
         except Exception as exc:
             raise StageError("characterize", exc)
         if not report.passed:

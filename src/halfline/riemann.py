@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characterize import check_index
 from .errors import DataError, IndexMismatchError
 from .model import MomentumGrid, ScatteringData
 from .numkit import pv_cauchy_grid, quadrature_weights, unwrap_phase, winding_number
@@ -101,37 +102,34 @@ class RiemannSolution:
 def solve_riemann(sd: ScatteringData) -> RiemannSolution:
     """Solve the boundary factorization f(k) = S(-k) f(-k) for f.
 
-    Checks that the winding index of S matches -2J (generic) or -2J - 1
-    (resonance) for the J supplied bound states, forms the reduced jump
-    g = S(-k) W(-k)/W(k), verifies ind g = 0, takes the continuous
-    (purely imaginary) logarithm anchored at -k_max with |g| renormalized
-    to 1, evaluates the principal-value Cauchy transform at every node
-    with the analytic O(1/t) tail of log g added, and returns
+    Raises IndexMismatchError, with the entry's note, on data failing
+    characterize.check_index; the S(0) sign flag then picks the generic or
+    the resonance case.  Forms the reduced jump g = S(-k) W(-k)/W(k),
+    verifies ind g = 0, takes the continuous (purely imaginary) logarithm
+    anchored at -k_max with |g| renormalized to 1, evaluates the
+    principal-value Cauchy transform at every node with the analytic
+    O(1/t) tail of log g added, and returns
     f = W exp[(1/2pi) pv + i arg g / 2].
     """
     k = sd.kgrid.nodes
     s = sd.s_values
     if np.any(np.abs(s) == 0.0):
         raise DataError("S has a zero sample")
-    idx, resid = winding_number(s)
-    j = sd.j_count
+    entry = check_index(sd)
+    if not entry.passed:
+        raise IndexMismatchError(f"S fails the index condition: {entry.note}")
     kappas = sd.kappas
-    if idx == -2 * j:
+    if sd.s_at_zero_sign == 1:
         case = "generic"
         shift = 0.0
         W = blaschke(kappas, k)
         ratio = np.conj(W) / W  # W(-k) = conj W(k) = 1/W(k) on the axis
-    elif idx == -2 * j - 1:
+    else:
         case = "resonance"
-        shift = 1.0 + (float(np.max(kappas)) if j else 0.0)
+        shift = 1.0 + (float(np.max(kappas)) if kappas.size else 0.0)
         W = blaschke_shifted(kappas, shift, k)
         # w0(-k)/w0(k) = (1/w^2) (k + i shift)/(k - i shift): no zero at 0
         ratio = (np.conj(blaschke(kappas, k)) / blaschke(kappas, k)) * (k + 1j * shift) / (k - 1j * shift)
-    else:
-        raise IndexMismatchError(
-            f"winding index {idx} (residual {resid:.3f}) inconsistent with J = {j}: "
-            f"expected {-2*j} or {-2*j - 1}"
-        )
     g = s[::-1] * ratio  # S(-k) at node k is the reflected sample
     g = g / np.abs(g)  # enforce unimodularity before taking the log
     g_idx, g_resid = winding_number(g)
@@ -148,7 +146,7 @@ def solve_riemann(sd: ScatteringData) -> RiemannSolution:
     return RiemannSolution(
         kgrid=sd.kgrid,
         f0=f0,
-        index=idx,
+        index=int(entry.measured),
         case=case,
         kappa_shift=shift,
         kappas=np.asarray(kappas, dtype=float),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from halfline import marchenko as mk
 from halfline.errors import DataError, SolverError
 from halfline.forward import forward
-from halfline.model import BoundState, MarchenkoInput, MomentumGrid, RadialGrid, ScatteringData
+from halfline.model import BoundState, MarchenkoInput, MomentumGrid, Potential, RadialGrid, ScatteringData
 from halfline.numkit import quadrature_weights
 from halfline.potentials import sech2_potential, square_well_potential, zero_potential
 
@@ -59,6 +60,23 @@ def fw_well(q_well, kgrid_fourier):
 @pytest.fixture(scope="session")
 def fw_zero(q_zero, kgrid_fourier):
     return forward(q_zero, kgrid_fourier)
+
+
+def displaced_well(a: float) -> Potential:
+    """Depth-4, width-1 well on [a, a + 1] on x in [0, 40] at dx 0.01; a node
+    on an edge inside the half-line takes the midpoint value -2.  a = 0 is
+    the README's well, square_well_potential on the same grid."""
+    g = RadialGrid.make(40.0, 0.01)
+    x = g.nodes
+    v = np.where((x >= a) & (x < a + 1), -4.0, 0.0)
+    for edge in (a, a + 1) if a > 0 else (a + 1,):
+        v[np.abs(x - edge) < 1e-9] = -2.0
+    return Potential(grid=g, values=v)
+
+
+@functools.cache
+def displaced_data(a: float) -> ScatteringData:
+    return forward(displaced_well(a)).sd
 
 
 def sech2_jost_exact(x: np.ndarray, k: complex) -> np.ndarray:

@@ -1,13 +1,12 @@
-import functools
-
 import numpy as np
 import pytest
 
+from conftest import displaced_data
 from halfline import characterize as ch
 from halfline import forward as fw
 from halfline import marchenko as mk
 from halfline.errors import DataError
-from halfline.model import BoundState, MarchenkoInput, MomentumGrid, Potential, RadialGrid, ScatteringData
+from halfline.model import BoundState, MarchenkoInput, MomentumGrid, RadialGrid, ScatteringData
 
 
 def entry_by_name(report, name):
@@ -123,22 +122,6 @@ def test_full_report_corpus(fw_zero, fw_sech2, fw_well):
         rep = ch.full_report(r.sd)
         assert rep.passed, rep.failures()
         assert rep.index == idx
-
-
-def displaced_well(a: float) -> Potential:
-    """Depth-4, width-1 well on [a, a + 1] on x in [0, 40] at dx 0.01; a node
-    on an edge inside the half-line takes the midpoint value -2."""
-    g = RadialGrid.make(40.0, 0.01)
-    x = g.nodes
-    v = np.where((x >= a) & (x < a + 1), -4.0, 0.0)
-    for edge in (a, a + 1) if a > 0 else (a + 1,):
-        v[np.abs(x - edge) < 1e-9] = -2.0
-    return Potential(grid=g, values=v)
-
-
-@functools.cache
-def displaced_data(a: float) -> ScatteringData:
-    return fw.forward(displaced_well(a)).sd
 
 
 FAR_WELL = pytest.mark.xfail(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reflectionless_data, write_csv_reference, write_json_reference
+from conftest import displaced_data, reflectionless_data, write_csv_reference, write_json_reference
 from halfline import characterize, cli, marchenko as mk
 from halfline.errors import DataError
 from halfline.model import BoundState, MomentumGrid, RadialGrid, ScatteringData
@@ -318,6 +318,42 @@ def test_riemann_subcommand_failure_exit_five(tmp_path):
     cli.write_scattering_json(tmp_path / "bad.json", ScatteringData(kgrid=kg, s_values=s))
     rc = cli.main(["riemann", "--data", str(tmp_path / "bad.json"), "--out", str(tmp_path / "r")])
     assert rc == 5
+
+
+@pytest.mark.parametrize("sign, s_power, states", [(1, 1, ()), (-1, 2, (BoundState(1.0, 1.0),))])
+def test_riemann_refuses_data_failing_the_index_entry(tmp_path, capsys, sign, s_power, states):
+    # a resonance S ((k + i)/(k - i), S(0) = -1) flagged +1, and
+    # Blaschke-squared S with J = 1 flagged -1: validate fails the index
+    # entry, and riemann refuses the data rather than pick a case by the
+    # winding alone
+    kg = MomentumGrid.make(100.0, 0.05)
+    s = ((kg.nodes + 1j) / (kg.nodes - 1j)) ** s_power
+    path = tmp_path / "sd.json"
+    cli.write_scattering_json(path, ScatteringData(kgrid=kg, s_values=s, bound_states=states, s_at_zero_sign=sign))
+    assert cli.main(["validate", "--data", str(path), "--out", str(tmp_path / "v")]) == cli.EXIT_VALIDATION
+    assert "FAIL: index" in capsys.readouterr().out
+    assert cli.main(["riemann", "--data", str(path), "--out", str(tmp_path / "r")]) == cli.EXIT_RIEMANN
+    assert "index condition" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "jost_boundary.csv").exists()
+
+
+@pytest.mark.parametrize("a", [0.0, 2.0, 4.0, 6.0, 10.0])
+def test_invert_gate_is_validate_report(tmp_path, a):
+    # invert's characterization gate is validate's report at every --xmax:
+    # the same exit code, and on a pass the same report in its diagnostics.
+    # A gate on [0, 2 xmax] refused the README well (a = 0) at --xmax 5 and
+    # the wells on [2, 3], [4, 5] and [6, 7] at --xmax 5 or 10; the well on
+    # [10, 11] fails both
+    data = tmp_path / "sd.json"
+    cli.write_scattering_json(data, displaced_data(a))
+    code = cli.main(["validate", "--data", str(data), "--out", str(tmp_path / "v")])
+    assert code == (cli.EXIT_VALIDATION if a == 10.0 else 0)
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    for xmax in ("5", "10", "20", "40"):
+        out = tmp_path / f"inv{xmax}"
+        assert cli.main(["invert", "--data", str(data), "--xmax", xmax, "--out", str(out)]) == code, xmax
+        if code == 0:
+            assert json.loads((out / "inversion_diagnostics.json").read_text())["report"] == report, xmax
 
 
 def assert_stage_exits(path, tmp_path, capsys, reason):

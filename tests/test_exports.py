@@ -58,7 +58,36 @@ def _settable_values() -> list[str]:
     return out
 
 
+SETTABLE_VALUES = [
+    "ConditionEntry.note",
+    "InversionConfig.dx",
+    "InversionConfig.force",
+    "InversionConfig.x_max",
+    "ScatteringData.bound_states",
+    "ScatteringData.s_at_zero_sign",
+    "build_F(imag_tol)",
+    "build_F(tail_correction)",
+    "check_symmetry_unitarity(tol)",
+    "data_from_F(kgrid)",
+    "data_from_kernel(kgrid)",
+    "differentiate(stencil)",
+    "forward(kgrid)",
+    "fourier_kernel_to_space(tail_correction)",
+    "integrate(rule)",
+    "invert(config)",
+    "invert_full(config)",
+    "main(argv)",
+    "parse_args(argv)",
+    "pv_cauchy_grid(tail_coeff)",
+    "quadrature_weights(rule)",
+    "sech2_potential(depth)",
+    "square_well_potential(depth)",
+    "square_well_potential(width)",
+]
+
+
 def test_settable_values_count():
-    # each new option must show up here: a change that adds one changes
-    # this number in its own diff
-    assert len(_settable_values()) == 26, _settable_values()
+    # each new option must show up here: a change that adds, drops or
+    # swaps one changes this list in its own diff
+    assert len(SETTABLE_VALUES) == 24
+    assert sorted(_settable_values()) == SETTABLE_VALUES

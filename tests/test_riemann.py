@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from halfline.errors import DataError, IndexMismatchError
 from halfline import forward as fw
 from halfline import riemann as rm
+from halfline.characterize import check_index
 from halfline.model import BoundState, MomentumGrid, ScatteringData
 from halfline.numkit import winding_number
 
@@ -145,22 +148,65 @@ def test_riemann_winding_of_f_counts_zeros(kg, q_well):
     assert winding_number(solw.f0).value == 1
 
 
+def with_appended_state(sd, kap_new=1.7):
+    """sd with S multiplied by a Blaschke-squared factor at kap_new and the
+    state (kap_new, 1) appended."""
+    k = sd.kgrid.nodes
+    s2 = sd.s_values * ((k + 1j * kap_new) / (k - 1j * kap_new)) ** 2
+    bound = tuple(sorted(sd.bound_states + (BoundState(kap_new, 1.0),)))
+    return ScatteringData(kgrid=sd.kgrid, s_values=s2, bound_states=bound, s_at_zero_sign=sd.s_at_zero_sign)
+
+
 def test_riemann_appending_blaschke_shifts_index(kg, q_well):
     # multiplying S by a Blaschke-squared factor with a new kappa and
     # appending the state moves the winding index by exactly -2
     sd = fw.s_matrix(q_well, kg)
     idx0 = winding_number(sd.s_values).value
-    k = kg.nodes
-    kap_new = 1.7
-    s2 = sd.s_values * ((k + 1j * kap_new) / (k - 1j * kap_new)) ** 2
-    bound = tuple(sorted(sd.bound_states + (BoundState(kap_new, 1.0),)))
-    sd2 = ScatteringData(kgrid=kg, s_values=s2, bound_states=bound, s_at_zero_sign=sd.s_at_zero_sign)
+    sd2 = with_appended_state(sd)
     idx2 = winding_number(sd2.s_values).value
     assert idx2 == idx0 - 2
     sol = rm.solve_riemann(sd2)
     assert sol.index == idx2
     rep = rm.verify_factorization(sol, sd2)
     assert rep["max_zero_residual"] <= 1e-8
+
+
+def with_sign(sd, sign):
+    return ScatteringData(kgrid=sd.kgrid, s_values=sd.s_values, bound_states=sd.bound_states, s_at_zero_sign=sign)
+
+
+def test_riemann_unresolved_phase_is_an_index_mismatch(kg):
+    # S = -1, +1, -1, ... jumps by pi between samples: the index entry is
+    # inconclusive, and the factorization refuses the data as a mismatch
+    sd = ScatteringData(kgrid=kg, s_values=np.where(np.arange(kg.n) % 2, 1.0, -1.0).astype(complex))
+    with pytest.raises(IndexMismatchError, match="inconclusive"):
+        rm.solve_riemann(sd)
+
+
+def test_riemann_raises_iff_check_index_fails(kg, q_well):
+    # solve_riemann refuses exactly the data failing check_index, with the
+    # entry's note; the S(0) sign flag, not the winding alone, names the
+    # case, so a resonance S flagged +1 and a Blaschke-squared S with J = 1
+    # flagged -1 are refused
+    well = fw.s_matrix(q_well, kg)
+    corpus = [
+        identity_data(kg),
+        blaschke_squared_data(kg),
+        resonance_data(kg),
+        ScatteringData(kgrid=kg, s_values=blaschke_squared_data(kg).s_values),  # winding -2, J = 0
+        well,
+        with_appended_state(well),
+        with_sign(resonance_data(kg), 1),
+        with_sign(blaschke_squared_data(kg), -1),
+    ]
+    entries = [check_index(sd) for sd in corpus]
+    assert [e.passed for e in entries] == [True, True, True, False, True, True, False, False]
+    for sd, entry in zip(corpus, entries):
+        if entry.passed:
+            rm.solve_riemann(sd)
+        else:
+            with pytest.raises(IndexMismatchError, match=re.escape(entry.note)):
+                rm.solve_riemann(sd)
 
 
 def test_continue_upper_requires_upper(kg):
