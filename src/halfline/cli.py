@@ -37,7 +37,6 @@ import argparse
 import csv
 import json
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -156,13 +155,15 @@ def _mirror_sign(a: np.ndarray) -> int:
     return 0
 
 
-def _mirrored(strings: list[str], sign: int) -> Iterator[str]:
+def _mirrored(strings: list[str], sign: int) -> list[str]:
     """The reprs of the mirror images, in reverse order, of the values whose
     reprs are `strings`: x for an even column, -x for an odd one.  Toggling
-    a leading '-' is repr(-x) for every x but NaN, ±0.0 and ±inf included."""
-    if sign > 0:
-        return reversed(strings)
-    return (s[1:] if s[0] == "-" else "-" + s for s in reversed(strings))
+    a leading '-' is repr(-x) for every x but NaN, ±0.0 and ±inf included;
+    it runs on the joined text, which holds '--' only where a '-' is
+    prefixed to a negative repr (an exponent carries one '-')."""
+    if sign > 0 or not strings:
+        return strings[::-1]
+    return ("-" + "\n-".join(reversed(strings))).replace("--", "").split("\n")
 
 
 def _reprs(a: np.ndarray) -> list[str]:
@@ -172,11 +173,13 @@ def _reprs(a: np.ndarray) -> list[str]:
     if not sign:
         return list(map(repr, a.tolist()))
     upper = list(map(repr, a[a.size // 2 :].tolist()))
-    return [*_mirrored(upper[a.size % 2 :], sign), *upper]
+    return _mirrored(upper[a.size % 2 :], sign) + upper
 
 
-def _rows(columns) -> Iterator[str]:
-    return (",".join(row) + "\r\n" for row in zip(*columns))
+def _rows(columns) -> str:
+    """The CSV text of the columns' rows, each ending in CRLF."""
+    text = "\r\n".join(map(",".join, zip(*columns)))
+    return text + "\r\n" if text else text
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -198,11 +201,11 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
         for hi in range(n, h, -_CSV_BLOCK):
             lo = max(hi - _CSV_BLOCK, h)
             block = [list(map(repr, c[lo:hi].tolist())) for c in columns]
-            upper.append("".join(_rows(block)))
+            upper.append(_rows(block))
             # rows n - hi, ..., n - hi + m - 1 mirror the block's last m rows
             # (all but the centre node of an odd length)
             m = hi - max(lo, n - h)
-            fh.writelines(
+            fh.write(
                 _rows(
                     _mirrored(s[len(s) - m :], sign) if sign else map(repr, c[n - hi : n - hi + m].tolist())
                     for c, s, sign in zip(columns, block, signs)

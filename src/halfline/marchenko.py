@@ -22,11 +22,12 @@ Both row operators, the Marchenko rows (A from F) and the Volterra march
 (F from A), use the Simpson rule only.  solve_kernel solves every kernel
 row, each a dense Nystrom collocation, at once: every row's matrix is a
 leading block of one of the two parity templates (or is a row of one or
-two nodes), so one Cholesky factorization per template serves them all,
-O(n^3) in total.  invert_full and data_from_F reach it through one
-path, which first zeroes F beyond the point where the remaining |F| tail
-mass falls below Y_TAIL_TOL; invert_full reports that mass as the error
-scale.
+two nodes), so one Cholesky factorization L per template serves them all:
+each row is a scaled row of L^{-1}, its y = x entry taken from the Schur
+complement sigma_c, O(n^3) in total.  invert_full and data_from_F reach
+it through one path, which first zeroes F beyond the point where the
+remaining |F| tail mass falls below Y_TAIL_TOL; invert_full reports that
+mass as the error scale.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ __all__ = [
 RESIDUAL_TOL = 1e-10  # relative residual above which a kernel row is refused
 Y_TAIL_TOL = 1e-8  # |F| tail mass below which F is zeroed before the row solves
 SUPPORT_TOL = 1e-6  # |A(0,y)| relative to its peak below which f_from_kernel stops
+RESIDUAL_BLOCK = 128  # kernel rows per block of the residual check: bounds its template-length buffers
+TRIL_BLOCK = 64  # rows of the diagonal blocks the triangular inverse hands to np.linalg.inv
 SCAN_BLOCK = 128  # kappas per block of data_from_kernel's f(i kappa) sums: bounds their e^{-kappa y} buffer
 
 
@@ -140,9 +143,11 @@ def solve_kernel(F: MarchenkoInput, x_max: float) -> np.ndarray:
     against 3/8 + 1/3, times dx), so a row's matrix is its template's
     leading block plus delta >= 0 on the last diagonal entry, and its
     Cholesky factor is the template factor's leading block with the last
-    pivot raised to sqrt(p^2 + delta): one factorization per template and
-    two products with the factor's inverse solve every row, O(n^3) in
-    total.
+    pivot raised to sqrt(p^2 + delta).  Its solution is therefore a scaled
+    row of the template factor's inverse, with the y = x entry taken from
+    the Schur complement sigma_c (_template_rows): one factorization and
+    one blocked triangular inverse per template solve every row, O(n^3)
+    in total.
 
     For admissible data I + F_x is positive definite, so a failed
     factorization (a pivot that is not positive, as in a one-node row with
@@ -161,20 +166,32 @@ def solve_kernel(F: MarchenkoInput, x_max: float) -> np.ndarray:
     # reversed order: column c holds the row of m = c + 1 nodes, x = x_{n-1-c}
     X = values[::-1, ::-1].T
     for c in range(min(n, 2)):
-        X[: c + 1, [c]] = _template_rows(G, np.full(c + 1, dx / (c + 1)), np.array([c]), dx)
+        _template_rows(G, np.full(c + 1, dx / (c + 1)), np.array([c]), dx, X[: c + 1])
     for M in (n, n - 1):
         if M >= 3:
-            cols = np.arange(M - 1, 1, -2)
-            X[:M, cols] = _template_rows(G, quadrature_weights(M, dx, "simpson")[::-1], cols, dx)
+            _template_rows(G, quadrature_weights(M, dx, "simpson")[::-1], np.arange(M - 1, 1, -2), dx, X[:M])
     return values
 
 
-def _template_rows(G: np.ndarray, t: np.ndarray, cols: np.ndarray, dx: float) -> np.ndarray:
-    """The rows of solve_kernel ending at the given columns of the reversed
-    order, all served by the template with reversed weights t; column j of
-    the result is the reversed row, zero below its last node."""
+def _template_rows(G: np.ndarray, t: np.ndarray, cols: np.ndarray, dx: float, out: np.ndarray) -> None:
+    """Write the rows of solve_kernel ending at the given columns of the
+    reversed order, all served by the template with reversed weights t, to
+    those columns of out (the template's M rows): column c holds the
+    reversed row, zero below its last node.
+
+    Row c, of m = c + 1 nodes, solves (T_m + delta e_c e_c^T) b = -G[:m, c],
+    whose right-hand side is -(its matrix) e_c + e_c / w_near, so b is
+    -e_c + Z[c, :m]^T p / (1 + w_near sigma_c): a scaled row of Z = L^{-1},
+    with p = L_cc and sigma_c = G_cc - ||L[c, :c]||^2 the Schur complement
+    (p^2 = sigma_c + 1/t_c).  Its y = x entry is taken from sigma_c,
+    b_c = -w_near sigma_c / (1 + w_near sigma_c), since the form
+    -1 + 1/((p^2 + delta) w_near) cancels on the far rows, where F is tiny.
+
+    L is inverted in place, so T and Z are the only template-size arrays.
+    The rows are checked against T and written RESIDUAL_BLOCK at a time,
+    each block on the leading block of T that its longest row spans.
+    """
     M = t.size
-    j = np.arange(cols.size)
     # the y = x weight of a row: the template's, except that a row of four
     # nodes is the 3/8 rule alone, whose end weight is the template's far one
     w_near = np.where(cols == 3, t[0], t[-1])
@@ -188,24 +205,30 @@ def _template_rows(G: np.ndarray, t: np.ndarray, cols: np.ndarray, dx: float) ->
             f"Marchenko rows at x >= {(G.shape[0] - M) * dx:.4f}: data violate unique "
             "solvability (I + F_x is not positive definite: a pivot is not positive)"
         ) from None
-    p2 = L.diagonal()[cols] ** 2
-    Z = np.linalg.inv(L)
-    del L
-    # forward solve with the leading block of Z, the last row scaled by
-    # p / sqrt(p^2 + delta), then the backward solve with its transpose
-    below = np.arange(M)[:, None] > cols
-    rhs = -G[:M, cols]
-    rhs[below] = 0.0
-    y = Z @ rhs
-    y[cols, j] *= p2 / (p2 + delta)
-    y[below] = 0.0
-    b = Z.T @ y
-    del Z, y
-    res = T @ b - rhs
-    res[cols, j] += delta * b[cols, j]
-    res[below] = 0.0
-    scale = np.linalg.norm(rhs, axis=0)
-    resid = np.divide(np.linalg.norm(res, axis=0), scale, out=np.zeros(cols.size), where=scale > 0)
+    # the off-diagonal squares summed directly: p^2 - 1/t_c would cancel
+    sigma = G[cols, cols] - np.array([L[c, :c] @ L[c, :c] for c in cols])
+    scale = L.diagonal()[cols] / (1.0 + w_near * sigma)
+    b_near = -w_near * sigma / (1.0 + w_near * sigma)
+    Z = _tril_inverse(L)  # in L's place
+    resid = np.empty(cols.size)
+    for lo in range(0, cols.size, RESIDUAL_BLOCK):
+        s = slice(lo, lo + RESIDUAL_BLOCK)
+        c = cols[s]
+        m = c.max() + 1  # the block's longest row: every row is zero below it
+        j = np.arange(c.size)
+        below = np.arange(m)[:, None] > c
+        b = Z[c, :m].T * scale[s]  # zero below row c's last node: Z is lower triangular
+        b[c, j] = b_near[s]
+        rhs = -G[:m, c]
+        rhs[below] = 0.0
+        res = T[:m, :m] @ b - rhs
+        res[c, j] += delta[s] * b_near[s]
+        res[below] = 0.0
+        norm = np.linalg.norm(rhs, axis=0)
+        resid[s] = np.divide(np.linalg.norm(res, axis=0), norm, out=np.zeros(c.size), where=norm > 0)
+        b /= t[:m, None]
+        b[c, j] = b_near[s] / w_near[s]
+        out[:m, c] = b
     bad = np.nonzero(~(resid <= RESIDUAL_TOL))[0]
     if bad.size:
         k = bad[np.argmax(cols[bad])]  # the failing row nearest x = 0
@@ -213,9 +236,22 @@ def _template_rows(G: np.ndarray, t: np.ndarray, cols: np.ndarray, dx: float) ->
             f"Marchenko row at x = {(G.shape[0] - 1 - cols[k]) * dx:.4f}: data violate unique "
             f"solvability (residual {resid[k]:.2e})"
         )
-    b /= t[:, None]
-    b[cols, j] *= t[cols] / w_near
-    return b
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Overwrite the lower-triangular L with its inverse and return it, by
+    2 x 2 blocks [[Z11, 0], [-Z22 L21 Z11, Z22]] down to diagonal blocks of
+    at most TRIL_BLOCK rows, which np.linalg.inv inverts (numpy has no
+    trtri)."""
+    n = L.shape[0]
+    if n <= TRIL_BLOCK:
+        L[...] = np.tril(np.linalg.inv(L))
+        return L
+    h = n // 2
+    _tril_inverse(L[:h, :h])
+    _tril_inverse(L[h:, h:])
+    L[h:, :h] = -L[h:, h:] @ (L[h:, :h] @ L[:h, :h])
+    return L
 
 
 def recover_potential(kernel: TransformationKernel) -> Potential:

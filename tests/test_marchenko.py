@@ -185,15 +185,26 @@ def row_loop(F, x_max, rule="simpson"):
 # solve_kernel's rows are Simpson rows; the reference builds its weights by
 # the rule's name
 @pytest.mark.parametrize("rule", ["simpson"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 40, 41])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 40, 41, 63, 64, 65, 129])
 def test_solve_kernel_matches_row_loop(rule, n):
     # n <= 6 gives rows of one to four nodes and both parities, including
-    # the four-node 3/8 row under a six-node template
+    # the four-node 3/8 row under a six-node template; 63 to 129 straddle
+    # the triangular inverse's diagonal blocks of TRIL_BLOCK = 64 rows
     dx = 0.1
     F = make_input(2 * (n - 1) * dx + 1.0, dx, lambda x: 2 * np.exp(-x) + 0.5 * np.exp(-3 * x))
     got = mk.solve_kernel(F, (n - 1) * dx)
     assert got.shape == (n, n)
     np.testing.assert_allclose(got, row_loop(F, (n - 1) * dx, rule), rtol=0, atol=1e-12)
+
+
+def test_solve_kernel_far_rows_keep_relative_accuracy():
+    # F(2x) falls to 2e^{-80} ~ 1e-35 at x = 40: each y = x entry must
+    # keep its relative accuracy there, which a form -1 + (a number near 1)
+    # loses
+    F = make_input(80.0, 0.25, lambda x: 2 * np.exp(-x))
+    got = mk.solve_kernel(F, 40.0)
+    assert got.shape == (161, 161)
+    np.testing.assert_allclose(got.diagonal(), row_loop(F, 40.0).diagonal(), rtol=1e-12, atol=0)
 
 
 def test_solve_kernel_short_window_is_zero_padded():
