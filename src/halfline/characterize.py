@@ -16,6 +16,8 @@ moment, by checking the four necessary-and-sufficient conditions:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import DataError, PhaseUnwrapError
@@ -34,6 +36,7 @@ TAIL_TOL = 0.05  # |S - 1| allowed at the grid ends
 INTEGRABILITY_WINDOW = 0.05  # half-to-full window growth allowed of the L1 integrals
 INDEX_CONFIDENCE = 0.1  # distance of the winding number from an integer allowed
 F_X_MAX, F_DX = 40.0, 0.01  # the half-line grid [0, F_X_MAX] on which full_report builds F
+TAPER_FRAC = 0.2  # share of each end of the momentum window under full_report's taper of 1 - S
 
 
 def check_symmetry_unitarity(sd: ScatteringData, tol: float = 1e-6) -> ConditionEntry:
@@ -131,17 +134,34 @@ def check_index(sd: ScatteringData) -> ConditionEntry:
     )
 
 
+def _taper_window(n: int) -> np.ndarray:
+    """Unit window with cosine roll-off over the outer TAPER_FRAC of each
+    end, exactly 0 at both end samples."""
+    w = np.ones(n)
+    m = int(round(TAPER_FRAC * n))
+    if m < 2:
+        return w
+    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(m) / m))
+    w[:m] = ramp
+    w[-m:] = ramp[::-1]
+    return w
+
+
 def full_report(sd: ScatteringData) -> ValidationReport:
     """Aggregate all four conditions, at their default tolerances, into a
     ValidationReport: `halfline validate`'s report and invert_full's gate.
 
-    F is built internally on the fixed half-line grid [0, F_X_MAX] at F_DX
-    (build_F's default taper) for the integrability check.  The verdict
-    passes iff every entry passes.
+    F is built internally by build_F on the fixed half-line grid
+    [0, F_X_MAX] at F_DX for the integrability check, from 1 - S under a
+    Hann endpoint taper (_taper_window), which keeps truncation ringing out
+    of the nested-window growth.  The verdict passes iff every entry
+    passes.
     """
     from .marchenko import build_F
 
-    F = build_F(sd, F_X_MAX, F_DX, imag_tol=1e-6)
+    # the window is 0 at both grid ends, so build_F's tail terms add exactly zero
+    tapered = 1.0 - (1.0 - sd.s_values) * _taper_window(sd.kgrid.n)
+    F = build_F(replace(sd, s_values=tapered), F_X_MAX, F_DX)
     entries = (check_symmetry_unitarity(sd), check_discrete(sd), check_integrability(F), check_index(sd))
     measured_index = entries[-1].measured
     index = int(measured_index) if np.isfinite(measured_index) else None

@@ -26,8 +26,11 @@ two nodes), so one Cholesky factorization L per template serves them all:
 each row is a scaled row of L^{-1}, its y = x entry taken from the Schur
 complement sigma_c, O(n^3) in total.  invert_full and data_from_F reach
 it through one path, which first zeroes F beyond the point where the
-remaining |F| tail mass falls below Y_TAIL_TOL; invert_full reports that
-mass as the error scale.
+tail envelope of F falls below Y_TAIL_TOL (_tail_cut); invert_full reports
+the envelope at that point as neglected_tail_mass.  When the envelope
+stays above Y_TAIL_TOL up to the window end, the cut is the last node and
+the mass reads 0.0, although F is truncated there: the common case for an
+F built from S at dx = 0.05, whose ringing keeps the envelope up.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ __all__ = [
     "data_from_F",
 ]
 
+IMAG_TOL = 1e-8  # imaginary residual of F_s, relative to max(1, max |F_s|), above which build_F refuses S
 RESIDUAL_TOL = 1e-10  # relative residual above which a kernel row is refused
 Y_TAIL_TOL = 1e-8  # |F| tail mass below which F is zeroed before the row solves
 SUPPORT_TOL = 1e-6  # |A(0,y)| relative to its peak below which f_from_kernel stops
@@ -85,11 +89,11 @@ class InversionConfig:
 
     The kernel is computed on [0, x_max] with spacing dx; the momentum grid
     is the scattering data's own.  F is built on [0, 2*x_max] since the
-    Marchenko kernel samples F(s + y) with s, y <= x_max, with the analytic
-    1/k tail correction and no endpoint taper: the correction suppresses
-    Gibbs ringing that would otherwise dominate the recovered q after
-    differentiation.  Kernel rows use the Simpson rule, and q = -2 dA/dx
-    the five-point derivative, since differentiation amplifies noise.
+    Marchenko kernel samples F(s + y) with s, y <= x_max; build_F's
+    analytic 1/k tail suppresses the Gibbs ringing that would otherwise
+    dominate the recovered q after differentiation.  Kernel rows use the
+    Simpson rule, and q = -2 dA/dx the five-point derivative, since
+    differentiation amplifies noise.
     """
 
     x_max: float = 40.0
@@ -97,24 +101,18 @@ class InversionConfig:
     force: bool = False
 
 
-def build_F(
-    sd: ScatteringData,
-    x_hi: float,
-    dx: float,
-    *,
-    tail_correction: bool = False,
-    imag_tol: float = 1e-8,
-) -> MarchenkoInput:
+def build_F(sd: ScatteringData, x_hi: float, dx: float) -> MarchenkoInput:
     """Marchenko input on the radial grid [0, x_hi]: F_d from the bound
     states, F_s by the oscillatory Fourier quadrature of 1 - S (one chirp-z
-    transform).  With tail_correction=True the x = 0 sample is the right
-    limit F(0+) the Marchenko rows need; without it, the midpoint of F_s's
-    jump there."""
+    transform, with the analytic tail of 1 - S beyond the momentum grid),
+    so the x = 0 sample is the right limit F(0+) the Marchenko rows need.
+    An imaginary residual above IMAG_TOL times max(1, max |F_s|) means S is
+    not conjugate symmetric, and raises DataError."""
     grid = RadialGrid.make(x_hi, dx)
     h = 1.0 - sd.s_values
-    fs, resid = fourier_kernel_to_space(h, sd.kgrid, grid, tail_correction=tail_correction)
+    fs, resid = fourier_kernel_to_space(h, sd.kgrid, grid)
     scale = max(1.0, float(np.max(np.abs(fs))))
-    if np.max(resid) > imag_tol * scale:
+    if np.max(resid) > IMAG_TOL * scale:
         raise DataError(
             f"Fourier symmetry violation: imaginary residual {np.max(resid):.2e} "
             "(S(-k) != conj S(k) on this grid)"
@@ -326,7 +324,7 @@ def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> In
                 DataError("scattering data fail characterization: " + ", ".join(report.failures())),
             )
     try:
-        F = build_F(sd, 2 * cfg.x_max, cfg.dx, tail_correction=True)
+        F = build_F(sd, 2 * cfg.x_max, cfg.dx)
     except Exception as exc:
         raise StageError("build_F", exc)
 
@@ -377,11 +375,11 @@ def f_from_kernel(kernel: TransformationKernel) -> MarchenkoInput:
 def data_from_F(F: MarchenkoInput, kgrid: MomentumGrid | None = None) -> ScatteringData:
     """Scattering data from F on the half-line [0, X].
 
-    The x = 0 sample is taken as the right limit F(0+) (build_F's value
-    with tail_correction=True).  The kernel on [0, X/2] at F's own spacing
-    comes from the Marchenko rows (the path invert_full takes), and the
-    data from data_from_kernel on kgrid.  Data that violate unique
-    solvability raise SolverError.
+    The x = 0 sample is taken as the right limit F(0+), build_F's value
+    there.  The kernel on [0, X/2] at F's own spacing comes from the
+    Marchenko rows (the path invert_full takes), and the data from
+    data_from_kernel on kgrid.  Data that violate unique solvability raise
+    SolverError.
     """
     xg = RadialGrid(F.xgrid.dx * np.arange((F.xgrid.n - 1) // 2 + 1))
     kernel, _ = _kernel_from_F(F, xg)

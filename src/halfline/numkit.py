@@ -2,10 +2,10 @@
 
 Composite trapezoid and Simpson quadrature, finite-difference
 differentiation, sums of e^{ipx} between uniform grids (one chirp-z
-transform each: the truncated Fourier integral from momentum to space,
-with an endpoint taper or an analytic 1/k tail correction, and the Jost
-function from a kernel row), backward-marching Volterra solves with a
-difference kernel (Simpson rule), batched bracketed root finding that
+transform each: the Fourier integral from momentum to space, its tail
+beyond the grid added in closed form, and the Jost function from a
+kernel row), backward-marching Volterra solves with a difference kernel
+(Simpson rule), batched bracketed root finding that
 starts from a scan's values at the bracket ends (one vectorized call of g
 per secant step for all brackets), winding numbers by nearest-branch
 phase continuation (a step of pi or more refused), and principal-value
@@ -149,21 +149,6 @@ def differentiate(samples: np.ndarray, dx: float, stencil: int = 3) -> np.ndarra
 # oscillatory Fourier integrals
 
 
-TAPER_FRAC = 0.2  # share of each end of the momentum window under the taper
-
-
-def _taper_window(n: int) -> np.ndarray:
-    """Unit window with cosine roll-off over the outer TAPER_FRAC of each end."""
-    w = np.ones(n)
-    m = int(round(TAPER_FRAC * n))
-    if m < 2:
-        return w
-    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(m) / m))
-    w[:m] = ramp
-    w[-m:] = ramp[::-1]
-    return w
-
-
 def sine_integral(z: np.ndarray) -> np.ndarray:
     """Sine integral Si(z) for z >= 0: Maclaurin series up to 20, asymptotic
     expansion beyond (absolute accuracy ~1e-8, ample for tail corrections)."""
@@ -220,20 +205,19 @@ def _oscillatory_sum(weighted: np.ndarray, nodes: np.ndarray, dx: float, points:
     return np.exp(1j * (xc * points + 0.5 * alpha * v**2)) * conv
 
 
-def fourier_kernel_to_space(h: np.ndarray, kgrid, xgrid, tail_correction: bool = False) -> tuple:
-    """(1/2pi) * integral of h(k) e^{ikx} dk over the truncated k grid.
+def fourier_kernel_to_space(h: np.ndarray, kgrid, xgrid) -> tuple:
+    """(1/2pi) * integral of h(k) e^{ikx} dk over the whole k axis.
 
-    Every node x of xgrid comes from one chirp-z transform.  Returns the
-    arrays (value, imag_residual).  For
-    conjugate-symmetric h the result is real; the imaginary residual is
-    reported as a diagnostic and the real part returned.  A Hann-style
-    endpoint taper (TAPER_FRAC of each end) suppresses truncation ringing.
-    With tail_correction=True the O(1/k) tail of h beyond k_max is
-    estimated from the endpoint samples and added analytically (and the
-    taper is skipped, since the tail is then modeled explicitly); at a node
-    x = 0 the O(1/k^2) tail part and the jump midpoint are also compensated,
-    so the returned value there is the right-sided limit F(0+), the boundary
-    value the Marchenko equation needs.
+    Every node x of xgrid comes from one chirp-z transform of the
+    trapezoid sum over kgrid.  Returns the arrays (value, imag_residual).
+    For conjugate-symmetric h the result is real; the imaginary residual is
+    reported as a diagnostic and the real part returned.  The tail of h
+    beyond the grid, h ~ i gamma/k + c2/k^2 with gamma and c2 from the
+    endpoint samples, is added in closed form, and at a node x = 0 the
+    jump midpoint is compensated, so the value returned there is the
+    right-sided limit F(0+), the boundary value the Marchenko equation
+    needs.  An h that vanishes at both grid ends gets zero tail terms and
+    keeps the bare trapezoid sum.
     """
     h = np.asarray(h, dtype=complex)
     k = kgrid.nodes
@@ -241,25 +225,20 @@ def fourier_kernel_to_space(h: np.ndarray, kgrid, xgrid, tail_correction: bool =
         raise GridError("h samples must match the momentum grid")
     xs = xgrid.nodes
     w = quadrature_weights(k.size, kgrid.dx)
-    if not tail_correction:
-        w = w * _taper_window(k.size)
     vals = _oscillatory_sum(w * h, k, kgrid.dx, xs, xgrid.dx) / (2 * np.pi)
-    if tail_correction:
-        # h ~ i*gamma/k + c2/k^2 beyond the grid; add the missing tail of
-        # both terms in closed form (gamma and c2 from the endpoint samples)
-        k_max = float(k[-1])
-        gamma = 0.5 * float(np.imag(k[-1] * h[-1]) + np.imag(k[0] * h[0]))
-        c2 = 0.5 * float(np.real(k[-1] ** 2 * h[-1]) + np.real(k[0] ** 2 * h[0]))
-        ax = np.abs(xs)
-        si_rest = np.pi / 2 - sine_integral(k_max * ax)
-        tail1 = -(gamma / np.pi) * np.sign(xs) * si_rest
-        tail2 = (c2 / np.pi) * (np.cos(k_max * ax) / k_max - ax * si_rest)
-        vals = vals + tail1 + tail2
-        at_zero = xs == 0.0
-        if np.any(at_zero):
-            # restore the right-sided limit at the jump node: F(0+) equals
-            # the reconstructed midpoint plus half the jump, which is -gamma
-            vals = np.where(at_zero, vals - gamma / 2.0, vals)
+    # h ~ i*gamma/k + c2/k^2 beyond the grid; add the missing tail of both
+    # terms in closed form (gamma and c2 from the endpoint samples)
+    k_max = float(k[-1])
+    gamma = 0.5 * float(np.imag(k[-1] * h[-1]) + np.imag(k[0] * h[0]))
+    c2 = 0.5 * float(np.real(k[-1] ** 2 * h[-1]) + np.real(k[0] ** 2 * h[0]))
+    ax = np.abs(xs)
+    si_rest = np.pi / 2 - sine_integral(k_max * ax)
+    tail1 = -(gamma / np.pi) * np.sign(xs) * si_rest
+    tail2 = (c2 / np.pi) * (np.cos(k_max * ax) / k_max - ax * si_rest)
+    vals = vals + tail1 + tail2
+    # restore the right-sided limit at the jump node: F(0+) equals the
+    # reconstructed midpoint plus half the jump, which is -gamma
+    vals = np.where(xs == 0.0, vals - gamma / 2.0, vals)
     return vals.real, np.abs(vals.imag)
 
 

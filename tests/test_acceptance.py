@@ -129,7 +129,7 @@ def test_criterion_5_reversibility_suite(fw_sech2, fw_well, fw_zero, kgrid_fouri
     def kernel_roundtrip(sd, y_max):
         # A -> F -> A seeded by Marchenko rows of the built F: Simpson rows
         # both ways, and the default support cut of f_from_kernel
-        F = mk.build_F(sd, 2 * y_max, 0.05, tail_correction=True)
+        F = mk.build_F(sd, 2 * y_max, 0.05)
         xg = RadialGrid.make(y_max, 0.05)
         vals = mk.solve_kernel(F, y_max)
         K = TransformationKernel(grid=xg, block=vals)
@@ -155,7 +155,7 @@ def test_criterion_5_reversibility_suite(fw_sech2, fw_well, fw_zero, kgrid_fouri
     # reflectionless w = prod (k - i kappa_j)/(k + i kappa_j)): F on
     # [0, 20] at dx = 0.0125, read through the kernel on [0, 10]
     states = ((1.0, 2.0), (2.0, 3.0))
-    F = mk.build_F(reflectionless_data(kgrid_fourier, states), 20.0, 0.0125, tail_correction=True)
+    F = mk.build_F(reflectionless_data(kgrid_fourier, states), 20.0, 0.0125)
     sd = mk.data_from_F(F)
     got = [(b.kappa, b.s) for b in sd.bound_states]
     err = np.max(np.abs(np.subtract(got, states)), axis=0) if sd.j_count == 2 else np.full(2, np.inf)
@@ -165,7 +165,7 @@ def test_criterion_5_reversibility_suite(fw_sech2, fw_well, fw_zero, kgrid_fouri
     # dx = 0.0125, compared on |k| <= 100, where k dx <= 1.25 keeps the
     # Simpson sums of e^{iky} accurate
     for name, r, x_max in (("sech2", fw_sech2, 15.0), ("well", fw_well, 10.0)):
-        F = mk.build_F(r.sd, 2 * x_max, 0.0125, tail_correction=True)
+        F = mk.build_F(r.sd, 2 * x_max, 0.0125)
         sd2 = mk.data_from_F(F)
         k2 = sd2.kgrid.nodes
         idx = np.round((k2 - r.sd.kgrid.nodes[0]) / r.sd.kgrid.dk).astype(int)

@@ -7,6 +7,7 @@ from halfline import forward as fw
 from halfline import marchenko as mk
 from halfline.errors import DataError
 from halfline.model import BoundState, MarchenkoInput, MomentumGrid, RadialGrid, ScatteringData
+from halfline.numkit import _oscillatory_sum, quadrature_weights
 
 
 def entry_by_name(report, name):
@@ -162,6 +163,48 @@ def test_full_report_displaced_wells_tampered(monkeypatch, a):
 
     monkeypatch.setattr(mk, "build_F", slow_tail)
     assert ch.full_report(sd).failures() == ["integrability"]
+
+
+def _report_F(monkeypatch, sd):
+    # the F that full_report builds, caught on its way out of build_F
+    caught = []
+    build_F = mk.build_F
+
+    def spy(*args, **kwargs):
+        caught.append(build_F(*args, **kwargs))
+        return caught[-1]
+
+    monkeypatch.setattr(mk, "build_F", spy)
+    ch.full_report(sd)
+    return caught[0]
+
+
+def test_full_report_F_residue_oracle(monkeypatch):
+    # 1 - S = -2i/(k-i): single pole at k = i gives F_s = 2 e^{-x} for x > 0
+    # and 0 for x < 0; the taper smooths the jump over ~pi/(TAPER_FRAC *
+    # k_max), so the pointwise check stays off that band
+    kg = MomentumGrid.make(200.0, 0.01)
+    s = (kg.nodes + 1j) / (kg.nodes - 1j)
+    s[kg.zero_index] = -1.0
+    F = _report_F(monkeypatch, ScatteringData(kgrid=kg, s_values=s, s_at_zero_sign=-1))
+    x = F.xgrid.nodes
+    mask = x >= 0.25
+    assert np.max(np.abs(F.f_values - 2 * np.exp(-x))[mask]) < 1e-3
+    # the tapered x = 0 node carries the midpoint of the jump, 1
+    assert F.f_values[0] == pytest.approx(1.0, abs=1e-2)
+
+
+def test_full_report_F_is_tapered_transform(monkeypatch, fw_well):
+    # full_report's F is the trapezoid transform of the windowed 1 - S
+    # plus F_d: build_F's tail terms add nothing to a window that is 0 at
+    # both grid ends
+    sd = fw_well.sd
+    F = _report_F(monkeypatch, sd)
+    kg, x = sd.kgrid, F.xgrid.nodes
+    w = quadrature_weights(kg.n, kg.dx) * ch._taper_window(kg.n)
+    fs = _oscillatory_sum(w * (1.0 - sd.s_values), kg.nodes, kg.dx, x, F.xgrid.dx).real / (2 * np.pi)
+    fd = np.exp(-np.outer(x, sd.kappas)) @ sd.norming
+    assert np.max(np.abs(F.f_values - (fs + fd))) <= 1e-13
 
 
 def test_check_discrete_negative_s(kgrid_coarse):

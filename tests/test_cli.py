@@ -209,7 +209,7 @@ def test_column_reprs_match_repr(n, pattern, centre, kind, where):
 def write_f_csv(path, sd, x_hi, dx):
     """The half-line F of sd on [0, x_hi] as an `extract` input, with the
     right limit F(0+) at x = 0."""
-    F = mk.build_F(sd, x_hi, dx, tail_correction=True)
+    F = mk.build_F(sd, x_hi, dx)
     cli._write_csv(path, ["x", "F"], [F.xgrid.nodes, F.f_values])
     return path
 
@@ -354,6 +354,20 @@ def test_invert_gate_is_validate_report(tmp_path, a):
         assert cli.main(["invert", "--data", str(data), "--xmax", xmax, "--out", str(out)]) == code, xmax
         if code == 0:
             assert json.loads((out / "inversion_diagnostics.json").read_text())["report"] == report, xmax
+
+
+def test_asymmetric_S_one_verdict(tmp_path, capsys, fw_well):
+    # S e^{i 1e-9}: a symmetry error of 2e-9 passes the symmetry entry at
+    # 1e-6, but F's imaginary residual exceeds build_F's IMAG_TOL, and the
+    # gate and the solve build F by one rule: validate and invert agree
+    sd = fw_well.sd
+    tilted = ScatteringData(sd.kgrid, sd.s_values * np.exp(1e-9j), sd.bound_states, sd.s_at_zero_sign)
+    assert characterize.check_symmetry_unitarity(tilted).passed
+    data = tmp_path / "sd.json"
+    cli.write_scattering_json(data, tilted)
+    for sub in ("validate", "invert"):
+        assert cli.main([sub, "--data", str(data), "--out", str(tmp_path / sub)]) == cli.EXIT_VALIDATION, sub
+        assert "imaginary residual" in capsys.readouterr().err, sub
 
 
 def assert_stage_exits(path, tmp_path, capsys, reason):

@@ -65,14 +65,11 @@ SETTABLE_VALUES = [
     "InversionConfig.x_max",
     "ScatteringData.bound_states",
     "ScatteringData.s_at_zero_sign",
-    "build_F(imag_tol)",
-    "build_F(tail_correction)",
     "check_symmetry_unitarity(tol)",
     "data_from_F(kgrid)",
     "data_from_kernel(kgrid)",
     "differentiate(stencil)",
     "forward(kgrid)",
-    "fourier_kernel_to_space(tail_correction)",
     "integrate(rule)",
     "invert(config)",
     "invert_full(config)",
@@ -89,5 +86,5 @@ SETTABLE_VALUES = [
 def test_settable_values_count():
     # each new option must show up here: a change that adds, drops or
     # swaps one changes this list in its own diff
-    assert len(SETTABLE_VALUES) == 24
+    assert len(SETTABLE_VALUES) == 21
     assert sorted(_settable_values()) == SETTABLE_VALUES

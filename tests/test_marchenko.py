@@ -66,21 +66,16 @@ def test_build_F_pure_bound_state(kgrid_fourier):
 
 def test_build_F_residue_oracle(analytic_sech2_sd):
     # 1 - S = -2i/(k-i): single pole at k = i gives F_s = 2 e^{-x} for x > 0
-    # and 0 for x < 0; the tapered reconstruction smooths the jump over
-    # ~pi/(TAPER_FRAC * k_max), so the pointwise check stays off that band
+    # and 0 for x < 0; with the analytic tail correction the transition
+    # collapses to the grid scale and the x = 0 node carries the
+    # right-sided limit (the tapered F of full_report is checked in
+    # test_characterize)
     F = mk.build_F(analytic_sech2_sd, 10.0, 0.01)
     x = F.xgrid.nodes
     ref = 2 * np.exp(-x)
-    mask = x >= 0.25
+    mask = x >= 0.02
     assert np.max(np.abs(F.f_values - ref)[mask]) < 1e-3
-    # the tapered x = 0 node carries the midpoint of the jump, 1
-    assert F.f_values[0] == pytest.approx(1.0, abs=1e-2)
-    # with the analytic tail correction the transition collapses to the
-    # grid scale and the x = 0 node carries the right-sided limit
-    F2 = mk.build_F(analytic_sech2_sd, 10.0, 0.01, tail_correction=True)
-    mask2 = x >= 0.02
-    assert np.max(np.abs(F2.f_values - ref)[mask2]) < 1e-3
-    assert F2.f_values[0] == pytest.approx(2.0, abs=1e-3)
+    assert F.f_values[0] == pytest.approx(2.0, abs=1e-3)
 
 
 def test_build_F_rejects_asymmetric(kgrid_fourier):
@@ -92,7 +87,7 @@ def test_build_F_rejects_asymmetric(kgrid_fourier):
 
 
 def test_build_F_flags_are_keyword_only(analytic_sech2_sd):
-    # the flags follow x_hi and dx by keyword only, so a call that still
+    # build_F takes no lower end and no options, so a call that still
     # passes a lower end fails loudly
     with pytest.raises(TypeError):
         mk.build_F(analytic_sech2_sd, 0.0, 10.0, 0.05)
@@ -384,7 +379,7 @@ def test_f_to_kernel_roundtrip():
 def test_extract_two_exponentials(kgrid_fourier):
     # admissible two-state data, F on [0, 20] with F(0+) at x = 0
     sd_in = reflectionless_data(kgrid_fourier, ((1.0, 2.0), (2.0, 3.0)))
-    sd = mk.data_from_F(mk.build_F(sd_in, 20.0, 0.0125, tail_correction=True))
+    sd = mk.data_from_F(mk.build_F(sd_in, 20.0, 0.0125))
     assert sd.j_count == 2
     (b1, b2) = sd.bound_states
     assert b1.kappa == pytest.approx(1.0, abs=1e-4)
@@ -463,7 +458,7 @@ def test_invert_and_data_from_F_share_the_kernel_path(monkeypatch, analytic_sech
     core = mk._kernel_from_F
     monkeypatch.setattr(mk, "_kernel_from_F", lambda F, xg: calls.append(xg.n) or core(F, xg))
     res = mk.invert_full(analytic_sech2_sd, mk.InversionConfig(x_max=10.0, dx=0.05, force=True))
-    F = mk.build_F(analytic_sech2_sd, 20.0, 0.05, tail_correction=True)
+    F = mk.build_F(analytic_sech2_sd, 20.0, 0.05)
     K, _ = core(F, res.kernel.grid)
     mk.data_from_F(F)
     assert calls == [201, 201]

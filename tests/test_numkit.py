@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from halfline.characterize import _taper_window
 from halfline.errors import DataError, GridError, PhaseUnwrapError, SolverError
 from halfline.model import MomentumGrid, UniformGrid
 from halfline import numkit as nk
@@ -124,7 +125,7 @@ def test_fourier_kernel_to_space_residue_oracle():
 def test_fourier_kernel_tail_correction():
     kg = MomentumGrid.make(200.0, 0.01)
     h = -2j / (kg.nodes - 1j)
-    (v0, v), _ = nk.fourier_kernel_to_space(h, kg, UniformGrid.make(0.0, 1.0, 1.0), tail_correction=True)
+    (v0, v), _ = nk.fourier_kernel_to_space(h, kg, UniformGrid.make(0.0, 1.0, 1.0))
     assert v == pytest.approx(2 * np.exp(-1.0), abs=5e-5)
     # the x = 0 node returns the right-sided limit F(0+) = 2
     assert v0 == pytest.approx(2.0, abs=1e-3)
@@ -132,7 +133,9 @@ def test_fourier_kernel_tail_correction():
 
 def test_fourier_transforms_are_inverse_pair():
     kg = MomentumGrid.make(200.0, 0.01)
-    h = -2j / (kg.nodes - 1j)
+    # windowed h: zero at both grid ends, so no tail term puts F(0+) at the
+    # x = 0 node, which the two-sided trapezoid sum below would misread
+    h = -2j / (kg.nodes - 1j) * _taper_window(kg.n)
     xg = UniformGrid.make(-12.0, 40.0, 0.005)
     fs, _ = nk.fourier_kernel_to_space(h, kg, xg)
     ks = UniformGrid.make(0.5, 5.0, 0.5)
