@@ -512,8 +512,9 @@ def kernel_from_potential(q: Potential) -> TransformationKernel:
     xi > x_e, so A = 0 for x + y >= 2 x_{e+2}.  The march then runs on the
     leading nb = min(n, 2e + 4) nodes only, from row e + 1 down, and only
     that nb x nb block of A is allocated and returned (the kernel's block;
-    A is 0 outside it).  This is exact, not a cut-off: every entry equals
-    the full march's bit for bit.  A q without exact zeros gives nb = n.
+    A is 0 outside it), read-only, so the kernel keeps it without a copy.
+    This is exact, not a cut-off: every entry equals the full march's bit
+    for bit.  A q without exact zeros gives nb = n.
     """
     dx = q.grid.dx
     n = q.grid.n
@@ -553,6 +554,7 @@ def kernel_from_potential(q: Potential) -> TransformationKernel:
     A = _fill_block(K, nb)
     if not np.all(np.isfinite(A)):
         raise SolverError("transformation kernel has non-finite entries")
+    A.flags.writeable = False
     return TransformationKernel(grid=q.grid, block=A)
 
 
@@ -572,7 +574,8 @@ def _fill_block(K: np.ndarray, nb: int) -> np.ndarray:
     ((K[x,r] + K[x+1,r]) + K[x,r+1]) + K[x+1,r+1], and both they and K are
     read through _skew.  D[i, d] = A[i, i + d] is a view of a buffer nb - 1
     entries longer than A; its entries with i + d >= nb fall below A's
-    diagonal or past its end, and a mask leaves them 0.
+    diagonal or past its end, and a mask leaves them 0.  The buffer is then
+    shrunk in place to A, so A owns its memory.
     """
     m = K.shape[1]
     ne, no = (nb + 1) // 2, nb // 2  # even and odd offsets d < nb
@@ -590,7 +593,9 @@ def _fill_block(K: np.ndarray, nb: int) -> np.ndarray:
     upper = np.tri(nb, dtype=bool)[::-1]  # i + d < nb
     np.copyto(D[:, 0::2], _skew(K, (nb, ne)), where=upper[:, 0::2])
     np.copyto(D[:, 1::2], _skew(M, (nb, no)), where=upper[:, 1::2])
-    return buf[: nb * nb].reshape(nb, nb)
+    del D  # buf's only view: the resize may move buf
+    buf.resize((nb, nb), refcheck=False)
+    return buf
 
 
 @dataclass(frozen=True)

@@ -294,7 +294,9 @@ def _kernel_from_F(F: MarchenkoInput, xg: RadialGrid) -> tuple[TransformationKer
     f = F.f_values.copy()
     f[cut + 1 :] = 0.0
     F = MarchenkoInput(xgrid=F.xgrid, fs_values=f, fd_values=np.zeros_like(f))
-    return TransformationKernel(grid=xg, block=solve_kernel(F, xg.x_max)), neglected
+    block = solve_kernel(F, xg.x_max)
+    block.flags.writeable = False  # fresh: the kernel keeps it without a copy
+    return TransformationKernel(grid=xg, block=block), neglected
 
 
 def invert_full(sd: ScatteringData, config: InversionConfig | None = None) -> InversionResult:
@@ -359,6 +361,11 @@ def f_from_kernel(kernel: TransformationKernel) -> MarchenkoInput:
     is therefore restricted to the row's numerical support (|A(0,y)| above
     SUPPORT_TOL relative to its peak, plus a one-unit margin); beyond it F
     is taken as zero, which matches the decayed true values there.
+
+    Where the row is exactly 0 past its last nonzero sample (q of compact
+    support), the march stops four nodes beyond it, since F is exactly 0
+    there: the 3/8 tail of each row's Simpson rule falls on zero samples,
+    so only the summation order of each row changes.
     """
     row = kernel.row(0)
     nodes = kernel.grid.nodes
@@ -367,7 +374,8 @@ def f_from_kernel(kernel: TransformationKernel) -> MarchenkoInput:
     peak = float(np.max(np.abs(row)))
     if peak > 0.0:
         alive = np.nonzero(np.abs(row) > SUPPORT_TOL * peak)[0]
-        cut = min(nodes.size - 1, int(alive[-1]) + int(round(1.0 / dx)))
+        last = int(np.flatnonzero(row)[-1])
+        cut = min(nodes.size - 1, int(alive[-1]) + int(round(1.0 / dx)), last + 4)
         f[: cut + 1] = solve_volterra_backward(row[: cut + 1], row[: cut + 1], dx)
     return MarchenkoInput(xgrid=kernel.grid, fs_values=f, fd_values=np.zeros_like(f))
 

@@ -252,16 +252,21 @@ class TransformationKernel:
 
     For a compactly supported q, A vanishes for x + y >= 2 (end of the
     support), so the block is a small corner of the grid; a kernel without
-    exact zeros is one full n x n block.  The constructor copies and checks
-    the block only.  diagonal, row(i) and values are read-only arrays on the
-    whole grid, zero outside the block.
+    exact zeros is one full n x n block.  The constructor checks the block's
+    shape and finiteness; it keeps a float block that is read-only and owns
+    its memory, as the library's two producers hand it over, and copies any
+    other, so a caller's writable array or view stays the caller's own.
+    diagonal, row(i) and values are read-only arrays on the whole grid, zero
+    outside the block.
     """
 
     grid: RadialGrid
     block: np.ndarray
 
     def __post_init__(self):
-        blk = _frozen(self.block, dtype=float)
+        blk = self.block
+        if not (isinstance(blk, np.ndarray) and blk.dtype == float and blk.flags.owndata and not blk.flags.writeable):
+            blk = _frozen(blk, dtype=float)
         if blk.ndim != 2 or blk.shape[0] != blk.shape[1] or blk.shape[0] > self.grid.n:
             raise DataError("kernel block must be square and at most (n, n) on the grid")
         if not np.all(np.isfinite(blk)):

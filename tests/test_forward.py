@@ -780,6 +780,15 @@ def test_kernel_fill_of_the_march(monkeypatch, q, nb):
     np.testing.assert_array_equal(block, kernel_fill_by_diagonals(seen[0], nb))
 
 
+def test_kernel_keeps_the_filled_block(monkeypatch):
+    # the block _fill_block returns is the kernel's own, read-only, not a copy
+    fill_block, filled = fw._fill_block, []
+    monkeypatch.setattr(fw, "_fill_block", lambda K, nb: filled.append(fill_block(K, nb)) or filled[-1])
+    block = fw.kernel_from_potential(square_well_potential(RadialGrid.make(10.0, 0.01), depth=16.0)).block
+    assert len(filled) == 1 and np.shares_memory(block, filled[0])
+    assert not block.flags.writeable
+
+
 def test_kernel_sech2_second_order():
     # A(x,y) = -2 e^{-(x+y)} / (1 + e^{-2x}) for y >= x; halving dx must
     # quarter the sup error of the product trapezoid march

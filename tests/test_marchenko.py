@@ -14,7 +14,7 @@ from halfline.model import (
     TransformationKernel,
     UniformGrid,
 )
-from halfline.numkit import fourier_kernel_to_space, quadrature_weights
+from halfline.numkit import fourier_kernel_to_space, quadrature_weights, solve_volterra_backward
 from halfline.potentials import sech2_potential, square_well_potential
 
 
@@ -370,6 +370,55 @@ def test_f_to_kernel_roundtrip():
     K = TransformationKernel(grid=xg, block=mk.solve_kernel(Fin, 40.0))
     Frec = mk.f_from_kernel(K)
     assert np.max(np.abs(Frec.f_values - 2 * np.exp(-xg.nodes))) < 1e-5
+
+
+def march_to_unit_margin(K: TransformationKernel) -> np.ndarray:
+    # the march cut one unit (1/dx nodes) past the row's numerical support
+    row, dx = K.row(0), K.grid.dx
+    alive = np.nonzero(np.abs(row) > mk.SUPPORT_TOL * np.max(np.abs(row)))[0]
+    cut = min(K.grid.n - 1, int(alive[-1]) + int(round(1.0 / dx)))
+    f = np.zeros(K.grid.n)
+    f[: cut + 1] = solve_volterra_backward(row[: cut + 1], row[: cut + 1], dx)
+    return f
+
+
+@pytest.mark.parametrize(
+    "make_q",
+    [
+        lambda: square_well_potential(RadialGrid.make(10.0, 0.005), depth=64.0),
+        lambda: square_well_potential(RadialGrid.make(40.0, 0.01)),
+    ],
+    ids=["deep_well", "readme_well"],
+)
+def test_f_from_kernel_stops_at_the_row_support(monkeypatch, make_q):
+    # A(0, y) = 0 exactly past its last nonzero sample: the march stops four
+    # nodes beyond it, and F there stays exactly 0
+    K = fw.kernel_from_potential(make_q())
+    last = int(np.flatnonzero(K.row(0))[-1])
+    sizes = []
+    march = mk.solve_volterra_backward
+    monkeypatch.setattr(mk, "solve_volterra_backward", lambda a, g, dx: sizes.append(g.size) or march(a, g, dx))
+    f = mk.f_from_kernel(K).f_values
+    assert len(sizes) == 1 and sizes[0] <= last + 5
+    ref = march_to_unit_margin(K)
+    assert np.max(np.abs(f - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.all(f[sizes[0] :] == 0.0)
+
+
+def test_f_from_kernel_without_zeros_keeps_the_unit_margin():
+    # sech^2 has no exact zeros in A(0, y): the march keeps the unit margin, bit for bit
+    K = fw.kernel_from_potential(sech2_potential(RadialGrid.make(20.0, 0.02), depth=6.0))
+    assert K.block.shape[0] == K.grid.n
+    assert np.array_equal(mk.f_from_kernel(K).f_values, march_to_unit_margin(K))
+
+
+def test_invert_kernel_keeps_the_solved_block(monkeypatch, analytic_sech2_sd):
+    solved = []
+    solve = mk.solve_kernel
+    monkeypatch.setattr(mk, "solve_kernel", lambda F, x_max: solved.append(solve(F, x_max)) or solved[-1])
+    res = mk.invert_full(analytic_sech2_sd, mk.InversionConfig(x_max=10.0, dx=0.05, force=True))
+    assert len(solved) == 1 and np.shares_memory(res.kernel.block, solved[0])
+    assert not res.kernel.block.flags.writeable
 
 
 # ---------------------------------------------------------------------------
