@@ -23,7 +23,6 @@ from .marchenko import (
 from .model import (
     BoundState,
     ConditionEntry,
-    JostField,
     MarchenkoInput,
     MomentumGrid,
     Potential,
@@ -40,7 +39,6 @@ __all__ = [
     "ConditionEntry",
     "ForwardResult",
     "InversionConfig",
-    "JostField",
     "MarchenkoInput",
     "MomentumGrid",
     "Potential",

@@ -163,11 +163,4 @@ def full_report(sd: ScatteringData) -> ValidationReport:
     tapered = 1.0 - (1.0 - sd.s_values) * _taper_window(sd.kgrid.n)
     F = build_F(replace(sd, s_values=tapered), F_X_MAX, F_DX)
     entries = (check_symmetry_unitarity(sd), check_discrete(sd), check_integrability(F), check_index(sd))
-    measured_index = entries[-1].measured
-    index = int(measured_index) if np.isfinite(measured_index) else None
-    return ValidationReport(
-        entries=entries,
-        index=index,
-        j_count=sd.j_count,
-        s_zero_sign=sd.s_at_zero_sign,
-    )
+    return ValidationReport(entries=entries, j_count=sd.j_count, s_zero_sign=sd.s_at_zero_sign)

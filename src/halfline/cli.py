@@ -117,18 +117,41 @@ def write_scattering_json(path: Path, sd: ScatteringData) -> None:
     _write_json(path, doc)
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; TypeError for any other value, a bool or a
+    numeric string included."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    """A JSON array of numbers as a float array; TypeError for any other
+    value, an array holding a bool, a string or an array included."""
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise TypeError(f"{name} must be an array of numbers")
+    return np.array(values, dtype=float)
+
+
 def read_scattering_json(path: Path) -> ScatteringData:
+    """Scattering data from the JSON artifact.  DataError for an undecodable
+    document, a missing key, an entry that is not a JSON number (a bool or
+    a numeric string included), arrays of different lengths or an
+    s_zero_sign other than +1 or -1."""
     try:
         doc = json.loads(path.read_text())
-        k, s_re, s_im = (np.array(doc[key], dtype=float) for key in ("k", "S_re", "S_im"))
-        bound = tuple(BoundState(float(b["kappa"]), float(b["s"])) for b in doc.get("bound_states", []))
-        sign = int(doc.get("s_zero_sign", 1))
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
-        # JSONDecodeError is a ValueError; a missing key a KeyError
+        k, s_re, s_im = (_numbers(doc[key], key) for key in ("k", "S_re", "S_im"))
+        bound = tuple(BoundState(_number(b["kappa"], "kappa"), _number(b["s"], "s")) for b in doc.get("bound_states", []))
+        sign = _number(doc.get("s_zero_sign", 1), "s_zero_sign")
+    except (ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
+        # JSONDecodeError is a ValueError; a missing key a KeyError; an integer
+        # beyond float range an OverflowError
         raise DataError(f"{path}: malformed scattering JSON ({type(exc).__name__}: {exc})") from None
-    if k.ndim != 1 or not k.shape == s_re.shape == s_im.shape:
+    if not k.shape == s_re.shape == s_im.shape:
         raise DataError(f"{path}: k, S_re and S_im lengths differ ({k.size}, {s_re.size}, {s_im.size})")
-    return ScatteringData(kgrid=MomentumGrid(k), s_values=s_re + 1j * s_im, bound_states=bound, s_at_zero_sign=sign)
+    if sign not in (1, -1):
+        raise DataError(f"{path}: malformed scattering JSON (s_zero_sign must be +1 or -1, got {sign!r})")
+    return ScatteringData(kgrid=MomentumGrid(k), s_values=s_re + 1j * s_im, bound_states=bound, s_at_zero_sign=int(sign))
 
 
 def read_f_csv(path: Path) -> MarchenkoInput:
@@ -318,14 +341,14 @@ def _forward(ns: argparse.Namespace) -> tuple[Potential, ForwardResult]:
 def _run_forward(ns: argparse.Namespace) -> int:
     """potential -> scattering data"""
     _, result = _forward(ns)
-    sd, jost = result.sd, result.jost
+    sd = result.sd
     k = sd.kgrid.nodes
     write_scattering_json(ns.out_dir / "scattering.json", sd)
     _write_csv(ns.out_dir / "phase_shift.csv", ["k", "delta"], [k, result.delta])
     _write_csv(
         ns.out_dir / "jost.csv",
         ["k", "f_re", "f_im", "fprime_re", "fprime_im"],
-        [k, jost.f0.real, jost.f0.imag, jost.fprime0.real, jost.fprime0.imag],
+        [k, result.f0.real, result.f0.imag, result.fprime0.real, result.fprime0.imag],
     )
     idx = characterize.check_index(sd).measured
     print(f"forward: J={sd.j_count}, index={idx:g}, S(0) sign {sd.s_at_zero_sign:+d}, wrote {ns.out_dir}")
@@ -362,7 +385,7 @@ def _run_riemann(ns: argparse.Namespace) -> int:
     """scattering data -> Jost function"""
     sd = read_scattering_json(ns.data)
     sol = rm.solve_riemann(sd)
-    report = rm.verify_factorization(sol, sd)
+    report = rm.verify_factorization(sol)
     _write_csv(ns.out_dir / "jost_boundary.csv", ["k", "f_re", "f_im"], [sd.kgrid.nodes, sol.f0.real, sol.f0.imag])
     _write_json(ns.out_dir / "factorization_report.json", report)
     print(

@@ -36,7 +36,6 @@ from .characterize import check_discrete, check_symmetry_unitarity
 from .errors import DataError, SolverError
 from .model import (
     BoundState,
-    JostField,
     MomentumGrid,
     Potential,
     ScatteringData,
@@ -72,6 +71,16 @@ def _kappa_scan(q_max: float) -> np.ndarray:
     1.5 sqrt(q_max) + 0.5 for a potential whose depth is at most q_max
     (every kappa_j^2 lies below it)."""
     return np.arange(KAPPA_MIN, float(np.sqrt(q_max)) * 1.5 + 0.5 + SCAN_STEP, SCAN_STEP)
+
+
+def _check_resolution(q_max: float, dx: float) -> None:
+    """SolverError unless a grid of spacing dx resolves a potential of depth
+    q_max: dx sqrt(q_max) < pi, the sampling limit of the local wavenumber.
+    Past it the discrete problem is not the continuum's, and the scan's
+    length (150 sqrt(q_max) nodes) is unbounded."""
+    r = dx * float(np.sqrt(q_max))
+    if not r < np.pi:
+        raise SolverError(f"the grid does not resolve the potential: dx sqrt(max|q|) = {r:.3g} >= pi")
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +249,11 @@ def jost_boundary(q: Potential, kgrid: MomentumGrid) -> tuple[np.ndarray, np.nda
     """Boundary values f(k) = f(0,k) and f'(0,k) on a symmetric real grid.
 
     Only the upper half k >= 0 is marched; negative momenta are filled by
-    the reality relation f(-k) = conj f(k).  Both arrays are complex.
+    the reality relation f(-k) = conj f(k).  Both arrays are complex.  A
+    grid that cannot resolve q is refused before the march
+    (_check_resolution).
     """
+    _check_resolution(np.max(np.abs(q.values)), q.grid.dx)
     f0, fprime0, _ = _march(q.values, q.grid.dx, kgrid.nodes[kgrid.upper])
     return kgrid.mirror(f0.astype(complex, copy=False), np.conj), kgrid.mirror(fprime0.astype(complex, copy=False), np.conj)
 
@@ -285,12 +297,15 @@ class BoundStateScan:
     resonance_suspected: bool
 
 
-def _imag_axis_zeros(g, q_max: float, tol: float):
+def _imag_axis_zeros(g, q_max: float, dx: float, tol: float):
     """The bound-state search of find_bound_states and data_from_kernel:
     zeros of the vectorized g(kappa) = f(0, i kappa), for a potential of
-    depth at most q_max, as (grid, lo, roots, resonance).
+    depth at most q_max on a grid of spacing dx, as (grid, lo, roots,
+    resonance).
 
-    One call of g on kappa = 0 and the scan grid = _kappa_scan(q_max).
+    SolverError first if the grid cannot resolve that depth
+    (_check_resolution).  Then one call of g on kappa = 0 and the scan
+    grid = _kappa_scan(q_max).
     f(i kappa) -> 1 as kappa -> inf, so g < 0 at the scan edge means zeros
     beyond it and raises SolverError.  The brackets [grid[lo], grid[lo+1]]
     are the scan intervals whose left node is an exact zero (its own root)
@@ -300,6 +315,7 @@ def _imag_axis_zeros(g, q_max: float, tol: float):
     RESONANCE_TOL, or a sign change straddling KAPPA_MIN, raises the
     zero-energy-resonance flag.
     """
+    _check_resolution(q_max, dx)
     grid = _kappa_scan(q_max)
     gv = g(np.concatenate([[0.0], grid]))
     g0, gv = float(gv[0]), gv[1:]
@@ -326,7 +342,7 @@ def find_bound_states(q: Potential) -> BoundStateScan:
     against their twins on the 2*dx subsampled grid (_coarse_roots),
     removing the O(dx^2) discretization bias.
     """
-    grid, lo, roots, resonance = _imag_axis_zeros(lambda kp: _f0_imag_axis(q, kp), np.max(np.abs(q.values)), ROOT_TOL)
+    grid, lo, roots, resonance = _imag_axis_zeros(lambda kp: _f0_imag_axis(q, kp), np.max(np.abs(q.values)), q.grid.dx, ROOT_TOL)
     if q.grid.n % 2 == 1 and lo.size:
         roots_c = _coarse_roots(q, grid, lo, roots)
         roots = np.where(np.isnan(roots_c), roots, (4.0 * roots - roots_c) / 3.0)
@@ -435,17 +451,17 @@ def _scattering_data(q: Potential, kgrid: MomentumGrid, f0: np.ndarray) -> Scatt
 def _data_from_jost(kgrid: MomentumGrid, f0: np.ndarray, bound: tuple, resonance: bool) -> ScatteringData:
     """Scattering data from Jost boundary values f0 on kgrid.
 
-    S = f(-k)/f(k) = conj(f)/f, so |S| = 1 to rounding.  At the k = 0 node
-    the 0/0 limit is replaced by the sign convention S(0) = -1 for a
-    zero-energy resonance (f(0) = 0, a simple zero) and S(0) = +1 otherwise.
-    Raises SolverError if f vanishes more than 10 dk away from k = 0.
+    S = f(-k)/f(k) = conj(f)/f, so |S| = 1 to rounding.  The k = 0 node is
+    not divided, since f(0) may be 0: it takes the sign convention
+    S(0) = -1 for a zero-energy resonance (f(0) = 0, a simple zero) and
+    S(0) = +1 otherwise.  Raises SolverError if f vanishes more than 10 dk
+    away from k = 0.
     """
     if np.any(np.abs(f0[np.abs(kgrid.nodes) > 10 * kgrid.dk]) < 1e-12):
         raise SolverError("Jost boundary value vanishes away from k = 0")
-    svals = np.conj(f0) / f0
     sign = -1 if resonance else 1
-    if kgrid.zero_index is not None:
-        svals[kgrid.zero_index] = complex(sign)
+    off_zero = np.arange(kgrid.n) != kgrid.zero_index  # all nodes when there is no k = 0 node
+    svals = np.divide(np.conj(f0), f0, out=np.full(kgrid.n, complex(sign)), where=off_zero)
     return ScatteringData(kgrid=kgrid, s_values=svals, bound_states=bound, s_at_zero_sign=sign)
 
 
@@ -600,10 +616,14 @@ def _fill_block(K: np.ndarray, nb: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ForwardResult:
-    """Everything the direct problem produces for one potential."""
+    """Everything the direct problem produces for one potential: its
+    scattering data sd, and on the grid sd.kgrid the Jost boundary values
+    f0 = f(0, k) and fprime0 = f'(0, k) and the phase shift delta.  forward
+    marks the three arrays read-only where it builds them."""
 
-    jost: JostField
     sd: ScatteringData
+    f0: np.ndarray
+    fprime0: np.ndarray
     delta: np.ndarray
 
 
@@ -611,11 +631,12 @@ def forward(q: Potential, kgrid: MomentumGrid | None = None) -> ForwardResult:
     """Full direct problem: Jost boundary data, scattering data and phase
     shift, on kgrid (by default [-200, 200] with dk = 0.01).
 
-    The scattering data must pass the characterization's symmetry/unitarity
-    check at FORWARD_TOL and the discrete-data check; a failure raises
-    SolverError naming the failed checks.  The result holds neither the
-    transformation kernel nor the Jost field f(x, k): kernel_from_potential
-    and jost_field compute those.
+    A grid that cannot resolve q is refused before any march (by
+    jost_boundary, SolverError).  The scattering data must pass the
+    characterization's symmetry/unitarity check at FORWARD_TOL and the
+    discrete-data check; a failure raises SolverError naming the failed
+    checks.  The result holds neither the transformation kernel nor the
+    Jost field f(x, k): kernel_from_potential and jost_field compute those.
     """
     if kgrid is None:
         kgrid = MomentumGrid.make(200.0, 0.01)
@@ -626,5 +647,6 @@ def forward(q: Potential, kgrid: MomentumGrid | None = None) -> ForwardResult:
     if bad:
         raise SolverError("forward data failed validation: " + "; ".join(bad))
     delta = phase_shift(sd)
-    jost = JostField(kgrid=kgrid, f0=f0, fprime0=fprime0)
-    return ForwardResult(jost=jost, sd=sd, delta=delta)
+    for a in (f0, fprime0, delta):
+        a.flags.writeable = False
+    return ForwardResult(sd=sd, f0=f0, fprime0=fprime0, delta=delta)

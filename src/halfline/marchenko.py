@@ -401,7 +401,8 @@ def data_from_kernel(kernel: TransformationKernel, kgrid: MomentumGrid | None = 
     by one chirp-z transform and mirrored by f(-k) = conj f(k); bound states
     are the zeros of f(i kappa) on the imaginary axis, found and refined to
     |f| <= 1e-12 by forward._imag_axis_zeros, the forward route's zero
-    search, with max|q| read off the kernel diagonal (q = -2 dA(x,x)/dx);
+    search, with max|q| read off the kernel diagonal (q = -2 dA(x,x)/dx),
+    which refuses a grid that cannot resolve that depth (SolverError);
     s_j = ||f_j||^{-2} with f_j(x) = e^{-kappa_j x} +
     int_x^inf A(x,y) e^{-kappa_j y} dy, each row by its own Simpson rule
     (_simpson_rows); and S = conj(f)/f with the S(0) sign set by the
@@ -438,7 +439,7 @@ def data_from_kernel(kernel: TransformationKernel, kgrid: MomentumGrid | None = 
         return 1.0 + out
 
     q_max = 2.0 * float(np.max(np.abs(differentiate(kernel.diagonal, dx))))
-    _, _, kappas, resonance = _imag_axis_zeros(f_imag, q_max, 1e-12)
+    _, _, kappas, resonance = _imag_axis_zeros(f_imag, q_max, dx, 1e-12)
     # f_j(x) = e^{-kappa_j x} + int_x^inf A(x,y) e^{-kappa_j y} dy for all
     # states at once; rows past the block have A = 0, so f_j = e^{-kappa_j x}
     decay = np.exp(-np.multiply.outer(y, kappas))

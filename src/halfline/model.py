@@ -1,10 +1,11 @@
 """Domain types for half-line scattering: grids, potentials, scattering data,
-Jost boundary data, transformation kernels, and the validation report.
+transformation kernels, and the validation report.
 
 All types are immutable value objects: arrays are copied on construction and
 marked read-only, so instances can be shared freely.  Each fact has one
-owner: a grid owns its spacing, a kernel stores only its nonzero block, and
-F = F_s + F_d is summed once, at construction.
+owner: a grid owns its spacing, a kernel stores only its nonzero block,
+F = F_s + F_d is summed once, at construction, and a validation report
+reads its index from its index entry.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "Potential",
     "BoundState",
     "ScatteringData",
-    "JostField",
     "TransformationKernel",
     "MarchenkoInput",
     "ConditionEntry",
@@ -228,24 +228,6 @@ class ScatteringData:
 
 
 @dataclass(frozen=True)
-class JostField:
-    """Jost boundary data on a momentum grid: f(k) = f(0,k) and the
-    derivatives f'(0,k) of the Jost solution."""
-
-    kgrid: MomentumGrid
-    f0: np.ndarray
-    fprime0: np.ndarray
-
-    def __post_init__(self):
-        f0 = _frozen(self.f0, dtype=complex)
-        fp = _frozen(self.fprime0, dtype=complex)
-        if f0.shape != self.kgrid.nodes.shape or fp.shape != self.kgrid.nodes.shape:
-            raise DataError("boundary samples must match the momentum grid")
-        object.__setattr__(self, "f0", f0)
-        object.__setattr__(self, "fprime0", fp)
-
-
-@dataclass(frozen=True)
 class TransformationKernel:
     """Triangular transformation kernel A(x,y) on grid x grid, zero for
     y < x, stored as its leading nb x nb block (nb <= n): A is 0 outside it.
@@ -360,9 +342,15 @@ class ValidationReport:
     """Aggregated characterization verdict for a scattering data set."""
 
     entries: tuple[ConditionEntry, ...]
-    index: int | None
     j_count: int
     s_zero_sign: int
+
+    @property
+    def index(self) -> int | None:
+        """The winding index the "index" entry measured; None when that
+        entry is inconclusive (measured nan) or absent."""
+        measured = next((e.measured for e in self.entries if e.name == "index"), float("nan"))
+        return int(measured) if np.isfinite(measured) else None
 
     @property
     def passed(self) -> bool:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .characterize import check_index
 from .errors import DataError, IndexMismatchError
-from .model import MomentumGrid, ScatteringData
-from .numkit import pv_cauchy_grid, quadrature_weights, unwrap_phase, winding_number
+from .model import ScatteringData
+from .numkit import pv_cauchy_grid, quadrature_weights, unwrap_phase
 
 __all__ = [
     "RiemannSolution",
@@ -60,27 +60,44 @@ def blaschke_shifted(kappas, kappa_shift: float, k):
     """w0(k) = w(k) * k/(k + i kappa_shift); vanishes at k = 0, which builds
     the zero-energy resonance into the factorization.  kappa_shift must be
     positive and distinct from every kappa_j."""
+    k = np.asarray(k, dtype=complex)
+    out = _shifted(blaschke(kappas, k), kappas, kappa_shift, k)
+    return out if np.ndim(out) else complex(out)
+
+
+def _shifted(w, kappas, kappa_shift: float, k: np.ndarray):
+    """blaschke_shifted from w = blaschke(kappas, k)."""
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
     if kappa_shift <= 0:
         raise DataError("kappa_shift must be positive")
     if kappas.size and np.min(np.abs(kappas - kappa_shift)) < 1e-9:
         raise DataError("kappa_shift collides with a bound-state kappa")
-    k = np.asarray(k, dtype=complex)
-    out = blaschke(kappas, k) * k / (k + 1j * kappa_shift)
-    return out if np.ndim(out) else complex(out)
+    return w * k / (k + 1j * kappa_shift)
+
+
+def _kappa_shift(sd: ScatteringData) -> float:
+    """0 in the generic case; in the resonance case one above the largest
+    kappa_j (1 when J = 0)."""
+    return 0.0 if sd.s_at_zero_sign == 1 else 1.0 + float(max(sd.kappas, default=0.0))
 
 
 @dataclass(frozen=True)
 class RiemannSolution:
-    """Jost boundary values reconstructed from S and the kappa list."""
+    """Jost boundary values f0 on sd.kgrid, reconstructed from the data sd
+    solved (S and the kappa list), with the index of S and log g."""
 
-    kgrid: MomentumGrid
+    sd: ScatteringData
     f0: np.ndarray
     index: int
-    case: str
-    kappa_shift: float
-    kappas: np.ndarray
     log_g: np.ndarray
+
+    @property
+    def case(self) -> str:
+        return "generic" if self.sd.s_at_zero_sign == 1 else "resonance"
+
+    @property
+    def kappa_shift(self) -> float:
+        return _kappa_shift(self.sd)
 
     def continue_upper(self, z) -> np.ndarray:
         """Analytic continuation f(z) for Im z > 0 via the (non-singular)
@@ -88,14 +105,14 @@ class RiemannSolution:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         if np.any(z.imag <= 0):
             raise DataError("continuation requires Im z > 0")
-        t = self.kgrid.nodes
-        w = quadrature_weights(t.size, self.kgrid.dk)
+        t, kappas = self.sd.kgrid.nodes, self.sd.kappas
+        w = quadrature_weights(t.size, self.sd.kgrid.dk)
         cauchy = ((w * self.log_g)[None, :] / (t[None, :] - z[:, None])).sum(axis=1)
         phi = np.exp(cauchy / (2j * np.pi))
         if self.case == "resonance":
-            W = blaschke_shifted(self.kappas, self.kappa_shift, z)
+            W = blaschke_shifted(kappas, self.kappa_shift, z)
         else:
-            W = blaschke(self.kappas, z)
+            W = blaschke(kappas, z)
         return W * phi
 
 
@@ -104,9 +121,10 @@ def solve_riemann(sd: ScatteringData) -> RiemannSolution:
 
     Raises IndexMismatchError, with the entry's note, on data failing
     characterize.check_index; the S(0) sign flag then picks the generic or
-    the resonance case.  Forms the reduced jump g = S(-k) W(-k)/W(k),
-    verifies ind g = 0, takes the continuous (purely imaginary) logarithm
-    anchored at -k_max with |g| renormalized to 1, evaluates the
+    the resonance case.  Forms the reduced jump g = S(-k) W(-k)/W(k) from
+    one evaluation of the Blaschke product, takes the continuous (purely
+    imaginary) logarithm anchored at -k_max with |g| renormalized to 1,
+    verifies from it that ind g = 0, evaluates the
     principal-value Cauchy transform at every node with the analytic
     O(1/t) tail of log g added, and returns
     f = W exp[(1/2pi) pv + i arg g / 2].
@@ -118,24 +136,20 @@ def solve_riemann(sd: ScatteringData) -> RiemannSolution:
     entry = check_index(sd)
     if not entry.passed:
         raise IndexMismatchError(f"S fails the index condition: {entry.note}")
-    kappas = sd.kappas
-    if sd.s_at_zero_sign == 1:
-        case = "generic"
-        shift = 0.0
-        W = blaschke(kappas, k)
-        ratio = np.conj(W) / W  # W(-k) = conj W(k) = 1/W(k) on the axis
-    else:
-        case = "resonance"
-        shift = 1.0 + (float(np.max(kappas)) if kappas.size else 0.0)
-        W = blaschke_shifted(kappas, shift, k)
+    w = blaschke(sd.kappas, k)
+    ratio = np.conj(w) / w  # w(-k) = conj w(k) = 1/w(k) on the axis
+    W = w
+    if sd.s_at_zero_sign == -1:
+        shift = _kappa_shift(sd)
+        W = _shifted(w, sd.kappas, shift, k)
         # w0(-k)/w0(k) = (1/w^2) (k + i shift)/(k - i shift): no zero at 0
-        ratio = (np.conj(blaschke(kappas, k)) / blaschke(kappas, k)) * (k + 1j * shift) / (k - 1j * shift)
+        ratio = ratio * (k + 1j * shift) / (k - 1j * shift)
     g = s[::-1] * ratio  # S(-k) at node k is the reflected sample
     g = g / np.abs(g)  # enforce unimodularity before taking the log
-    g_idx, g_resid = winding_number(g)
+    theta = unwrap_phase(g)
+    g_idx = round(float(theta[-1] - theta[0]) / (2 * np.pi))
     if g_idx != 0:
         raise IndexMismatchError(f"reduced jump has winding {g_idx}, expected 0")
-    theta = unwrap_phase(g)
     log_g = 1j * theta
     tail_coeff = 0.5 * float(theta[-1] * k[-1] + theta[0] * k[0])
     pv = pv_cauchy_grid(theta, k, tail_coeff=tail_coeff)
@@ -143,19 +157,12 @@ def solve_riemann(sd: ScatteringData) -> RiemannSolution:
     # the operands swapped, which moves the last bit of f0
     phi_plus = np.exp(pv / (2 * np.pi) + 0.5j * theta)
     f0 = W * phi_plus
-    return RiemannSolution(
-        kgrid=sd.kgrid,
-        f0=f0,
-        index=int(entry.measured),
-        case=case,
-        kappa_shift=shift,
-        kappas=np.asarray(kappas, dtype=float),
-        log_g=log_g,
-    )
+    return RiemannSolution(sd=sd, f0=f0, index=int(entry.measured), log_g=log_g)
 
 
-def verify_factorization(sol: RiemannSolution, sd: ScatteringData) -> dict:
-    """Diagnostics for a computed factorization.
+def verify_factorization(sol: RiemannSolution) -> dict:
+    """Diagnostics for a computed factorization, against the data sol.sd
+    it was solved from.
 
     Reports the boundary-relation residual max |S(k) f(k) - f(-k)|, the
     reality residual max |f(-k) - conj f(k)|, |f(i kappa_j)| by upper
@@ -163,7 +170,7 @@ def verify_factorization(sol: RiemannSolution, sd: ScatteringData) -> dict:
     vanishes there), |f(0)| in the resonance case, and the deviation of
     f at the grid ends from its unit limit.
     """
-    f = sol.f0
+    f, sd = sol.f0, sol.sd
     s = sd.s_values
     interior = slice(1, -1)
     boundary = float(np.max(np.abs((s * f - f[::-1])[interior])))
@@ -180,6 +187,6 @@ def verify_factorization(sol: RiemannSolution, sd: ScatteringData) -> dict:
         fz = sol.continue_upper(1j * kappas)
         out["f_at_zeros"] = np.abs(fz).tolist()
         out["max_zero_residual"] = float(np.max(np.abs(fz)))
-    if sol.case == "resonance" and sol.kgrid.zero_index is not None:
-        out["f_at_origin"] = float(np.abs(f[sol.kgrid.zero_index]))
+    if sol.case == "resonance" and sd.kgrid.zero_index is not None:
+        out["f_at_origin"] = float(np.abs(f[sd.kgrid.zero_index]))
     return out

@@ -82,7 +82,7 @@ def test_criterion_2_soliton_closed_form():
 def test_criterion_3_forward_oracle(fw_sech2):
     kg = fw_sech2.sd.kgrid
     band = np.abs(kg.nodes) <= 20.0
-    f_err = float(np.max(np.abs(fw_sech2.jost.f0 - kg.nodes / (kg.nodes + 1j))[band]))
+    f_err = float(np.max(np.abs(fw_sech2.f0 - kg.nodes / (kg.nodes + 1j))[band]))
     ref_s = (kg.nodes + 1j) / (kg.nodes - 1j)
     ref_s[kg.zero_index] = -1.0
     # S amplifies the f error by 1/|f| near the resonance zero; compare S
@@ -189,7 +189,7 @@ def test_criterion_6_riemann_factorization(q_well):
     # resonance case
     sd3 = analytic_sech2_data(kg)
     sol3 = rm.solve_riemann(sd3)
-    rep3 = rm.verify_factorization(sol3, sd3)
+    rep3 = rm.verify_factorization(sol3)
     f0_at_zero = abs(sol3.f0[kg.zero_index])
     res_resid = max(rep3["boundary_residual"], rep3["reality_residual"])
     # forward cross-check on the square well

@@ -577,6 +577,50 @@ def test_grid_numpy_cannot_allocate_exits_with_stage_code(tmp_path, sech2_csv, c
     assert "cannot build a grid" in err and "Traceback" not in err
 
 
+def _set_entry(key, i, value):
+    return lambda doc: doc[key].__setitem__(i, value(doc[key][i]))
+
+
+# each of these was once read as a number (s_zero_sign 1.5, true and "1"
+# as +1, so identity data passed validate; -1.9 as -1), or, an integer
+# beyond float range, ended in a traceback
+MALFORMED_NUMBERS = {
+    "sign 1.5": lambda doc: doc.update(s_zero_sign=1.5),
+    "sign true": lambda doc: doc.update(s_zero_sign=True),
+    "sign string": lambda doc: doc.update(s_zero_sign="1"),
+    "sign -1.9": lambda doc: doc.update(s_zero_sign=-1.9),
+    "k string": _set_entry("k", 3, repr),
+    "S_re string": _set_entry("S_re", 3, repr),
+    "S_im bool": _set_entry("S_im", 3, bool),
+    "k beyond float": _set_entry("k", 3, lambda v: 10**400),
+    "kappa string": lambda doc: doc["bound_states"].append({"kappa": "1.0", "s": 2.0}),
+    "s bool": lambda doc: doc["bound_states"].append({"kappa": 1.0, "s": True}),
+}
+
+
+@pytest.mark.parametrize("tamper", MALFORMED_NUMBERS.values(), ids=MALFORMED_NUMBERS.keys())
+def test_scattering_json_refuses_malformed_numbers(tmp_path, capsys, tamper):
+    path = identity_dataset(tmp_path)
+    doc = json.loads(path.read_text())
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="malformed scattering JSON"):
+        cli.read_scattering_json(path)
+    assert cli.main(["validate", "--data", str(path), "--out", str(tmp_path / "v")]) == cli.EXIT_VALIDATION
+    assert "malformed scattering JSON" in capsys.readouterr().err
+    assert_stage_exits(path, tmp_path, capsys, "malformed scattering JSON")
+
+
+def test_unresolved_potential_forward_exits_3(tmp_path, capsys):
+    # a depth-1e200 well at dx 0.01: refused with the forward stage's code,
+    # not an overflow warning and a traceback from the bound-state scan
+    path = tmp_path / "q.csv"
+    cli.write_potential_csv(path, square_well_potential(RadialGrid.make(10.0, 0.01), depth=1e200))
+    assert cli.main(["forward", "--potential", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_FORWARD
+    err = capsys.readouterr().err
+    assert "does not resolve" in err and "Traceback" not in err
+
+
 def test_scattering_json_without_s_re_exits_with_stage_code(tmp_path, capsys):
     path = identity_dataset(tmp_path)
     doc = json.loads(path.read_text())

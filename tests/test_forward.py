@@ -882,7 +882,35 @@ def test_forward_refuses_data_that_fail_the_characterization(monkeypatch, q_zero
         fw.forward(q_zero, kgrid_coarse)
 
 
+def test_forward_exact_zero_at_origin_is_not_divided():
+    # the depth-4 well on [0, 1) sampled at dx 0.5 without an edge midpoint:
+    # the march gives f(0) = 0 exactly, and S(0) takes the resonance sign
+    # without a 0/0 division (which would warn)
+    x = 0.5 * np.arange(21)
+    q = Potential(grid=RadialGrid(x), values=np.where(x < 1.0, -4.0, 0.0))
+    res = fw.forward(q)
+    zi = res.sd.kgrid.zero_index
+    assert res.f0[zi] == 0.0
+    assert res.sd.s_at_zero_sign == -1 and res.sd.s_values[zi] == -1.0
+
+
+def test_forward_refuses_an_unresolved_potential_before_marching(monkeypatch):
+    # dx sqrt(max|q|) = 1e98 is far past the sampling limit pi: the scan
+    # would need 1.5e102 nodes, and a march would overflow
+    q = square_well_potential(RadialGrid.make(10.0, 0.01), depth=1e200)
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("forward marched an unresolved potential")
+
+    monkeypatch.setattr(fw, "_march", no_march)
+    with pytest.raises(SolverError, match="does not resolve"):
+        fw.forward(q)
+    for stage in (fw.find_bound_states, lambda q: fw.s_matrix(q, MomentumGrid.make(20.0, 0.05))):
+        with pytest.raises(SolverError, match="does not resolve"):
+            stage(q)
+
+
 def test_forward_result_bundle(fw_well):
     assert fw_well.sd.j_count == 1
-    assert fw_well.jost.f0.shape == fw_well.sd.kgrid.nodes.shape
+    assert fw_well.f0.shape == fw_well.sd.kgrid.nodes.shape
     assert fw_well.delta.shape == fw_well.sd.kgrid.nodes.shape

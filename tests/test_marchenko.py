@@ -567,6 +567,15 @@ def test_data_from_kernel_flags_states_beyond_scan(monkeypatch, deep_well_kernel
         mk.data_from_kernel(K, kgrid=MomentumGrid.make(20.0, 0.05))
 
 
+def test_data_from_kernel_refuses_an_unresolved_kernel():
+    # A(x, x) ramps to 1e150 on [0, 1]: max|q| = 2 max|dA(x,x)/dx| = 2e150,
+    # far past the grid's sampling limit dx sqrt(max|q|) < pi
+    xg = RadialGrid.make(1.0, 0.1)
+    K = TransformationKernel(grid=xg, block=np.diag(1e150 * xg.nodes))
+    with pytest.raises(SolverError, match="does not resolve"):
+        mk.data_from_kernel(K, kgrid=MomentumGrid.make(20.0, 0.05))
+
+
 def test_data_from_kernel_flags_straddling_sign_change():
     # A(x, y) = -1.005 c e^{-c(x+y)} gives f(i kappa) ~ 1 - 1.005 c/(c + kappa):
     # f(0) ~ -5e-3 is above RESONANCE_TOL in size, but f changes sign below

@@ -8,7 +8,6 @@ from halfline.errors import DataError, GridError
 from halfline.forward import FORWARD_TOL, kernel_from_potential
 from halfline.model import (
     BoundState,
-    JostField,
     MarchenkoInput,
     MomentumGrid,
     Potential,
@@ -98,21 +97,21 @@ def test_grid_make_refuses_impossible_spacings(dx):
         MomentumGrid.make(1e300, 0.01)
 
 
-def test_arrays_are_frozen():
-    # every array a value type exposes, the derived diagonal and F included,
-    # refuses an item write
+def test_arrays_are_frozen(fw_well):
+    # every array a value type exposes, the derived diagonal and F and
+    # forward's result included, refuses an item write
     xg = RadialGrid.make(1.0, 0.1)
     kg = MomentumGrid.make(2.0, 0.5)
     q = square_well_potential(xg, width=0.5)
     sd = ScatteringData(kgrid=kg, s_values=np.ones(kg.n, dtype=complex))
-    jost = JostField(kgrid=kg, f0=np.ones(kg.n), fprime0=1j * kg.nodes)
     kernel = kernel_from_potential(q)
     F = MarchenkoInput(xgrid=RadialGrid.make(2.0, 0.1), fs_values=np.ones(21), fd_values=np.ones(21))
     exposed = {
         "Potential.values": q.values,
         "ScatteringData.s_values": sd.s_values,
-        "JostField.f0": jost.f0,
-        "JostField.fprime0": jost.fprime0,
+        "ForwardResult.f0": fw_well.f0,
+        "ForwardResult.fprime0": fw_well.fprime0,
+        "ForwardResult.delta": fw_well.delta,
         "TransformationKernel.values": kernel.values,
         "TransformationKernel.diagonal": kernel.diagonal,
         "MarchenkoInput.fs_values": F.fs_values,

@@ -79,7 +79,7 @@ def test_riemann_identity(kg):
     sol = rm.solve_riemann(sd)
     assert sol.case == "generic" and sol.index == 0
     assert np.max(np.abs(sol.f0 - 1.0)) < 1e-12
-    rep = rm.verify_factorization(sol, sd)
+    rep = rm.verify_factorization(sol)
     assert rep["boundary_residual"] < 1e-12
     assert rep["reality_residual"] < 1e-12
 
@@ -92,9 +92,9 @@ def test_riemann_blaschke_squared(kg):
     ref = (kg.nodes - 1j) / (kg.nodes + 1j)
     band = np.abs(kg.nodes) <= 20.0
     assert np.max(np.abs(sol.f0 - ref)[band]) < 1e-6
-    phi_plus = sol.f0 / rm.blaschke(sol.kappas, kg.nodes)
+    phi_plus = sol.f0 / rm.blaschke(sol.sd.kappas, kg.nodes)
     assert np.max(np.abs(np.abs(phi_plus) - 1.0)) < 1e-6
-    rep = rm.verify_factorization(sol, sd)
+    rep = rm.verify_factorization(sol)
     assert rep["max_zero_residual"] <= 1e-8  # w(i) = 0 exactly
 
 
@@ -109,7 +109,7 @@ def test_riemann_resonance(kg):
     band = np.abs(kg.nodes) <= 20.0
     assert np.max(np.abs(sol.f0 - ref)[band]) < 1e-4
     assert abs(sol.f0[kg.zero_index]) <= 1e-3
-    rep = rm.verify_factorization(sol, sd)
+    rep = rm.verify_factorization(sol)
     assert rep["boundary_residual"] <= 1e-4
     assert rep["f_at_origin"] <= 1e-3
     # the reconstruction reproduces S away from the flagged node
@@ -133,7 +133,7 @@ def test_riemann_square_well_vs_forward(kg, q_well):
     sol = rm.solve_riemann(sd)
     band = np.abs(kg.nodes) <= 20.0
     assert np.max(np.abs(sol.f0 - f0)[band]) < 1e-3
-    rep = rm.verify_factorization(sol, sd)
+    rep = rm.verify_factorization(sol)
     assert rep["boundary_residual"] < 1e-10
     assert rep["max_zero_residual"] <= 1e-8
 
@@ -167,7 +167,7 @@ def test_riemann_appending_blaschke_shifts_index(kg, q_well):
     assert idx2 == idx0 - 2
     sol = rm.solve_riemann(sd2)
     assert sol.index == idx2
-    rep = rm.verify_factorization(sol, sd2)
+    rep = rm.verify_factorization(sol)
     assert rep["max_zero_residual"] <= 1e-8
 
 
