@@ -269,8 +269,10 @@ def jost_field(q: Potential, ks) -> tuple[np.ndarray, np.ndarray]:
     marched in real arithmetic, as by every other imaginary-axis caller, so
     their columns equal those callers' values bit for bit, and are
     multiplied by the real e^{-kappa x}; both returned arrays are complex
-    all the same.
+    all the same.  A grid that cannot resolve q is refused before the march
+    (_check_resolution).
     """
+    _check_resolution(np.max(np.abs(q.values)), q.grid.dx)
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     _, fprime0, field = _march(q.values, q.grid.dx, ks, keep_field=True)
     if field.dtype == complex:
@@ -402,7 +404,7 @@ def norming_constants(q: Potential, kappas) -> tuple[np.ndarray, list[dict]]:
     discrepancy between the two routes is recorded per state.  One
     jost_field march for all states gives the fields at i kappa_j and the
     values at i (kappa_j +- h).  Every kappa must be finite and positive
-    (DataError).
+    (DataError), and the grid must resolve q (SolverError, from jost_field).
     """
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
     if not np.all(np.isfinite(kappas) & (kappas > 0)):
@@ -530,9 +532,11 @@ def kernel_from_potential(q: Potential) -> TransformationKernel:
     that nb x nb block of A is allocated and returned (the kernel's block;
     A is 0 outside it), read-only, so the kernel keeps it without a copy.
     This is exact, not a cut-off: every entry equals the full march's bit
-    for bit.  A q without exact zeros gives nb = n.
+    for bit.  A q without exact zeros gives nb = n.  A grid that cannot
+    resolve q is refused first (_check_resolution).
     """
     dx = q.grid.dx
+    _check_resolution(np.max(np.abs(q.values)), dx)
     n = q.grid.n
     e = _support_end(q.values) - 2  # last nonzero sample of q
     nb = min(n, 2 * e + 4)  # A = 0 outside the leading nb x nb block

@@ -191,18 +191,21 @@ def test_criterion_6_riemann_factorization(q_well):
     sol3 = rm.solve_riemann(sd3)
     rep3 = rm.verify_factorization(sol3)
     f0_at_zero = abs(sol3.f0[kg.zero_index])
-    res_resid = max(rep3["boundary_residual"], rep3["reality_residual"])
+    res_resid = rep3["boundary_residual"]
+    h = kg.n // 2
+    mirrored = np.array_equal(sol3.f0[:h][::-1], np.conj(sol3.f0[kg.n - h :]))
     # forward cross-check on the square well
     sdw = fw.s_matrix(q_well, kg)
     f0w, _ = fw.jost_boundary(q_well, kg)
     solw = rm.solve_riemann(sdw)
     well_err = float(np.max(np.abs(solw.f0 - f0w)[band]))
-    ok = blaschke_err <= 1e-6 and f0_at_zero <= 1e-3 and res_resid <= 1e-4 and well_err <= 1e-3
+    ok = blaschke_err <= 1e-6 and f0_at_zero <= 1e-3 and res_resid <= 1e-4 and mirrored and well_err <= 1e-3
     report(
         6,
         "Riemann factorization",
         ok,
-        f"Blaschke^2={blaschke_err:.1e}, |f(0)|={f0_at_zero:.1e}, residual={res_resid:.1e}, well vs forward={well_err:.1e}",
+        f"Blaschke^2={blaschke_err:.1e}, |f(0)|={f0_at_zero:.1e}, residual={res_resid:.1e}, "
+        f"f(-k) = conj f(k): {mirrored}, well vs forward={well_err:.1e}",
     )
 
 

@@ -268,7 +268,7 @@ def test_extract_needs_an_x0_node(tmp_path, capsys):
 def test_artifacts_match_reference_writers(tmp_path, fw_well, monkeypatch):
     # forward, riemann, invert and extract on the README's well write the
     # bytes the reference writers write for the same results: forward's
-    # columns are mirrored, riemann's f0 and invert's columns are not
+    # and riemann's f0 columns are mirrored, invert's columns are not
     qpath = tmp_path / "q.csv"
     cli.write_potential_csv(qpath, square_well_potential(RadialGrid.make(40.0, 0.01)))
     fpath = write_f_csv(tmp_path / "f.csv", fw_well.sd, 20.0, 0.0125)
@@ -285,6 +285,8 @@ def test_artifacts_match_reference_writers(tmp_path, fw_well, monkeypatch):
         return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
     got = run_all(tmp_path / "got")
+    f = np.loadtxt(tmp_path / "got" / "riemann" / "jost_boundary.csv", delimiter=",", skiprows=1)
+    assert [cli._mirror_sign(f[:, 1]), cli._mirror_sign(f[:, 2])] == [1, -1]
     monkeypatch.setattr(cli, "_write_csv", write_csv_reference)
     monkeypatch.setattr(cli, "_write_json", write_json_reference)
     ref = run_all(tmp_path / "ref")

@@ -910,6 +910,20 @@ def test_forward_refuses_an_unresolved_potential_before_marching(monkeypatch):
             stage(q)
 
 
+@pytest.mark.parametrize("entry", ["jost_field", "norming_constants", "kernel_from_potential"])
+def test_public_entry_points_refuse_an_unresolved_potential(entry):
+    # the depth-1e200 well at dx 0.01 is refused before any arithmetic:
+    # unchecked, the marches overflow in matmul and the kernel in a divide
+    q = square_well_potential(RadialGrid.make(10.0, 0.01), depth=1e200)
+    call = {
+        "jost_field": lambda: fw.jost_field(q, [1.0]),
+        "norming_constants": lambda: fw.norming_constants(q, [1.0]),
+        "kernel_from_potential": lambda: fw.kernel_from_potential(q),
+    }[entry]
+    with pytest.raises(SolverError, match="does not resolve"):
+        call()
+
+
 def test_forward_result_bundle(fw_well):
     assert fw_well.sd.j_count == 1
     assert fw_well.f0.shape == fw_well.sd.kgrid.nodes.shape

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from halfline.errors import DataError, IndexMismatchError
+from halfline import cli
 from halfline import forward as fw
 from halfline import riemann as rm
 from halfline.characterize import check_index
@@ -50,20 +51,10 @@ def test_blaschke_pole_rejected():
         rm.blaschke([1.0], -1j)
 
 
-def test_blaschke_shifted_values():
-    assert rm.blaschke_shifted([], 1.0, 1j) == pytest.approx(0.5)
-    assert rm.blaschke_shifted([], 1.0, 0.0) == 0.0
-    assert rm.blaschke_shifted([2.0], 1.0, 0.0) == 0.0
-
-
-def test_blaschke_shifted_collision():
-    with pytest.raises(DataError):
-        rm.blaschke_shifted([1.0], 1.0, 0.5j)
-
-
 def test_blaschke_shifted_index_convention(kg):
-    # the index bookkeeping behind the resonance case: the ratio
-    # w0(k)/w0(-k) = w^2(k) (k - i shift)/(k + i shift) has no zero on the
+    # the index bookkeeping behind the resonance case: with
+    # W = w k/(k + i shift), the ratio
+    # W(k)/W(-k) = w^2(k) (k - i shift)/(k + i shift) has no zero on the
     # axis and winds 2J + 1 times
     k = kg.nodes
     ratio = rm.blaschke([1.0], k) ** 2 * (k - 2j) / (k + 2j)
@@ -81,7 +72,6 @@ def test_riemann_identity(kg):
     assert np.max(np.abs(sol.f0 - 1.0)) < 1e-12
     rep = rm.verify_factorization(sol)
     assert rep["boundary_residual"] < 1e-12
-    assert rep["reality_residual"] < 1e-12
 
 
 def test_riemann_blaschke_squared(kg):
@@ -94,24 +84,20 @@ def test_riemann_blaschke_squared(kg):
     assert np.max(np.abs(sol.f0 - ref)[band]) < 1e-6
     phi_plus = sol.f0 / rm.blaschke(sol.sd.kappas, kg.nodes)
     assert np.max(np.abs(np.abs(phi_plus) - 1.0)) < 1e-6
-    rep = rm.verify_factorization(sol)
-    assert rep["max_zero_residual"] <= 1e-8  # w(i) = 0 exactly
 
 
 def test_riemann_resonance(kg):
-    # with kappa_shift = 1 the reduced jump is identically 1 and
-    # f = w0 = k/(k+i) exactly, vanishing at the origin
+    # with shift = 1 the reduced jump is identically 1 and
+    # f = W = k/(k+i) exactly, vanishing at the origin
     sd = resonance_data(kg)
     sol = rm.solve_riemann(sd)
     assert sol.case == "resonance" and sol.index == -1
-    assert sol.kappa_shift == pytest.approx(1.0)
     ref = kg.nodes / (kg.nodes + 1j)
     band = np.abs(kg.nodes) <= 20.0
     assert np.max(np.abs(sol.f0 - ref)[band]) < 1e-4
     assert abs(sol.f0[kg.zero_index]) <= 1e-3
     rep = rm.verify_factorization(sol)
     assert rep["boundary_residual"] <= 1e-4
-    assert rep["f_at_origin"] <= 1e-3
     # the reconstruction reproduces S away from the flagged node
     mask = np.abs(kg.nodes) > 0.1
     s_back = sol.f0[::-1][mask] / sol.f0[mask]
@@ -135,7 +121,6 @@ def test_riemann_square_well_vs_forward(kg, q_well):
     assert np.max(np.abs(sol.f0 - f0)[band]) < 1e-3
     rep = rm.verify_factorization(sol)
     assert rep["boundary_residual"] < 1e-10
-    assert rep["max_zero_residual"] <= 1e-8
 
 
 def test_riemann_winding_of_f_counts_zeros(kg, q_well):
@@ -167,8 +152,6 @@ def test_riemann_appending_blaschke_shifts_index(kg, q_well):
     assert idx2 == idx0 - 2
     sol = rm.solve_riemann(sd2)
     assert sol.index == idx2
-    rep = rm.verify_factorization(sol)
-    assert rep["max_zero_residual"] <= 1e-8
 
 
 def with_sign(sd, sign):
@@ -209,7 +192,47 @@ def test_riemann_raises_iff_check_index_fails(kg, q_well):
                 rm.solve_riemann(sd)
 
 
-def test_continue_upper_requires_upper(kg):
-    sol = rm.solve_riemann(identity_data(kg))
-    with pytest.raises(DataError):
-        sol.continue_upper(1.0 - 0.5j)
+@pytest.mark.parametrize("name", ["well", "sech2", "blaschke_squared"])
+def test_riemann_f0_mirrors_exactly(kg, q_well, q_sech2, name):
+    # f0 is formed on k >= 0 and filled by f(-k) = conj f(k): the k < 0 half
+    # is the conjugate of the k > 0 half bit for bit (the centre node aside),
+    # on the README well, sech^2 of depth 2 (the resonance case) and the
+    # Blaschke-squared data
+    sd = {
+        "well": lambda: fw.s_matrix(q_well, kg),
+        "sech2": lambda: fw.s_matrix(q_sech2, kg),
+        "blaschke_squared": lambda: blaschke_squared_data(kg),
+    }[name]()
+    f0 = rm.solve_riemann(sd).f0
+    h = kg.n // 2
+    assert np.array_equal(f0[:h][::-1], np.conj(f0[kg.n - h :]))
+
+
+def resonance_cubed_data(kg, kappa):
+    """Resonance data (S(0) = -1, winding -3) with one state at kappa."""
+    s = ((kg.nodes + 1j) / (kg.nodes - 1j)) ** 3
+    s[kg.zero_index] = -1.0
+    return ScatteringData(kgrid=kg, s_values=s, bound_states=(BoundState(kappa, 1.0),), s_at_zero_sign=-1)
+
+
+NONPOSITIVE_KAPPA = {
+    # check_index passes (winding -2, J = 1), and the reduced jump winds 4
+    "blaschke_squared": lambda kg: ScatteringData(
+        kgrid=kg, s_values=blaschke_squared_data(kg).s_values, bound_states=(BoundState(-1.0, 1.0),)
+    ),
+    # check_index passes (winding -3, J = 1), and the largest kappa is -1
+    "resonance": lambda kg: resonance_cubed_data(kg, -1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONPOSITIVE_KAPPA))
+def test_riemann_refuses_nonpositive_kappa(kg, tmp_path, name):
+    # the prescribed zeros i kappa_j must lie in the upper half-plane: a
+    # kappa <= 0 is refused up front, in both cases, and riemann exits 5
+    sd = NONPOSITIVE_KAPPA[name](kg)
+    assert check_index(sd).passed
+    with pytest.raises(DataError, match="must be positive"):
+        rm.solve_riemann(sd)
+    path = tmp_path / "sd.json"
+    cli.write_scattering_json(path, sd)
+    assert cli.main(["riemann", "--data", str(path), "--out", str(tmp_path / "r")]) == cli.EXIT_RIEMANN
