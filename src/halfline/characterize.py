@@ -3,9 +3,10 @@
 Decides whether given data can come from a real potential with finite first
 moment, by checking the four necessary-and-sufficient conditions:
 
-  1. symmetry/unitarity: S(-k) = conj S(k) = 1/S(k) on the real axis and
-     S(k) -> 1 at the ends of the grid;
-  2. discrete data: kappa_j > 0, s_j > 0, strictly increasing;
+  1. symmetry/unitarity: S(-k) = conj S(k) = 1/S(k) on the real axis, to
+     UNITARY_TOL, and S(k) -> 1 at the ends of the grid, to TAIL_TOL;
+  2. discrete data: kappa_j > 0 and s_j > 0 (strictly increasing kappa_j
+     is ScatteringData's own rule, refused at construction);
   3. integrability: F_s and x F' in L1 of the half-line, tested by
      nested-window growth on [0, x_max] (a numerical proxy: "finite L1
      norm" is undecidable from samples, so bounded growth between the half
@@ -20,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import DataError, PhaseUnwrapError
+from .errors import PhaseUnwrapError
 from .model import ConditionEntry, MarchenkoInput, ScatteringData, ValidationReport
 from .numkit import winding_number
 
@@ -32,6 +33,7 @@ __all__ = [
     "full_report",
 ]
 
+UNITARY_TOL = 1e-6  # ||S| - 1| and |S(-k) - conj S(k)| allowed
 TAIL_TOL = 0.05  # |S - 1| allowed at the grid ends
 INTEGRABILITY_WINDOW = 0.05  # half-to-full window growth allowed of the L1 integrals
 INDEX_CONFIDENCE = 0.1  # distance of the winding number from an integer allowed
@@ -39,17 +41,15 @@ F_X_MAX, F_DX = 40.0, 0.01  # the half-line grid [0, F_X_MAX] on which full_repo
 TAPER_FRAC = 0.2  # share of each end of the momentum window under full_report's taper of 1 - S
 
 
-def check_symmetry_unitarity(sd: ScatteringData, tol: float = 1e-6) -> ConditionEntry:
+def check_symmetry_unitarity(sd: ScatteringData) -> ConditionEntry:
     """Unitarity |S| = 1 and conjugate symmetry S(-k) = conj S(k), each to
-    tol, and S -> 1 at the grid ends to TAIL_TOL."""
-    if tol <= 0:
-        raise DataError("tol must be positive")
+    UNITARY_TOL, and S -> 1 at the grid ends to TAIL_TOL."""
     s = sd.s_values
     uni = float(np.max(np.abs(np.abs(s) - 1.0)))
     sym = float(np.max(np.abs(s[::-1] - np.conj(s))))
     tail = float(max(abs(s[0] - 1.0), abs(s[-1] - 1.0)))
-    measured = max(uni / tol, sym / tol, tail / TAIL_TOL)
-    passed = uni <= tol and sym <= tol and tail <= TAIL_TOL
+    measured = max(uni / UNITARY_TOL, sym / UNITARY_TOL, tail / TAIL_TOL)
+    passed = uni <= UNITARY_TOL and sym <= UNITARY_TOL and tail <= TAIL_TOL
     return ConditionEntry(
         name="symmetry_unitarity",
         passed=passed,
@@ -60,12 +60,11 @@ def check_symmetry_unitarity(sd: ScatteringData, tol: float = 1e-6) -> Condition
 
 
 def check_discrete(sd: ScatteringData) -> ConditionEntry:
-    """kappa_j > 0, s_j > 0, kappas strictly increasing."""
+    """kappa_j > 0 and s_j > 0; measured is the smallest of them (0 for
+    J = 0).  The kappas strictly increase by ScatteringData's own rule."""
     kappas = sd.kappas
     ss = sd.norming
-    ok = bool(np.all(kappas > 0) and np.all(ss > 0)) if kappas.size else True
-    if ok and kappas.size > 1:
-        ok = bool(np.all(np.diff(kappas) > 0))
+    ok = bool(np.all(kappas > 0) and np.all(ss > 0))
     worst = float(min(np.min(kappas, initial=np.inf), np.min(ss, initial=np.inf)))
     return ConditionEntry(
         name="discrete_data",
@@ -124,7 +123,7 @@ def check_index(sd: ScatteringData) -> ConditionEntry:
         )
     j = sd.j_count
     expected = -2 * j if sd.s_at_zero_sign == 1 else -2 * j - 1
-    consistent = idx <= 0 and resid <= INDEX_CONFIDENCE and idx == expected
+    consistent = resid <= INDEX_CONFIDENCE and idx == expected  # expected <= 0
     return ConditionEntry(
         name="index",
         passed=bool(consistent),

@@ -60,7 +60,6 @@ RESONANCE_TOL = 1e-3  # |f(0)| below this flags a zero-energy resonance
 KAPPA_MIN = 1e-3  # lower end of the bound-state scan on the imaginary axis
 SCAN_STEP = 0.01  # spacing of the scan; closer pairs of zeros may be missed
 ROOT_TOL = 1e-10  # |f(0, i kappa)| at which a refined bound state is accepted
-FORWARD_TOL = 1e-8  # unitarity and symmetry tolerance forward's data must meet
 NARROW_MARCH = 16  # marches of at most this many momenta run in tree order (see _march)
 TREE_CHUNK = 1024  # nodes per tree-order chunk, a power of two: bounds the stacked maps
 _TWIN_STEPS = 8  # Newton steps after which a 2*dx twin is given up (see _coarse_roots)
@@ -249,13 +248,13 @@ def jost_boundary(q: Potential, kgrid: MomentumGrid) -> tuple[np.ndarray, np.nda
     """Boundary values f(k) = f(0,k) and f'(0,k) on a symmetric real grid.
 
     Only the upper half k >= 0 is marched; negative momenta are filled by
-    the reality relation f(-k) = conj f(k).  Both arrays are complex.  A
-    grid that cannot resolve q is refused before the march
-    (_check_resolution).
+    the reality relation f(-k) = conj f(k).  Both arrays are complex, as
+    the upper half holds a k > 0.  A grid that cannot resolve q is refused
+    before the march (_check_resolution).
     """
     _check_resolution(np.max(np.abs(q.values)), q.grid.dx)
     f0, fprime0, _ = _march(q.values, q.grid.dx, kgrid.nodes[kgrid.upper])
-    return kgrid.mirror(f0.astype(complex, copy=False), np.conj), kgrid.mirror(fprime0.astype(complex, copy=False), np.conj)
+    return kgrid.mirror(f0, np.conj), kgrid.mirror(fprime0, np.conj)
 
 
 def jost_field(q: Potential, ks) -> tuple[np.ndarray, np.ndarray]:
@@ -395,16 +394,18 @@ def norming_constants(q: Potential, kappas) -> tuple[np.ndarray, list[dict]]:
     """Norming constants for verified simple zeros i*kappa_j.
 
     Primary value: s_j = -2 i kappa_j / (fdot(i kappa_j) f'(0, i kappa_j)),
-    with fdot by a central difference along the imaginary axis (step
-    1e-4 * kappa).  This uses the identity
-    ||f_j||^2 = i fdot(i kappa_j) f'(0, i kappa_j) / (2 kappa_j); the variant
-    with f'(0, i kappa_j) in the numerator instead gives the norming
-    constant of the regular solution, c_j = s_j [f'(0, i kappa_j)]^2.
-    Secondary value: s_j = 1 / int_0^inf f(x, i kappa_j)^2 dx.  The relative
-    discrepancy between the two routes is recorded per state.  One
-    jost_field march for all states gives the fields at i kappa_j and the
-    values at i (kappa_j +- h).  Every kappa must be finite and positive
-    (DataError), and the grid must resolve q (SolverError, from jost_field).
+    from ||f_j||^2 = i fdot(i kappa_j) f'(0, i kappa_j) / (2 kappa_j) (with
+    f'(0, i kappa_j) in the numerator instead it gives the regular
+    solution's c_j = s_j [f'(0, i kappa_j)]^2).  The march is real on the
+    imaginary axis, and fdot = -i gdot for g(kappa) = f(0, i kappa), so
+    s_j = 2 kappa_j / (gdot f'(0, i kappa_j)) in real arithmetic, gdot by a
+    central difference (step h = 1e-4 * kappa).  Secondary value:
+    s_j = 1 / int_0^inf f(x, i kappa_j)^2 dx; the relative discrepancy of
+    the two routes is recorded per state.  One jost_field march for all
+    states gives the fields at i kappa_j and the values at i (kappa_j +- h).
+    DataError unless every kappa is finite and positive; SolverError if the
+    grid cannot resolve q, a zero is not simple (|gdot| < 1e-8) or
+    gdot f'(0, i kappa_j) is zero or not finite.
     """
     kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
     if not np.all(np.isfinite(kappas) & (kappas > 0)):
@@ -412,24 +413,20 @@ def norming_constants(q: Potential, kappas) -> tuple[np.ndarray, list[dict]]:
     nj = kappas.size
     h = 1e-4 * kappas
     f_x, fprime0 = jost_field(q, 1j * np.concatenate([kappas, kappas + h, kappas - h]))
-    gp, gm = f_x[0, nj : 2 * nj].real, f_x[0, 2 * nj :].real
-    out = np.empty(nj)
+    gdot = (f_x[0, nj : 2 * nj].real - f_x[0, 2 * nj :].real) / (2 * h)
+    flat = np.abs(gdot) < 1e-8
+    if np.any(flat):
+        raise SolverError(f"zero at kappa = {kappas[flat][0]:.6f} is not simple (|fdot| < 1e-8)")
+    denom = gdot * fprime0[:nj].real
+    bad = ~np.isfinite(denom) | (denom == 0.0)
+    if np.any(bad):
+        raise SolverError(f"norming constant at kappa = {kappas[bad][0]:.6f} is undefined: g'(kappa) f'(0, i kappa) = {denom[bad][0]:.3g}")
+    s = 2 * kappas / denom
     report = []
-    for j, kap in enumerate(kappas):
-        # f is analytic: d/dk = -i d/dkappa along k = i*kappa
-        fdot = -1j * (gp[j] - gm[j]) / (2 * h[j])
-        if abs(fdot) < 1e-8:
-            raise SolverError(f"zero at kappa = {kap:.6f} is not simple (|fdot| < 1e-8)")
-        s_primary = -2j * kap / (fdot * complex(fprime0[j]))
-        if abs(s_primary.imag) > 1e-6 * max(1.0, abs(s_primary.real)):
-            raise SolverError(f"norming constant at kappa = {kap:.6f} is not real: {s_primary}")
-        norm = float(integrate(np.real(f_x[:, j]) ** 2, q.grid))
-        s_secondary = 1.0 / norm
-        sp = float(s_primary.real)
-        rel = abs(sp - s_secondary) / max(abs(sp), abs(s_secondary))
-        out[j] = sp
-        report.append({"kappa": float(kap), "s": sp, "s_norm": s_secondary, "rel_diff": rel})
-    return out, report
+    for j, (kap, sp) in enumerate(zip(kappas.tolist(), s.tolist())):
+        s_norm = 1.0 / float(integrate(f_x[:, j].real ** 2, q.grid))
+        report.append({"kappa": kap, "s": sp, "s_norm": s_norm, "rel_diff": abs(sp - s_norm) / max(abs(sp), abs(s_norm))})
+    return s, report
 
 
 def s_matrix(q: Potential, kgrid: MomentumGrid) -> ScatteringData:
@@ -637,16 +634,18 @@ def forward(q: Potential, kgrid: MomentumGrid | None = None) -> ForwardResult:
 
     A grid that cannot resolve q is refused before any march (by
     jost_boundary, SolverError).  The scattering data must pass the
-    characterization's symmetry/unitarity check at FORWARD_TOL and the
-    discrete-data check; a failure raises SolverError naming the failed
-    checks.  The result holds neither the transformation kernel nor the
-    Jost field f(x, k): kernel_from_potential and jost_field compute those.
+    characterization's symmetry/unitarity and discrete-data checks, else
+    SolverError names the failed checks; S = conj f / f with f mirrored is
+    symmetric bit for bit and unimodular to rounding, so only the former's
+    tail part (S -> 1 at the grid ends) can fail.  The result holds neither
+    the transformation kernel nor the Jost field f(x, k):
+    kernel_from_potential and jost_field compute those.
     """
     if kgrid is None:
         kgrid = MomentumGrid.make(200.0, 0.01)
     f0, fprime0 = jost_boundary(q, kgrid)
     sd = _scattering_data(q, kgrid, f0)
-    checks = (check_symmetry_unitarity(sd, FORWARD_TOL), check_discrete(sd))
+    checks = (check_symmetry_unitarity(sd), check_discrete(sd))
     bad = [f"{c.name} ({c.note})" for c in checks if not c.passed]
     if bad:
         raise SolverError("forward data failed validation: " + "; ".join(bad))

@@ -271,7 +271,8 @@ class InversionResult:
 
 def _tail_cut(F: MarchenkoInput) -> tuple[int, float]:
     """Index of the first F node from which the tail envelope stays at or
-    below Y_TAIL_TOL (the last node if none), and the envelope there.
+    below Y_TAIL_TOL, and the envelope there.  The last node always
+    qualifies: its tail is 0.
 
     The envelope is the running maximum of the signed tail integral of F
     from node j to the window end: oscillatory ringing in a Fourier-built F
@@ -281,8 +282,7 @@ def _tail_cut(F: MarchenkoInput) -> tuple[int, float]:
     tail = np.zeros(F.xgrid.n)
     tail[:-1] = (0.5 * F.xgrid.dx * (F.f_values[1:] + F.f_values[:-1]))[::-1].cumsum()[::-1]
     tail_env = np.maximum.accumulate(np.abs(tail)[::-1])[::-1]
-    below = np.nonzero(tail_env <= Y_TAIL_TOL)[0]
-    cut = int(below[0]) if below.size else F.xgrid.n - 1
+    cut = int(np.flatnonzero(tail_env <= Y_TAIL_TOL)[0])
     return cut, float(tail_env[cut])
 
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from halfline import marchenko as mk
 from halfline.errors import DataError, SolverError
@@ -84,21 +86,6 @@ def sech2_jost_exact(x: np.ndarray, k: complex) -> np.ndarray:
     return np.exp(1j * k * x) * (k + 1j * np.tanh(x)) / (k + 1j)
 
 
-def square_well_jost_oracle(k: complex, depth: float = 4.0, width: float = 1.0) -> tuple[complex, complex]:
-    """Closed-form (f(0,k), f'(0,k)) for the square well by plane-wave
-    matching at the edge: inside omega = sqrt(k^2 + depth),
-
-        f(0,k)  = e^{ik w} [cos(omega w) - i (k/omega) sin(omega w)]
-        f'(0,k) = e^{ik w} [i k cos(omega w) + omega sin(omega w)].
-    """
-    om = np.sqrt(complex(k) ** 2 + depth)
-    w = width
-    phase = np.exp(1j * complex(k) * w)
-    f0 = phase * (np.cos(om * w) - 1j * (complex(k) / om) * np.sin(om * w))
-    fp0 = phase * (1j * complex(k) * np.cos(om * w) + om * np.sin(om * w))
-    return complex(f0), complex(fp0)
-
-
 def reflectionless_data(kgrid: MomentumGrid, states) -> ScatteringData:
     """Admissible data with the bound states (kappa_j, s_j) and the Jost
     function w = prod_j (k - i kappa_j)/(k + i kappa_j): S = conj(w)/w."""
@@ -107,23 +94,169 @@ def reflectionless_data(kgrid: MomentumGrid, states) -> ScatteringData:
     return ScatteringData(kgrid=kgrid, s_values=np.conj(w) / w, bound_states=tuple(BoundState(*b) for b in states))
 
 
-def well_kappa_oracle(depth: float = 4.0, width: float = 1.0, iters: int = 200) -> float:
-    """Bound-state location for the square well by high-resolution bisection
-    of omega*cot(omega*width) = -kappa with omega = sqrt(depth - kappa^2)."""
+def _segment(m: float, L: float) -> tuple[float, float, float]:
+    """(c, so, st) such that [[c, so], [st, c]] maps (u, u') across a piece
+    of length L on which u'' = m u: cosh(mu L), sinh(mu L)/mu and
+    mu sinh(mu L) for mu^2 = m > 0, their trigonometric forms for m < 0, and
+    (1, L, 0) at m = 0.  The map's determinant is 1, so its inverse is
+    [[c, -so], [-st, c]]."""
+    if m > 0:
+        mu = math.sqrt(m)
+        return math.cosh(mu * L), math.sinh(mu * L) / mu, mu * math.sinh(mu * L)
+    if m < 0:
+        p = math.sqrt(-m)
+        return math.cos(p * L), math.sin(p * L) / p, -p * math.sin(p * L)
+    return 1.0, L, 0.0
 
-    def g(kappa: float) -> float:
-        om = np.sqrt(depth - kappa**2)
-        return om / np.tan(om * width) + kappa
 
-    lo, hi = 1e-6, np.sqrt(depth) - 1e-9
-    glo = g(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if glo * g(mid) <= 0:
-            hi = mid
-        else:
-            lo, glo = mid, g(mid)
-    return 0.5 * (lo + hi)
+def _segment_square_integral(a: float, b: float, m: float, L: float) -> float:
+    """int_0^L u^2 dt for u'' = m u, u(0) = a, u'(0) = b, in closed form:
+    u = a C + b S with C = cosh(mu t) and S = sinh(mu t)/mu (cos and sin/p
+    for m < 0), int C^2 = (L + c so)/2, int C S = so^2/2 and int S^2 =
+    (c so - L)/(2m), the last by its power series where |m| L^2 is small.
+    Where u grows (a and b of one sign, m > 0) no term cancels."""
+    c, so, _ = _segment(m, L)
+    if abs(m) * L * L < 0.25:
+        iss = sum(2.0 ** (2 * n - 1) * m ** (n - 1) * L ** (2 * n + 1) / (math.factorial(2 * n) * (2 * n + 1)) for n in range(1, 12))
+    else:
+        iss = (c * so - L) / (2.0 * m)
+    return a * a * (L + c * so) / 2.0 + a * b * so * so + b * b * iss
+
+
+class PiecewiseOracle:
+    """Exact scattering quantities of a piecewise-constant potential, the
+    continuum problem that the library's sampled wells discretize: q = v_i
+    on [x_i, x_{i+1}) for edges 0 = x_0 < x_1 < ... < x_m, and q = 0 from
+    x_m on.  Several wells at any positions and depths.
+
+    - jost(k): (f(0, k), f'(0, k)) at real k, by the pieces' transfer
+      matrices from f = e^{ikx} at x_m.
+    - kappas(): the bound states, increasing.  The Sturm count (the zeros
+      on (0, inf) of the regular solution phi, phi(0) = 0, phi'(0) = 1,
+      number the kappa_j above kappa) brackets each one alone, and it is the
+      zero of the matching Wronskian W = f phi' - f' phi at an edge x_c of
+      phi marched right from 0 and the Jost solution f = e^{-kappa x}
+      marched left from x_m.
+    - norming(): s_j = 1 / int_0^inf f^2, f normalized to e^{-kappa x} past
+      x_m, from the closed-form integrals of each piece: f's on [x_c, inf),
+      and (f/phi)(x_c)^2 times phi's on [0, x_c).
+
+    x_c is the edge where each march stands at its largest amplitude so far
+    (_match): the peak of the state, toward which both marches grow.  So
+    neither march is formed by cancellation, as f(0, i kappa) from the
+    right is left of a well away from the wall, and no piece's integral
+    cancels.  The library's wells take the midpoint value at an edge node,
+    so they differ from this continuum problem at O(dx^2).
+    """
+
+    def __init__(self, edges, values):
+        edges = [float(e) for e in edges]
+        assert edges[0] == 0.0 and all(b > a for a, b in zip(edges, edges[1:])) and len(values) == len(edges) - 1
+        self.pieces = [(b - a, float(v)) for a, b, v in zip(edges, edges[1:], values)]
+        self.x_end = edges[-1]
+        self.depth = -min(values)
+
+    def jost(self, k: float) -> tuple[complex, complex]:
+        k = float(k)
+        u = complex(np.exp(1j * k * self.x_end))
+        du = 1j * k * u
+        for L, v in reversed(self.pieces):
+            c, so, st = _segment(v - k * k, L)
+            u, du = c * u - so * du, c * du - st * u
+        return u, du
+
+    def _marches(self, kappa: float):
+        """phi marched right and f marched left, each (u, u') at every
+        edge, and the Sturm count: the zeros of phi on (0, inf)."""
+        n = len(self.pieces)
+        phi, f = np.empty((n + 1, 2)), np.empty((n + 1, 2))
+        phi[0] = 0.0, 1.0
+        zeros = 0
+        for i, (L, v) in enumerate(self.pieces):
+            m = v + kappa * kappa
+            c, so, st = _segment(m, L)
+            u, du = phi[i]
+            phi[i + 1] = c * u + so * du, st * u + c * du
+            if m < 0:  # phi = r sin(theta), phi'/p = r cos(theta), theta' = p
+                p = math.sqrt(-m)
+                theta = math.atan2(u, du / p)
+                zeros += math.floor((theta + p * L) / math.pi) - math.floor(theta / math.pi)
+            else:  # a hyperbolic or linear piece holds at most one zero
+                zeros += u * phi[i + 1, 0] < 0
+        u, du = phi[n]
+        zeros += u * (u + du / kappa) < 0  # the tail's e^{+-kappa x} mix changes sign at most once
+        f[n] = math.exp(-kappa * self.x_end), -kappa * math.exp(-kappa * self.x_end)
+        for i in range(n - 1, -1, -1):
+            L, v = self.pieces[i]
+            c, so, st = _segment(v + kappa * kappa, L)
+            u, du = f[i + 1]
+            f[i] = c * u - so * du, c * du - st * u
+        return phi, f, zeros
+
+    def _match(self, kappa: float) -> int:
+        """The matching edge: where phi's and f's amplitudes, relative to
+        their largest so far in marching order, are jointly largest."""
+        phi, f, _ = self._marches(kappa)
+        amp_phi, amp_f = np.hypot(phi[:, 0], phi[:, 1] / kappa), np.hypot(f[:, 0], f[:, 1] / kappa)
+        grown_phi = amp_phi / np.maximum.accumulate(amp_phi)
+        grown_f = amp_f / np.maximum.accumulate(amp_f[::-1])[::-1]
+        return int(np.argmax(np.minimum(grown_phi, grown_f)))
+
+    def _wronskian(self, kappa: float, c: int) -> float:
+        phi, f, _ = self._marches(kappa)
+        return f[c, 0] * phi[c, 1] - f[c, 1] * phi[c, 0]
+
+    def _count(self, kappa: float) -> int:
+        return self._marches(kappa)[2]
+
+    def kappas(self) -> tuple[float, ...]:
+        if self.depth <= 0:
+            return ()
+        k_lo, k_hi = 1e-8 * math.sqrt(self.depth), math.sqrt(self.depth)
+        j = self._count(k_lo)
+        out = []
+        for i in range(j):  # kappa_i: where the count drops from j - i to j - i - 1
+            lo, hi = k_lo, k_hi
+            for _ in range(200):
+                if self._count(lo) == j - i and self._count(hi) == j - i - 1:
+                    break
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if self._count(mid) >= j - i else (lo, mid)
+            else:
+                raise AssertionError("Sturm bisection did not isolate a state")
+            # W is the same function at every edge; match at the root's own edge
+            kappa = brentq(self._wronskian, lo, hi, args=(self._match(0.5 * (lo + hi)),), xtol=1e-15)
+            out.append(brentq(self._wronskian, lo, hi, args=(self._match(kappa),), xtol=1e-15))
+        return tuple(out)
+
+    def norming(self) -> tuple[float, ...]:
+        out = []
+        for kappa in self.kappas():
+            c = self._match(kappa)
+            phi, f, _ = self._marches(kappa)
+            i_phi = sum(_segment_square_integral(*phi[i], v + kappa * kappa, L) for i, (L, v) in enumerate(self.pieces[:c]))
+            i_f = f[-1, 0] ** 2 / (2.0 * kappa)  # int_{x_m}^inf e^{-2 kappa x}
+            for i, (L, v) in enumerate(self.pieces[c:], start=c):  # from each piece's right end, leftward
+                i_f += _segment_square_integral(f[i + 1, 0], -f[i + 1, 1], v + kappa * kappa, L)
+            ratio = (f[c] @ phi[c]) / (phi[c] @ phi[c])  # f = ratio phi on [0, x_c]
+            out.append(float(1.0 / (i_f + ratio * ratio * i_phi)))
+        return tuple(out)
+
+
+def well_oracle(a: float = 0.0, depth: float = 4.0, width: float = 1.0) -> PiecewiseOracle:
+    """The oracle of the well -depth on [a, a + width), the continuum form
+    of displaced_well(a) and, at a = 0, of the README's well."""
+    if a == 0.0:
+        return PiecewiseOracle([0.0, width], [-depth])
+    return PiecewiseOracle([0.0, a, a + width], [0.0, -depth])
+
+
+def vanishing_fprime_well() -> Potential:
+    """The depth-65.81 well on [5, 5.25) on x in [0, 10] at dx 0.05, with no
+    midpoint edges: its one bound state, kappa = 5.582375, has
+    f'(0, i kappa) = 0.0 exactly in the library's march."""
+    g = RadialGrid.make(10.0, 0.05)
+    return Potential(grid=g, values=np.where((g.nodes >= 5.0) & (g.nodes < 5.25), -65.81, 0.0))
 
 
 def find_root_scalar(g, a: float, b: float, tol: float = 1e-10, max_iter: int = 200, fa=None, fb=None) -> float:

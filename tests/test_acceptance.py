@@ -10,7 +10,7 @@ for the dense solves) are stated inline where the numerics require them.
 import numpy as np
 import pytest
 
-from conftest import reflectionless_data, well_kappa_oracle
+from conftest import reflectionless_data, well_oracle
 from halfline import characterize as ch
 from halfline import forward as fw
 from halfline import marchenko as mk
@@ -100,7 +100,7 @@ def test_criterion_3_forward_oracle(fw_sech2):
 
 
 def test_criterion_4_square_well_roundtrip(q_well, fw_well):
-    kappa_ref = well_kappa_oracle()
+    kappa_ref = well_oracle().kappas()[0]
     scan = fw.find_bound_states(q_well)
     kappa_err = abs(scan.kappas[0] - kappa_ref) if scan.kappas else np.inf
     _, norm_report = fw.norming_constants(q_well, scan.kappas)

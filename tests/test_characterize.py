@@ -5,7 +5,6 @@ from conftest import displaced_data
 from halfline import characterize as ch
 from halfline import forward as fw
 from halfline import marchenko as mk
-from halfline.errors import DataError
 from halfline.model import BoundState, MarchenkoInput, MomentumGrid, RadialGrid, ScatteringData
 from halfline.numkit import _oscillatory_sum, quadrature_weights
 
@@ -283,10 +282,3 @@ def test_report_serialization(fw_zero):
         "integrability",
         "index",
     }
-
-
-def test_thresholds_positive(kgrid_coarse):
-    sd = ScatteringData(kgrid=kgrid_coarse, s_values=np.ones(kgrid_coarse.n, complex))
-    for tol in (0.0, -1e-6):
-        with pytest.raises(DataError, match="tol must be positive"):
-            ch.check_symmetry_unitarity(sd, tol)

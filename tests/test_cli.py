@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import displaced_data, reflectionless_data, write_csv_reference, write_json_reference
+from conftest import displaced_data, reflectionless_data, vanishing_fprime_well, write_csv_reference, write_json_reference
 from halfline import characterize, cli, marchenko as mk
 from halfline.errors import DataError
 from halfline.model import BoundState, MomentumGrid, RadialGrid, ScatteringData
@@ -621,6 +621,17 @@ def test_unresolved_potential_forward_exits_3(tmp_path, capsys):
     assert cli.main(["forward", "--potential", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_FORWARD
     err = capsys.readouterr().err
     assert "does not resolve" in err and "Traceback" not in err
+
+
+def test_vanishing_fprime_forward_exits_3(tmp_path, capsys):
+    # f'(0, i kappa) = 0.0 at this well's state: forward and roundtrip end
+    # in the forward stage's code with a message (warnings are errors here)
+    path = tmp_path / "q.csv"
+    cli.write_potential_csv(path, vanishing_fprime_well())
+    for sub in ("forward", "roundtrip"):
+        assert cli.main([sub, "--potential", str(path), "--out", str(tmp_path / sub)]) == cli.EXIT_FORWARD
+        err = capsys.readouterr().err
+        assert "norming constant at kappa = 5.582375 is undefined" in err and "Traceback" not in err
 
 
 def test_scattering_json_without_s_re_exits_with_stage_code(tmp_path, capsys):

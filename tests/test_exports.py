@@ -65,7 +65,6 @@ SETTABLE_VALUES = [
     "InversionConfig.x_max",
     "ScatteringData.bound_states",
     "ScatteringData.s_at_zero_sign",
-    "check_symmetry_unitarity(tol)",
     "data_from_F(kgrid)",
     "data_from_kernel(kgrid)",
     "differentiate(stencil)",
@@ -86,5 +85,5 @@ SETTABLE_VALUES = [
 def test_settable_values_count():
     # each new option must show up here: a change that adds, drops or
     # swaps one changes this list in its own diff
-    assert len(SETTABLE_VALUES) == 21
+    assert len(SETTABLE_VALUES) == 20
     assert sorted(_settable_values()) == SETTABLE_VALUES

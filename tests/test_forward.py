@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import kernel_fill_by_diagonals, sech2_jost_exact, square_well_jost_oracle, well_kappa_oracle
+from conftest import kernel_fill_by_diagonals, sech2_jost_exact, vanishing_fprime_well, well_oracle
 from halfline.errors import DataError, SolverError
 from halfline import forward as fw
 from halfline.marchenko import data_from_kernel
@@ -42,7 +42,7 @@ def test_jost_square_well_matching_oracle():
     q = square_well_potential(RadialGrid.make(2.0, 5e-4))
     f_xk, fp0 = fw.jost_field(q, [2.0, 0.0])
     for j, k in enumerate([2.0, 0.0]):
-        f_ref, fp_ref = square_well_jost_oracle(k)
+        f_ref, fp_ref = well_oracle().jost(k)
         assert abs(f_xk[0, j] - f_ref) < 1e-6
         assert abs(fp0[j] - fp_ref) < 1e-6
 
@@ -360,7 +360,7 @@ def test_bound_states_square_well(q_well):
     scan = fw.find_bound_states(q_well)
     assert len(scan.kappas) == 1
     assert not scan.resonance_suspected
-    assert scan.kappas[0] == pytest.approx(well_kappa_oracle(), abs=1e-6)
+    assert scan.kappas[0] == pytest.approx(well_oracle().kappas()[0], abs=1e-6)
 
 
 def test_bound_states_sech2_resonance(q_sech2):
@@ -395,6 +395,17 @@ def test_norming_rejects_nonpositive_kappa(q_well, kappa):
     # by zero), kappa < 0 would march below the axis, nan and inf not at all
     with pytest.raises(DataError, match="kappa"):
         fw.norming_constants(q_well, [1.0, kappa])
+
+
+def test_norming_refuses_a_vanishing_fprime():
+    # the march gives f'(0, i kappa) = 0.0 exactly at this well's state, so
+    # s = 2 kappa / (gdot f'(0, i kappa)) is undefined
+    q = vanishing_fprime_well()
+    kappas = fw.find_bound_states(q).kappas
+    assert kappas == pytest.approx((5.582375,), abs=1e-6)
+    assert fw.jost_field(q, [1j * kappas[0]])[1][0] == 0.0
+    with pytest.raises(SolverError, match=r"kappa = 5\.582375 is undefined"):
+        fw.norming_constants(q, kappas)
 
 
 def test_norming_cross_check(q_well):
@@ -873,13 +884,27 @@ def test_kernel_fourier_consistency(sech2_kernel):
 
 def test_forward_refuses_data_that_fail_the_characterization(monkeypatch, q_zero, kgrid_coarse):
     # |S| = 2 breaks unitarity; forward checks its own output with the
-    # characterization at 1e-8 and names the failed condition
+    # characterization's own entries and names the failed condition
     def doubled(q, kgrid, f0):
         return ScatteringData(kgrid=kgrid, s_values=np.full(kgrid.n, 2.0 + 0.0j))
 
     monkeypatch.setattr(fw, "_scattering_data", doubled)
     with pytest.raises(SolverError, match="symmetry_unitarity"):
         fw.forward(q_zero, kgrid_coarse)
+
+
+def test_forward_s_is_conjugate_symmetric_bit_for_bit(fw_well, fw_sech2):
+    # S = conj f / f with f mirrored from k >= 0: S(-k) = conj S(k) holds
+    # exactly and |S| = 1 to rounding, so of forward's symmetry/unitarity
+    # check only the tail part can fail.  The depth-64 well fails it
+    # (|S - 1| = 0.32 at k = 200), so its S comes from s_matrix, the S that
+    # forward checks.
+    kg = MomentumGrid.make(200.0, 0.01)
+    sech6 = fw.forward(sech2_potential(RadialGrid.make(40.0, 0.01), depth=6.0), kg).sd
+    for sd in (fw_well.sd, fw_sech2.sd, sech6, fw.s_matrix(_deep_well(), kg)):
+        s = sd.s_values
+        np.testing.assert_array_equal(s[::-1], np.conj(s))
+        assert np.max(np.abs(np.abs(s) - 1.0)) <= 1e-15
 
 
 def test_forward_exact_zero_at_origin_is_not_divided():

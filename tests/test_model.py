@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from halfline.characterize import check_discrete, check_symmetry_unitarity
 from halfline.errors import DataError, GridError
-from halfline.forward import FORWARD_TOL, kernel_from_potential
+from halfline.forward import kernel_from_potential
 from halfline.model import (
     BoundState,
     MarchenkoInput,
@@ -19,10 +19,16 @@ from halfline.model import (
 from halfline.potentials import square_well_potential
 
 
-def violations(sd: ScatteringData, tol: float = 1e-8) -> list[str]:
+def violations(sd: ScatteringData) -> list[str]:
     """Names of the structural checks (the two forward runs on its own
-    output) that sd fails with unitarity and symmetry tolerance tol."""
-    return [c.name for c in (check_symmetry_unitarity(sd, tol), check_discrete(sd)) if not c.passed]
+    output) that sd fails."""
+    return [c.name for c in (check_symmetry_unitarity(sd), check_discrete(sd)) if not c.passed]
+
+
+def s_defects(sd: ScatteringData) -> tuple[float, float]:
+    """max ||S| - 1| and max |S(-k) - conj S(k)| of sd."""
+    s = sd.s_values
+    return float(np.max(np.abs(np.abs(s) - 1.0))), float(np.max(np.abs(s[::-1] - np.conj(s))))
 
 
 def test_radial_grid_basics():
@@ -220,7 +226,8 @@ def test_marchenko_input_rejects_nonfinite():
 def test_validate_identity_data():
     kg = MomentumGrid.make(50.0, 0.05)
     sd = ScatteringData(kgrid=kg, s_values=np.ones(kg.n, dtype=complex))
-    assert violations(sd, tol=1e-10) == []
+    assert violations(sd) == []
+    assert max(s_defects(sd)) <= 1e-10
 
 
 def test_validate_unitarity_violation():
@@ -237,7 +244,8 @@ def test_validate_blaschke_data_clean():
     s = (kg.nodes + 1j) / (kg.nodes - 1j)
     s[kg.zero_index] = -1.0
     sd = ScatteringData(kgrid=kg, s_values=s, s_at_zero_sign=-1)
-    assert violations(sd, tol=1e-12) == []
+    assert violations(sd) == []
+    assert max(s_defects(sd)) <= 1e-12
 
 
 def test_potential_rejects_nonfinite():
@@ -275,10 +283,12 @@ def test_validate_passes_on_synthetic_unitary_data(amp, scale, kap, s):
     sd = ScatteringData(
         kgrid=kg, s_values=sv, bound_states=(BoundState(kap, s),), s_at_zero_sign=1
     )
-    assert violations(sd, tol=1e-10) == []
+    assert violations(sd) == []
+    assert max(s_defects(sd)) <= 1e-10
 
 
 def test_forward_data_pass_validation(fw_sech2, fw_well, fw_zero):
-    assert FORWARD_TOL == 1e-8
+    # forward's S is symmetric bit for bit and unimodular to 1e-15
+    # (test_forward's test_forward_s_is_conjugate_symmetric_bit_for_bit)
     for r in (fw_sech2, fw_well, fw_zero):
-        assert violations(r.sd, tol=1e-8) == []
+        assert violations(r.sd) == []

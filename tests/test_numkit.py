@@ -276,14 +276,14 @@ def test_find_root_cosine():
 
 
 def test_find_root_transcendental_vs_bisection(well_kappa=None):
-    from conftest import well_kappa_oracle
+    from conftest import well_oracle
 
     def g(kappa):
         om = np.sqrt(4.0 - kappa**2)
         return om / np.tan(om) + kappa
 
     root = nk.find_roots(g, 0.01, 1.99, g(0.01), g(1.99), 1e-14)[0]
-    assert root == pytest.approx(well_kappa_oracle(), abs=1e-10)
+    assert root == pytest.approx(well_oracle().kappas()[0], abs=1e-10)
 
 
 def test_find_root_requires_bracket():
